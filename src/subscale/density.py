@@ -17,7 +17,9 @@ densities are materialized on request and flagged when they overflow.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import heapq
 import math
 import struct
 from dataclasses import dataclass
@@ -170,10 +172,13 @@ class DatasetDensityReport:
 # ---------------------------------------------------------------------------
 
 
-def _sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(x), len(centers))."""
+def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape (len(x), len(centers)).
+
+    ``x_sq`` is ``np.sum(x * x, axis=1)``, computed once per k-means call.
+    """
     d2 = (
-        np.sum(x * x, axis=1)[:, None]
+        x_sq[:, None]
         - 2.0 * (x @ centers.T)
         + np.sum(centers * centers, axis=1)[None, :]
     )
@@ -196,21 +201,22 @@ def kmeans(
         return Clustering.from_parts(np.arange(n), x.copy())
 
     rng = SplitMix64(seed)
+    x_sq = np.sum(x * x, axis=1)
 
     centers = np.empty((k, x.shape[1]), dtype=float)
     centers[0] = x[rng.randint(n)]
-    d2 = _sq_distances(x, centers[:1]).min(axis=1)
+    d2 = _sq_distances(x, x_sq, centers[:1]).min(axis=1)
     for i in range(1, k):
         if d2.sum() > 0:
             idx = rng.choice_weighted(d2)
         else:
             idx = rng.randint(n)
         centers[i] = x[idx]
-        d2 = np.minimum(d2, _sq_distances(x, centers[i : i + 1]).min(axis=1))
+        d2 = np.minimum(d2, _sq_distances(x, x_sq, centers[i : i + 1]).min(axis=1))
 
     assignment = np.full(n, -1, dtype=int)
     for _ in range(max_iters):
-        dists = _sq_distances(x, centers)
+        dists = _sq_distances(x, x_sq, centers)
         new_assignment = dists.argmin(axis=1)
 
         counts = np.bincount(new_assignment, minlength=k)
@@ -295,12 +301,17 @@ def dataset_radius(
     dists = np.linalg.norm(
         clustering.centroids - clustering.grand_centroid[None, :], axis=1
     )
-    if float(dists.max(initial=0.0)) == 0.0:
-        raise DegenerateGeometry()
     denoms = np.array(
         [_log1p_density(by_id[cid].log_density) for cid in range(clustering.k)]
     )
-    return float(np.mean(dists / denoms))
+    return _weighted_radius(dists, denoms)
+
+
+def _weighted_radius(offsets: np.ndarray, denoms: np.ndarray) -> float:
+    """Mean of centroid offsets over log(rho_i + 1), one entry per cluster."""
+    if float(offsets.max(initial=0.0)) == 0.0:
+        raise DegenerateGeometry()
+    return float(np.mean(offsets / denoms))
 
 
 def dataset_density(
@@ -336,48 +347,6 @@ def dataset_density(
 # ---------------------------------------------------------------------------
 
 
-class _ClusterState:
-    """Mutable view of one cluster during greedy pruning.
-
-    Members are consumed in order of increasing distance to the (fixed)
-    centroid; the running radius is the mean of the remaining distances.
-    """
-
-    __slots__ = ("order", "dists", "ptr", "count", "dist_sum", "centroid_dist")
-
-    def __init__(self, rows: np.ndarray, dists: np.ndarray, centroid_dist: float):
-        order = np.lexsort((rows, dists))  # distance, then row id
-        self.order = rows[order]
-        self.dists = dists[order]
-        self.ptr = 0
-        self.count = len(rows)
-        self.dist_sum = float(dists.sum())
-        self.centroid_dist = centroid_dist
-
-    def log_density(self, dim: int, radius_floor: float) -> float:
-        radius = max(self.dist_sum / self.count, radius_floor)
-        return log_density_from_radius(self.count, dim, radius)
-
-    def pop_closest(self) -> int:
-        row = int(self.order[self.ptr])
-        self.dist_sum -= float(self.dists[self.ptr])
-        self.ptr += 1
-        self.count -= 1
-        return row
-
-
-def _dataset_log_density(
-    states: list[_ClusterState], dim: int, n_total: int, radius_floor: float
-) -> float:
-    live = [s for s in states if s.count > 0]
-    dists = np.array([s.centroid_dist for s in live])
-    if float(dists.max(initial=0.0)) == 0.0:
-        raise DegenerateGeometry()
-    denoms = np.array([_log1p_density(s.log_density(dim, radius_floor)) for s in live])
-    radius = float(np.mean(dists / denoms))
-    return log_density_from_radius(n_total, dim, radius)
-
-
 def select_low_density(
     embeddings: EmbeddingSet,
     clustering: Clustering,
@@ -389,9 +358,15 @@ def select_low_density(
 
     Each step removes, from the cluster with the highest current log
     density, the member closest to that cluster's centroid (the most
-    redundant sample), then updates that cluster's radius incrementally.
-    Stops once the kept fraction or the target dataset log-density is
-    reached.  Ties break toward the lowest cluster id and lowest row.
+    redundant sample); the cluster's radius is the mean of its remaining
+    member distances.  Stops once the kept fraction or the target dataset
+    log-density is reached.  Ties break toward the lowest cluster id and
+    lowest row.
+
+    A cluster's density depends only on its own removals, so the greedy
+    rule is a k-way merge of per-cluster sequences: a heap keyed
+    ``(-log_density, cluster_id)`` yields the same removal at every step
+    in O(log k), without assuming the sequences are monotone.
     """
     if (keep_fraction is None) == (target_log_density is None):
         raise ValueError("give exactly one of keep_fraction or target_log_density")
@@ -404,46 +379,75 @@ def select_low_density(
         if keep_target == n:
             return list(embeddings.ids)
 
-    centroid_offsets = np.linalg.norm(
-        clustering.centroids - clustering.grand_centroid[None, :], axis=1
-    )
-    states = []
+    # Per cluster: rows closest first (distance, then row id), and the
+    # member-distance sum after each removal.  The sum starts from the
+    # row-order total and subtracts one distance at a time; accumulate is
+    # that same left fold, so every sum matches a running ``-=`` bit for bit.
+    order: list[list[int]] = []
+    dist_sums: list[list[float]] = []
     for cid in range(clustering.k):
         rows = np.flatnonzero(clustering.assignment == cid)
         dists = np.linalg.norm(
             embeddings.vectors[rows] - clustering.centroids[cid], axis=1
         )
-        states.append(_ClusterState(rows, dists, float(centroid_offsets[cid])))
+        by_dist = np.lexsort((rows, dists))
+        order.append(rows[by_dist].tolist())
+        steps = np.concatenate(([float(dists.sum())], dists[by_dist]))
+        dist_sums.append(np.subtract.accumulate(steps).tolist())
+    taken = [0] * clustering.k
 
-    removed: set[int] = set()
+    def cluster_log_density(cid: int) -> float:
+        count = len(order[cid]) - taken[cid]
+        radius = max(dist_sums[cid][taken[cid]] / count, radius_floor)
+        return log_density_from_radius(count, dim, radius)
+
+    live = [cid for cid in range(clustering.k) if order[cid]]
+    live_log_density = [cluster_log_density(cid) for cid in live]
+    heap = [(-ld, cid) for cid, ld in zip(live, live_log_density)]
+    heapq.heapify(heap)
+    if target_log_density is not None:
+        # the dataset density's terms for the live clusters, in id order
+        live_offsets = np.linalg.norm(
+            clustering.centroids - clustering.grand_centroid[None, :], axis=1
+        )[live]
+        live_denoms = np.array([_log1p_density(ld) for ld in live_log_density])
+
+    removed = np.zeros(n, dtype=bool)
     retained = n
     while True:
         if keep_fraction is not None:
             if retained <= keep_target:
                 break
         else:
-            current = _dataset_log_density(states, dim, retained, radius_floor)
+            radius = _weighted_radius(live_offsets, live_denoms)
+            current = log_density_from_radius(retained, dim, radius)
             if current <= target_log_density:
                 break
             if retained <= 1:
                 raise TargetUnreachable(
                     f"log-density {current:.6g} cannot reach {target_log_density:.6g}"
                 )
-        densest = None
-        best = -math.inf
-        for cid, state in enumerate(states):
-            if state.count == 0:
-                continue
-            ld = state.log_density(dim, radius_floor)
-            if ld > best:
-                best = ld
-                densest = cid
-        if densest is None:
+        # a log density of -inf (overflowed radius) is never the densest
+        if not heap or heap[0][0] == math.inf:
             raise TargetUnreachable("no members left to remove")
-        removed.add(states[densest].pop_closest())
+        _, cid = heapq.heappop(heap)
+        removed[order[cid][taken[cid]]] = True
+        taken[cid] += 1
         retained -= 1
+        emptied = taken[cid] == len(order[cid])
+        if not emptied:
+            ld = cluster_log_density(cid)
+            heapq.heappush(heap, (-ld, cid))
+        if target_log_density is not None:
+            pos = bisect.bisect_left(live, cid)
+            if emptied:
+                del live[pos]
+                live_offsets = np.delete(live_offsets, pos)
+                live_denoms = np.delete(live_denoms, pos)
+            else:
+                live_denoms[pos] = _log1p_density(ld)
 
-    return [embeddings.ids[i] for i in range(n) if i not in removed]
+    return [sid for sid, gone in zip(embeddings.ids, removed) if not gone]
 
 
 def subset_embeddings(embeddings: EmbeddingSet, ids: list[str]) -> np.ndarray:

@@ -38,6 +38,7 @@ from .errors import (
     LengthMismatch,
     NoConvergence,
     NonPositiveActual,
+    SubscaleError,
     UnknownFamily,
 )
 from .laws import (
@@ -875,6 +876,11 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
+# What a family's fit may legitimately fail with; anything else is a bug
+# and propagates instead of becoming a table row.
+_FIT_FAILURES = (SubscaleError, ValueError, FloatingPointError, np.linalg.LinAlgError)
+
+
 def compare_laws(
     series: RunSeries,
     families: list[str],
@@ -904,7 +910,7 @@ def compare_laws(
                     params=result.params,
                 )
             )
-        except Exception as exc:  # keep the table; mark the row
+        except _FIT_FAILURES as exc:  # keep the table; mark the row
             rows.append(
                 ComparisonRow(
                     family=tag,

@@ -9,10 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 16.0, 30.0, 46.0
+
+
+def escape(text: str) -> str:
+    """XML-escape ``&``, ``<`` and ``>`` like ``xml.sax.saxutils.escape``.
+
+    Local so that importing the plotter does not pull in ``xml.sax`` and,
+    through it, ``urllib.request`` on every CLI start.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(value: float) -> str:

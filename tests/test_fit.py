@@ -303,6 +303,18 @@ def test_compare_marks_failed_rows():
     assert table.rows[-1].family == "batch_power"  # failed rows sort last
 
 
+def test_compare_propagates_programming_errors(monkeypatch):
+    # only fit failures become table rows; a bug in the fitter surfaces
+    series = _suboptimal_series(n_checkpoints=8)
+
+    def broken_fit(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(fit, "fit_law", broken_fit)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        fit.compare_laws(series, ["power"], split_fraction=0.25)
+
+
 def test_comparison_csv_layout():
     series = _suboptimal_series(n_checkpoints=8, noise=0.005, seed=14)
     table = fit.compare_laws(series, ["power", "chinchilla"], split_fraction=0.25)
