@@ -29,7 +29,7 @@ from .errors import (
     NoRunReachesTarget,
     UnknownFamily,
 )
-from .fit import FitConfig, fit_power_loglog
+from .fit import fit_power_loglog
 from .laws import ChinchillaParams, LawParams, SubOptimalParams, loss_at, params_to_dict
 from .runs import RunSeries, gaussian_smooth
 
@@ -234,7 +234,6 @@ def _jarque_bera(values: np.ndarray) -> float:
 def alpha_stability(
     series: RunSeries,
     otr_bins,
-    config: FitConfig | None = None,
     otr_threshold: float = DEFAULT_OTR_THRESHOLD,
     significance: float = 0.05,
 ) -> ExponentStabilityReport:
@@ -243,10 +242,8 @@ def alpha_stability(
     Each bin [lo, hi) gets the closed-form log-log fit of L = lam * C**(-a)
     with C = 6*N*D.  Bins entirely above ``otr_threshold`` feed the
     mean/std and the normality check; records outside every bin are
-    ignored.  ``config`` is accepted for interface symmetry; the closed
-    form has no tunables beyond the log residual space it already uses.
+    ignored.
     """
-    del config
     bins = [(float(lo), float(hi)) for lo, hi in otr_bins]
     if not bins:
         raise ValueError("otr_bins must be non-empty")

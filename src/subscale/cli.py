@@ -4,8 +4,7 @@ Every command writes its tables and plots into an output directory together
 with ``manifest.json`` recording the normalized argument vector, input file
 hashes, the effective seed, and the tool version.  ``subscale report
 <manifest> -o DIR`` replays the recorded command; outputs are byte-identical
-because nothing in the pipeline depends on time, environment, or thread
-count.
+because nothing in the pipeline depends on time or environment.
 
 Exit codes: 0 success, 1 input/usage error, 2 analytic failure (no
 convergence, no interior minimum, degenerate geometry, unreachable target).
@@ -17,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -50,20 +48,6 @@ def _write_json(path: Path, obj) -> None:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class ReportBundle:
-    """Everything one command emitted: data tables, plots, and the manifest.
-
-    The manifest names every emitted file plus the normalized argument
-    vector, input hashes, effective seed, and tool version; replaying it
-    reproduces the tables byte for byte.
-    """
-
-    tables: tuple[str, ...]
-    plots: tuple[str, ...]
-    manifest: dict
-
-
 def _write_manifest(
     out_dir: Path,
     command: str,
@@ -71,9 +55,9 @@ def _write_manifest(
     inputs: list[Path],
     tables: list[str],
     plots: list[str],
-    seed: int | None,
-    threads: int | None,
-) -> ReportBundle:
+    seed: int | None = None,
+) -> None:
+    """Name every emitted file, the normalized argv, input hashes and seed."""
     manifest = {
         "tool": "subscale",
         "version": __version__,
@@ -83,12 +67,8 @@ def _write_manifest(
         "tables": sorted(tables),
         "plots": sorted(plots),
         "seed": seed,
-        "threads": threads,
     }
     _write_json(out_dir / "manifest.json", manifest)
-    return ReportBundle(
-        tables=tuple(sorted(tables)), plots=tuple(sorted(plots)), manifest=manifest
-    )
 
 
 def _out_dir(args) -> Path:
@@ -97,21 +77,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("SUBSCALE_THREADS", "1")))
-
-
 def _load_config(args) -> fit.FitConfig:
-    if getattr(args, "config", None):
+    if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        config = fit.FitConfig.from_dict(data)
-    else:
-        config = fit.FitConfig()
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
+        return fit.FitConfig.from_dict(data)
+    return fit.FitConfig()
 
 
 def _load_law(path) -> laws.LawParams:
@@ -207,22 +177,19 @@ def cmd_ingest(args) -> int:
         argv += ["--smooth-window", str(args.smooth_window)]
         if args.smooth_sigma is not None:
             argv += ["--smooth-sigma", repr(args.smooth_sigma)]
-    _write_manifest(out, "ingest", argv, [src], ["runs.csv"], [], None, None)
+    _write_manifest(out, "ingest", argv, [src], ["runs.csv"], [])
     n_runs = len(runs.run_ids(series))
     print(f"ingested {len(series)} records across {n_runs} runs -> {out / 'runs.csv'}")
     return 0
 
 
-def _fit_argv(args, src: Path, threads: int) -> list[str]:
+def _fit_argv(args, src: Path) -> list[str]:
     argv = ["fit", str(src)]
     for family in args.family:
         argv += ["--family", family]
     if args.config:
         argv += ["--config", str(Path(args.config).resolve())]
     argv += ["--split-fraction", repr(args.split_fraction)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    argv += ["--threads", str(threads)]
     return argv
 
 
@@ -231,14 +198,11 @@ def cmd_fit(args) -> int:
     src = Path(args.input).resolve()
     series = runs.ingest(src)
     config = _load_config(args)
-    threads = _threads(args)
     inputs = [src] + ([Path(args.config).resolve()] if args.config else [])
-    argv = _fit_argv(args, src, threads)
+    argv = _fit_argv(args, src)
 
     if len(args.family) > 1:
-        table = fit.compare_laws(
-            series, args.family, config, args.split_fraction, threads
-        )
+        table = fit.compare_laws(series, args.family, config, args.split_fraction)
         (out / "comparison.csv").write_text(table.to_csv_text(), encoding="utf-8")
         _write_json(out / "comparison.json", table.to_dict())
         best = next((r for r in table.rows if r.error is None), None)
@@ -250,7 +214,7 @@ def cmd_fit(args) -> int:
             )
             plot.write(out / "loss_tokens.svg")
             plots.append("loss_tokens.svg")
-        _write_manifest(out, "fit", argv, inputs, tables, plots, config.seed, threads)
+        _write_manifest(out, "fit", argv, inputs, tables, plots)
         if best is None:
             print("all families failed", file=sys.stderr)
             return 2
@@ -261,11 +225,11 @@ def cmd_fit(args) -> int:
         return 0
 
     family = args.family[0]
-    if args.split_fraction >= 1.0:
+    if args.split_fraction == 1.0:  # exactly 1 means no holdout
         fit_split, holdout = series, None
     else:
         fit_split, holdout = runs.split_fit_holdout(series, args.split_fraction)
-    result = fit.fit_law(fit_split, family, config, threads)
+    result = fit.fit_law(fit_split, family, config)
     if holdout is not None:
         _, mape_pred = fit.predict(result.params, holdout, family=family)
         result = dataclasses.replace(result, mape_pred=mape_pred)
@@ -288,8 +252,6 @@ def cmd_fit(args) -> int:
         inputs,
         ["fit_result.json", "fit_result.csv", "residuals.csv"],
         ["loss_tokens.svg"],
-        config.seed,
-        threads,
     )
     pred_txt = "" if result.mape_pred is None else f", pred MAPE {result.mape_pred:.3e}"
     print(
@@ -304,7 +266,7 @@ def cmd_predict(args) -> int:
     params_path = Path(args.params).resolve()
     series = runs.ingest(src)
     params = _load_law(params_path)
-    family = args.family or fit.family_for_params(params)
+    family = args.family or laws.family_of(params)
     preds, mape_pred = fit.predict(params, series, family=family)
     lines = [_csv_line(["run_id", "model_size", "tokens", "loss", "predicted"])]
     for rec, pred in zip(series.records, preds):
@@ -321,8 +283,6 @@ def cmd_predict(args) -> int:
         [src, params_path],
         ["predictions.csv", "prediction.json"],
         [],
-        None,
-        None,
     )
     print(f"prediction MAPE {mape_pred:.6e} over {len(series)} records")
     return 0
@@ -337,6 +297,18 @@ def _otr_grid(args) -> np.ndarray:
     return np.geomspace(args.otr_min, args.otr_max, args.otr_points)
 
 
+def _write_sweep(out: Path, law: laws.LawParams, args) -> list[alloc.SweepPoint]:
+    """Write sweep.csv and alloc_sweep.svg for the budget and OTR grid in args."""
+    otr_values = _otr_grid(args)
+    points = alloc.otr_sweep(law, args.budget, otr_values)
+    lines = [_csv_line(["otr", "n", "d", "loss"])]
+    for p in points:
+        lines.append(_csv_line([p.otr, p.n, p.d, p.predicted_loss]))
+    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _sweep_plot(law, args.budget, otr_values).write(out / "alloc_sweep.svg")
+    return points
+
+
 def cmd_alloc(args) -> int:
     out = _out_dir(args)
     law_path = Path(args.law).resolve()
@@ -348,13 +320,7 @@ def cmd_alloc(args) -> int:
     tables = ["allocation.json"]
     plots = []
     if args.sweep:
-        otr_values = _otr_grid(args)
-        points = alloc.otr_sweep(law, args.budget, otr_values)
-        lines = [_csv_line(["otr", "n", "d", "loss"])]
-        for p in points:
-            lines.append(_csv_line([p.otr, p.n, p.d, p.predicted_loss]))
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _sweep_plot(law, args.budget, otr_values).write(out / "alloc_sweep.svg")
+        _write_sweep(out, law, args)
         tables.append("sweep.csv")
         plots.append("alloc_sweep.svg")
     argv = ["alloc", "--law", str(law_path), "--budget", repr(args.budget)]
@@ -366,7 +332,7 @@ def cmd_alloc(args) -> int:
             "--otr-max", repr(args.otr_max),
             "--otr-points", str(args.otr_points),
         ]
-    _write_manifest(out, "alloc", argv, [law_path], tables, plots, None, None)
+    _write_manifest(out, "alloc", argv, [law_path], tables, plots)
     print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -377,13 +343,7 @@ def cmd_sweep(args) -> int:
     law = _load_law(law_path)
     if not args.budget > 0:
         raise ValueError("budget must be > 0")
-    otr_values = _otr_grid(args)
-    points = alloc.otr_sweep(law, args.budget, otr_values)
-    lines = [_csv_line(["otr", "n", "d", "loss"])]
-    for p in points:
-        lines.append(_csv_line([p.otr, p.n, p.d, p.predicted_loss]))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _sweep_plot(law, args.budget, otr_values).write(out / "alloc_sweep.svg")
+    points = _write_sweep(out, law, args)
     argv = [
         "sweep",
         "--law", str(law_path),
@@ -392,9 +352,7 @@ def cmd_sweep(args) -> int:
         "--otr-max", repr(args.otr_max),
         "--otr-points", str(args.otr_points),
     ]
-    _write_manifest(
-        out, "sweep", argv, [law_path], ["sweep.csv"], ["alloc_sweep.svg"], None, None
-    )
+    _write_manifest(out, "sweep", argv, [law_path], ["sweep.csv"], ["alloc_sweep.svg"])
     best = min(points, key=lambda p: p.predicted_loss)
     print(f"sweep minimum: otr {best.otr:.4g}, loss {best.predicted_loss:.6g}")
     return 0
@@ -412,7 +370,7 @@ def cmd_density(args) -> int:
     argv += ["--max-iters", str(args.max_iters)]
     if args.normalize:
         argv.append("--normalize")
-    _write_manifest(out, "density", argv, [src], ["density_report.json"], [], seed, None)
+    _write_manifest(out, "density", argv, [src], ["density_report.json"], [], seed)
     print(
         f"k={report.k} n={report.n_total} dim={report.dim} "
         f"log_density={report.log_density:.6g}"
@@ -467,7 +425,6 @@ def cmd_select(args) -> int:
         ["retained_ids.txt", "selection.json"],
         [],
         seed,
-        None,
     )
     print(
         f"kept {len(retained)}/{embeddings.n_samples}; "
@@ -506,7 +463,7 @@ def cmd_synth(args) -> int:
         argv += ["--emb-format", args.emb_format]
         outputs = [name, labels_name]
         print(f"generated {embeddings.n_samples} embeddings -> {out / name}")
-    _write_manifest(out, "synth", argv, [spec_path], outputs, [], spec.seed, None)
+    _write_manifest(out, "synth", argv, [spec_path], outputs, [], spec.seed)
     return 0
 
 
@@ -532,15 +489,14 @@ def _add_out(p) -> None:
     p.add_argument("-o", "--out", required=True, help="output directory")
 
 
-def _add_seed_threads(p, threads: bool = True) -> None:
+def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=None, help="override embedded seeds")
-    if threads:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (default $SUBSCALE_THREADS or 1); never changes results",
-        )
+
+
+def _add_replay_only(p) -> None:
+    # no effect: accepted so that manifests recorded with them still replay
+    p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
+    p.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", default=None, help="FitConfig JSON file")
     p.add_argument("--split-fraction", type=float, default=0.25)
-    _add_seed_threads(p)
+    _add_replay_only(p)
     _add_out(p)
     p.set_defaults(handler=cmd_fit)
 
@@ -586,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", choices=sorted(fit.FAMILIES))
     p.add_argument("--config", default=None)
     p.add_argument("--split-fraction", type=float, default=0.25)
-    _add_seed_threads(p)
+    _add_replay_only(p)
     _add_out(p)
     p.set_defaults(handler=cmd_compare)
 
@@ -616,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--normalize", action="store_true")
-    _add_seed_threads(p, threads=False)
+    _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=cmd_density)
 
@@ -627,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-fraction", type=float, default=None)
     p.add_argument("--target-log-density", type=float, default=None)
     p.add_argument("--normalize", action="store_true")
-    _add_seed_threads(p, threads=False)
+    _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=cmd_select)
 
@@ -635,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--runs-format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--emb-format", choices=["emb", "csv"], default="emb")
-    _add_seed_threads(p, threads=False)
+    _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=cmd_synth)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,6 +49,8 @@ from .laws import (
     eval_chinchilla,
     eval_power,
     eval_suboptimal,
+    family_of,
+    param_keys,
     params_to_dict,
     power_gradient,
     suboptimal_gradient,
@@ -78,8 +79,7 @@ class FitConfig:
     multistart_grid maps parameter names (spec names, e.g. "alpha_n") to
     candidate initial values; listed parameters are gridded, everything
     else is initialized from the data.  bounds overrides the per-parameter
-    box constraints.  seed is recorded in manifests and reserved for
-    stochastic extensions; the current fitter is fully deterministic.
+    box constraints.  The fitter is fully deterministic.
     """
 
     residual_space: str = "log"
@@ -88,7 +88,6 @@ class FitConfig:
     bounds: dict | None = None
     max_iters: int = 200
     tolerance: float = 1e-14
-    seed: int = 0
 
     def __post_init__(self):
         if self.residual_space not in ("log", "linear"):
@@ -108,25 +107,6 @@ class FitConfig:
                 if not lo < hi:
                     raise ValueError(f"bounds for {name!r} must satisfy lo < hi")
 
-    def to_dict(self) -> dict:
-        return {
-            "residual_space": self.residual_space,
-            "robust_delta": self.robust_delta,
-            "multistart_grid": (
-                None
-                if self.multistart_grid is None
-                else {k: list(v) for k, v in self.multistart_grid.items()}
-            ),
-            "bounds": (
-                None
-                if self.bounds is None
-                else {k: list(v) for k, v in self.bounds.items()}
-            ),
-            "max_iters": self.max_iters,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
-
     @staticmethod
     def from_dict(data: dict) -> "FitConfig":
         grid = data.get("multistart_grid")
@@ -144,7 +124,6 @@ class FitConfig:
             ),
             max_iters=int(data.get("max_iters", 200)),
             tolerance=float(data.get("tolerance", 1e-14)),
-            seed=int(data.get("seed", 0)),
         )
 
 
@@ -261,88 +240,60 @@ def _extract_lr(series: RunSeries) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class _FamilySpec:
-    tag: str
-    names: tuple[str, ...]          # spec-facing parameter names, vector order
-    log_scaled: tuple[bool, ...]    # optimized as log of the value
-    staged_k: bool                  # two-stage fit with k frozen first
+    """What fitting needs beyond the params class; the rest derives from it.
+
+    The parameter vector is the class's dataclass fields in order, named by
+    its JSON keys.  The evaluators look the law functions up at call time
+    so that wrappers installed on this module's attributes see every call.
+    """
+
+    law: type
     extract: Callable[[RunSeries], tuple[np.ndarray, ...]]
-    predict: Callable[[np.ndarray, tuple], np.ndarray]
-    jacobian: Callable[[np.ndarray, tuple], np.ndarray]
-    make_params: Callable[[np.ndarray], LawParams]
-    param_vector: Callable[[LawParams], np.ndarray]
+    evaluate: Callable[[LawParams, tuple], np.ndarray]
+    gradient: Callable[[LawParams, tuple], np.ndarray]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return param_keys(self.law)
+
+    @property
+    def log_scaled(self) -> tuple[bool, ...]:
+        # positive coefficients are optimized as logs
+        return tuple(name.startswith("lambda") for name in self.names)
+
+    @property
+    def staged_k(self) -> bool:
+        # two-stage fit with the repetition steepness frozen first
+        return "k1" in self.names
+
+    def make_params(self, vec) -> LawParams:
+        return self.law(*map(float, vec))
 
 
-def _power_predict(vec, inputs):
-    return eval_power(PowerLawParams(lam=vec[0], alpha=vec[1]), inputs[0])
-
-
-def _power_jac(vec, inputs):
-    return power_gradient(PowerLawParams(lam=vec[0], alpha=vec[1]), inputs[0])
-
-
-def _chin_predict(vec, inputs):
-    return eval_chinchilla(ChinchillaParams(*vec), inputs[0], inputs[1])
-
-
-def _chin_jac(vec, inputs):
-    return chinchilla_gradient(ChinchillaParams(*vec), inputs[0], inputs[1])
-
-
-def _sub_predict(vec, inputs):
-    return eval_suboptimal(SubOptimalParams(*vec), inputs[0], inputs[1])
-
-
-def _sub_jac(vec, inputs):
-    return suboptimal_gradient(SubOptimalParams(*vec), inputs[0], inputs[1])
-
-
-def _power_family(tag: str, extract) -> _FamilySpec:
+def _power_family(extract) -> _FamilySpec:
     return _FamilySpec(
-        tag=tag,
-        names=("lambda", "alpha"),
-        log_scaled=(True, False),
-        staged_k=False,
-        extract=extract,
-        predict=_power_predict,
-        jacobian=_power_jac,
-        make_params=lambda v: PowerLawParams(lam=float(v[0]), alpha=float(v[1])),
-        param_vector=lambda p: np.array([p.lam, p.alpha], dtype=float),
+        PowerLawParams,
+        extract,
+        lambda p, x: eval_power(p, *x),
+        lambda p, x: power_gradient(p, *x),
     )
 
 
-_CHIN_NAMES = ("e_irreducible", "lambda_n", "alpha_n", "lambda_d", "alpha_d")
-
 FAMILIES: dict[str, _FamilySpec] = {
-    "power": _power_family("power", _extract_compute),
-    "batch_power": _power_family("batch_power", _extract_batch),
-    "lr_power": _power_family("lr_power", _extract_lr),
+    "power": _power_family(_extract_compute),
+    "batch_power": _power_family(_extract_batch),
+    "lr_power": _power_family(_extract_lr),
     "chinchilla": _FamilySpec(
-        tag="chinchilla",
-        names=_CHIN_NAMES,
-        log_scaled=(False, True, False, True, False),
-        staged_k=False,
-        extract=_series_nd,
-        predict=_chin_predict,
-        jacobian=_chin_jac,
-        make_params=lambda v: ChinchillaParams(*(float(x) for x in v)),
-        param_vector=lambda p: np.array(
-            [p.e_irreducible, p.lambda_n, p.alpha_n, p.lambda_d, p.alpha_d],
-            dtype=float,
-        ),
+        ChinchillaParams,
+        _series_nd,
+        lambda p, x: eval_chinchilla(p, *x),
+        lambda p, x: chinchilla_gradient(p, *x),
     ),
     "suboptimal": _FamilySpec(
-        tag="suboptimal",
-        names=_CHIN_NAMES + ("k1", "k2"),
-        log_scaled=(False, True, False, True, False, False, False),
-        staged_k=True,
-        extract=_series_nd,
-        predict=_sub_predict,
-        jacobian=_sub_jac,
-        make_params=lambda v: SubOptimalParams(*(float(x) for x in v)),
-        param_vector=lambda p: np.array(
-            [p.e_irreducible, p.lambda_n, p.alpha_n, p.lambda_d, p.alpha_d, p.k1, p.k2],
-            dtype=float,
-        ),
+        SubOptimalParams,
+        _series_nd,
+        lambda p, x: eval_suboptimal(p, *x),
+        lambda p, x: suboptimal_gradient(p, *x),
     ),
 }
 
@@ -351,17 +302,6 @@ def _family(tag: str) -> _FamilySpec:
     if tag not in FAMILIES:
         raise UnknownFamily(tag)
     return FAMILIES[tag]
-
-
-def family_for_params(params: LawParams) -> str:
-    """Default fit-family tag for a params instance."""
-    if isinstance(params, PowerLawParams):
-        return "power"
-    if isinstance(params, ChinchillaParams):
-        return "chinchilla"
-    if isinstance(params, SubOptimalParams):
-        return "suboptimal"
-    raise UnknownFamily(type(params).__name__)
 
 
 def _default_bounds(spec: _FamilySpec, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,7 +367,7 @@ def _build_starts(
     hi: np.ndarray,
 ) -> list[np.ndarray]:
     """Cartesian multistart grid; non-gridded parameters come from the data."""
-    if spec.tag in ("power", "batch_power", "lr_power"):
+    if spec.law is PowerLawParams:
         default_grid = {"alpha": EXPONENT_GRID}
     else:
         default_grid = {"alpha_n": EXPONENT_GRID, "alpha_d": EXPONENT_GRID}
@@ -443,7 +383,7 @@ def _build_starts(
     for combo_values in itertools.product(*(grid[n] for n in names)):
         combo = dict(zip(names, combo_values))
         vec = np.empty(len(spec.names))
-        if spec.tag in ("power", "batch_power", "lr_power"):
+        if spec.law is PowerLawParams:
             alpha = combo["alpha"]
             x = inputs[0]
             ln_lam = 0.5 * (
@@ -646,8 +586,9 @@ def _internal_residual_jac(
     def fn(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ext = fixed_vec.copy()
         ext[free] = np.where(log_mask[free], np.exp(theta), theta)
-        pred = spec.predict(ext, inputs)
-        jac_ext = spec.jacobian(ext, inputs)
+        params = spec.make_params(ext)
+        pred = spec.evaluate(params, inputs)
+        jac_ext = spec.gradient(params, inputs)
         # d ext / d theta = ext for log-scaled coordinates, 1 otherwise
         scale = np.where(log_mask[free], ext[free], 1.0)
         jac_int = jac_ext[:, free] * scale[None, :]
@@ -729,12 +670,11 @@ def fit_law(
     fit_split: RunSeries,
     family: str,
     config: FitConfig | None = None,
-    threads: int = 1,
 ) -> FitResult:
     """Fit one law family to a run series.
 
     Runs LM from every multistart point and keeps the best objective;
-    deterministic for a given (data, config) regardless of ``threads``.
+    deterministic for a given (data, config).
 
     Raises:
         InsufficientData: fewer records than free parameters + 1.
@@ -755,21 +695,11 @@ def fit_law(
     lo, hi = _apply_bound_overrides(spec, lo, hi, config.bounds)
     starts = _build_starts(spec, inputs, obs, config, lo, hi)
 
-    def attempt(start: np.ndarray) -> _LMOutcome | None:
-        try:
-            return _run_start(spec, inputs, obs, start, lo, hi, config)
-        except (_StartFailed, FloatingPointError):
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, starts))
-    else:
-        outcomes = [attempt(s) for s in starts]
-
     best: _LMOutcome | None = None
-    for outcome in outcomes:  # ties resolve to the earliest grid point
-        if outcome is None:
+    for start in starts:  # ties resolve to the earliest grid point
+        try:
+            outcome = _run_start(spec, inputs, obs, start, lo, hi, config)
+        except (_StartFailed, FloatingPointError):
             continue
         if best is None or outcome.objective < best.objective:
             best = outcome
@@ -777,7 +707,7 @@ def fit_law(
         raise NoConvergence(family, len(starts))
 
     params = spec.make_params(best.x)
-    preds = spec.predict(best.x, inputs)
+    preds = spec.evaluate(params, inputs)
     if config.residual_space == "log":
         residuals = np.log(preds) - np.log(obs)
     else:
@@ -806,10 +736,8 @@ def predict(
     """
     if len(holdout.records) == 0:
         raise InsufficientData("holdout is empty")
-    tag = family or family_for_params(params)
-    spec = _family(tag)
-    inputs = spec.extract(holdout)
-    preds = np.atleast_1d(spec.predict(spec.param_vector(params), inputs))
+    spec = _family(family or family_of(params))
+    preds = np.atleast_1d(spec.evaluate(params, spec.extract(holdout)))
     return preds, mape(preds, _losses(holdout))
 
 
@@ -886,7 +814,6 @@ def compare_laws(
     families: list[str],
     config: FitConfig | None = None,
     split_fraction: float = 0.25,
-    threads: int = 1,
 ) -> ComparisonTable:
     """Fit each family on the leading split, score it on the rest.
 
@@ -898,7 +825,7 @@ def compare_laws(
     rows: list[ComparisonRow] = []
     for tag in families:
         try:
-            result = fit_law(fit_split, tag, config, threads)
+            result = fit_law(fit_split, tag, config)
             _, mape_pred = predict(result.params, holdout, family=tag)
             rows.append(
                 ComparisonRow(

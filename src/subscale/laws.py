@@ -186,11 +186,21 @@ _FAMILIES: dict[str, tuple[type, dict[str, str]]] = {
 }
 
 
-def family_of(params: LawParams) -> str:
-    for tag, (cls, _) in _FAMILIES.items():
-        if type(params) is cls:
+def _tag_of(cls: type) -> str:
+    for tag, (klass, _) in _FAMILIES.items():
+        if klass is cls:
             return tag
-    raise UnknownFamily(type(params).__name__)
+    raise UnknownFamily(cls.__name__)
+
+
+def family_of(params: LawParams) -> str:
+    return _tag_of(type(params))
+
+
+def param_keys(cls: type) -> tuple[str, ...]:
+    """JSON keys of a params class in field order (the fitter's vector order)."""
+    keymap = _FAMILIES[_tag_of(cls)][1]
+    return tuple(keymap[f.name] for f in fields(cls))
 
 
 def params_to_dict(params: LawParams) -> dict:

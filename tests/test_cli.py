@@ -139,6 +139,30 @@ def test_fit_multi_family_comparison_sorted(tmp_path, suboptimal_fixture):
     assert preds == sorted(preds)
 
 
+@pytest.mark.parametrize("fraction", ["1.5", "0.0", "-0.25"])
+def test_fit_split_fraction_out_of_range_is_exit_one(tmp_path, power_fixture, capsys, fraction):
+    out = tmp_path / "fit"
+    code = main(
+        ["fit", str(power_fixture), "--family", "power", "--split-fraction", fraction,
+         "-o", str(out)]
+    )
+    assert code == 1
+    assert "fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not (out / "fit_result.json").exists()
+
+
+def test_fit_split_fraction_one_fits_without_holdout(tmp_path, power_fixture):
+    out = tmp_path / "fit"
+    code = main(
+        ["fit", str(power_fixture), "--family", "power", "--split-fraction", "1.0",
+         "-o", str(out)]
+    )
+    assert code == 0
+    result = json.loads((out / "fit_result.json").read_text())
+    assert result["mape_pred"] is None
+    assert len(result["residuals"]) == 16
+
+
 def test_predict_roundtrip(tmp_path, power_fixture):
     law_path = _law_json(tmp_path, laws.PowerLawParams(lam=3.0, alpha=0.3))
     out = tmp_path / "pred"
@@ -346,6 +370,45 @@ def test_thread_count_does_not_change_tables(tmp_path, suboptimal_fixture):
           "-o", str(out4)])
     assert _file_bytes(out1 / "fit_result.json") == _file_bytes(out4 / "fit_result.json")
     assert _file_bytes(out1 / "residuals.csv") == _file_bytes(out4 / "residuals.csv")
+
+
+def test_fit_manifest_records_no_threads_or_seed(tmp_path, power_fixture):
+    out = tmp_path / "fit"
+    assert main(
+        ["fit", str(power_fixture), "--family", "power", "--seed", "5", "--threads", "2",
+         "-o", str(out)]
+    ) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "threads" not in manifest
+    assert manifest["seed"] is None
+    assert "--threads" not in manifest["argv"] and "--seed" not in manifest["argv"]
+
+
+def test_manifest_with_threads_and_seed_replays(tmp_path, suboptimal_fixture):
+    # older manifests record --seed and --threads, which now have no effect
+    out1 = tmp_path / "a"
+    assert main(
+        ["compare", str(suboptimal_fixture), "--family", "power",
+         "--family", "chinchilla", "-o", str(out1)]
+    ) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["argv"] += ["--seed", "5", "--threads", "2"]
+    manifest["seed"] = 5
+    manifest["threads"] = 2
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    out2 = tmp_path / "b"
+    assert main(["report", str(old), "-o", str(out2)]) == 0
+    for name in manifest["tables"] + manifest["plots"]:
+        assert _file_bytes(out1 / name) == _file_bytes(out2 / name)
+
+
+def test_threads_and_fit_seed_hidden_from_help(capsys):
+    for command in ("fit", "compare"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert "--threads" not in text and "--seed" not in text
 
 
 def test_console_script_smoke(tmp_path, power_fixture):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,12 @@ from subscale.errors import (
     MissingField,
     NonPositiveActual,
 )
-from subscale.laws import ChinchillaParams, PowerLawParams, SubOptimalParams
+from subscale.laws import (
+    ChinchillaParams,
+    PowerLawParams,
+    SubOptimalParams,
+    params_to_dict,
+)
 
 REF = SubOptimalParams(1.372, 61.929, 0.272, 455.345, 0.289, 0.00810, 0.00114)
 
@@ -197,11 +203,48 @@ def test_fit_deterministic():
     assert a == b
 
 
-def test_fit_thread_count_does_not_change_result():
-    series = _suboptimal_series(noise=0.01, seed=8)
-    a = fit.fit_law(series, "suboptimal", threads=1)
-    b = fit.fit_law(series, "suboptimal", threads=4)
-    assert a == b
+# coefficients (lambda*) are optimized as logs, everything else linearly
+_LOG_MASKS = {
+    "power": (True, False),
+    "batch_power": (True, False),
+    "lr_power": (True, False),
+    "chinchilla": (False, True, False, True, False),
+    "suboptimal": (False, True, False, True, False, False, False),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(fit.FAMILIES))
+def test_family_registry_derives_from_params_class(tag):
+    spec = fit.FAMILIES[tag]
+    vec = np.linspace(0.5, 0.9, len(spec.names))
+    params = spec.make_params(vec)
+    assert type(params) is spec.law
+    record = params_to_dict(params)
+    assert tuple(k for k in record if k != "family") == spec.names
+    assert dataclasses.astuple(params) == tuple(float(v) for v in vec)
+    assert spec.make_params(dataclasses.astuple(params)) == params
+    assert spec.log_scaled == _LOG_MASKS[tag]
+    assert spec.staged_k == (tag == "suboptimal")
+
+
+@pytest.mark.parametrize(
+    "tag, evaluator, gradient",
+    [
+        ("power", "eval_power", "power_gradient"),
+        ("chinchilla", "eval_chinchilla", "chinchilla_gradient"),
+        ("suboptimal", "eval_suboptimal", "suboptimal_gradient"),
+    ],
+)
+def test_family_rows_look_up_laws_at_call_time(monkeypatch, tag, evaluator, gradient):
+    # call tracing replaces these module attributes; the rows must see it
+    calls = []
+    for name in (evaluator, gradient):
+        original = getattr(fit, name)
+        monkeypatch.setattr(
+            fit, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    fit.fit_law(_suboptimal_series(n_sizes=3, n_checkpoints=4), tag)
+    assert evaluator in calls and gradient in calls
 
 
 def test_huber_robust_fit_still_recovers():
