@@ -109,8 +109,8 @@ def optimal_allocation(
         raise UnknownFamily(
             f"allocation needs a chinchilla or suboptimal law, got {type(law).__name__}"
         )
-    if not budget > 0:
-        raise ValueError("budget must be > 0")
+    if not (budget > 0 and math.isfinite(budget)):
+        raise ValueError(f"budget must be finite and > 0, got {budget!r}")
     lo, hi = n_bracket
     if not 0 < lo < hi:
         raise ValueError("n_bracket must satisfy 0 < lo < hi")
@@ -157,8 +157,8 @@ def otr_sweep(law: LawParams, budget: float, otr_values) -> list[SweepPoint]:
     For each ratio r the unique allocation on the budget is
     n = sqrt(budget / (6 r)), d = r * n.
     """
-    if not budget > 0:
-        raise ValueError("budget must be > 0")
+    if not (budget > 0 and math.isfinite(budget)):
+        raise ValueError(f"budget must be finite and > 0, got {budget!r}")
     points = []
     for r in otr_values:
         r = float(r)
@@ -169,6 +169,8 @@ def otr_sweep(law: LawParams, budget: float, otr_values) -> list[SweepPoint]:
         points.append(
             SweepPoint(otr=r, n=n, d=d, predicted_loss=float(loss_at(law, n, d)))
         )
+    if not points:
+        raise ValueError("otr_values must not be empty")
     return points
 
 

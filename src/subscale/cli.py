@@ -48,27 +48,42 @@ def _write_json(path: Path, obj) -> None:
     )
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    argv: list[str],
-    inputs: list[Path],
-    tables: list[str],
-    plots: list[str],
-    seed: int | None = None,
-) -> None:
-    """Name every emitted file, the normalized argv, input hashes and seed."""
+def _path(text: str) -> Path:
+    """Parser type of every input file: recorded absolute, hashed in the manifest."""
+    return Path(text).resolve()
+
+
+def _write_manifest(args, out: Path, tables, plots=(), seed=None) -> None:
+    """Name every emitted file, the normalized argv, input hashes and seed.
+
+    The argv is the command of ``args.parser`` followed by each of its options
+    that holds a value, in parser order, so that replaying it reproduces every
+    effective value.  ``--out`` and suppressed (replay-only) options are left
+    out; the inputs are the values of the ``_path``-typed options.
+    """
+    argv = [args.parser.prog.split()[-1]]
+    inputs = {}
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        hidden = action.dest == "out" or action.help == argparse.SUPPRESS
+        if value is None or value is False or hidden:
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            if action.type is _path:
+                inputs[str(v)] = _sha256(v)
+            # a set flag is recorded bare; str(float) is repr(float)
+            argv += action.option_strings + ([] if v is True else [str(v)])
     manifest = {
         "tool": "subscale",
         "version": __version__,
-        "command": command,
+        "command": argv[0],
         "argv": argv,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "tables": sorted(tables),
         "plots": sorted(plots),
         "seed": seed,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_json(out / "manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
@@ -79,13 +94,13 @@ def _out_dir(args) -> Path:
 
 def _load_config(args) -> fit.FitConfig:
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        data = json.loads(args.config.read_text(encoding="utf-8"))
         return fit.FitConfig.from_dict(data)
     return fit.FitConfig()
 
 
-def _load_law(path) -> laws.LawParams:
-    return laws.params_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+def _load_law(path: Path) -> laws.LawParams:
+    return laws.params_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def _csv_line(cells) -> str:
@@ -164,42 +179,23 @@ def _sweep_plot(law: laws.LawParams, budget: float, otr_values) -> SvgPlot:
 
 
 def cmd_ingest(args) -> int:
+    if args.smooth_sigma is not None and args.smooth_window is None:
+        raise ValueError("--smooth-sigma needs --smooth-window")
     out = _out_dir(args)
-    src = Path(args.input).resolve()
-    series = runs.ingest(src, args.format)
+    series = runs.ingest(args.input, args.format)
     if args.smooth_window is not None:
         series = runs.gaussian_smooth(series, args.smooth_window, args.smooth_sigma)
     runs.write_csv(series, out / "runs.csv")
-    argv = ["ingest", str(src)]
-    if args.format:
-        argv += ["--format", args.format]
-    if args.smooth_window is not None:
-        argv += ["--smooth-window", str(args.smooth_window)]
-        if args.smooth_sigma is not None:
-            argv += ["--smooth-sigma", repr(args.smooth_sigma)]
-    _write_manifest(out, "ingest", argv, [src], ["runs.csv"], [])
+    _write_manifest(args, out, ["runs.csv"])
     n_runs = len(runs.run_ids(series))
     print(f"ingested {len(series)} records across {n_runs} runs -> {out / 'runs.csv'}")
     return 0
 
 
-def _fit_argv(args, src: Path) -> list[str]:
-    argv = ["fit", str(src)]
-    for family in args.family:
-        argv += ["--family", family]
-    if args.config:
-        argv += ["--config", str(Path(args.config).resolve())]
-    argv += ["--split-fraction", repr(args.split_fraction)]
-    return argv
-
-
 def cmd_fit(args) -> int:
     out = _out_dir(args)
-    src = Path(args.input).resolve()
-    series = runs.ingest(src)
+    series = runs.ingest(args.input)
     config = _load_config(args)
-    inputs = [src] + ([Path(args.config).resolve()] if args.config else [])
-    argv = _fit_argv(args, src)
 
     if len(args.family) > 1:
         table = fit.compare_laws(series, args.family, config, args.split_fraction)
@@ -214,7 +210,7 @@ def cmd_fit(args) -> int:
             )
             plot.write(out / "loss_tokens.svg")
             plots.append("loss_tokens.svg")
-        _write_manifest(out, "fit", argv, inputs, tables, plots)
+        _write_manifest(args, out, tables, plots)
         if best is None:
             print("all families failed", file=sys.stderr)
             return 2
@@ -246,10 +242,8 @@ def cmd_fit(args) -> int:
     plot = _fit_plot(series, result.params, family, f"{family} fit")
     plot.write(out / "loss_tokens.svg")
     _write_manifest(
+        args,
         out,
-        "fit",
-        argv,
-        inputs,
         ["fit_result.json", "fit_result.csv", "residuals.csv"],
         ["loss_tokens.svg"],
     )
@@ -262,28 +256,18 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     out = _out_dir(args)
-    src = Path(args.input).resolve()
-    params_path = Path(args.params).resolve()
-    series = runs.ingest(src)
-    params = _load_law(params_path)
-    family = args.family or laws.family_of(params)
-    preds, mape_pred = fit.predict(params, series, family=family)
+    series = runs.ingest(args.input)
+    params = _load_law(args.params)
+    args.family = args.family or laws.family_of(params)
+    preds, mape_pred = fit.predict(params, series, family=args.family)
     lines = [_csv_line(["run_id", "model_size", "tokens", "loss", "predicted"])]
     for rec, pred in zip(series.records, preds):
         lines.append(
             _csv_line([rec.run_id, rec.model_size, rec.tokens, rec.loss, float(pred)])
         )
     (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(out / "prediction.json", {"family": family, "mape_pred": mape_pred})
-    argv = ["predict", str(src), "--params", str(params_path), "--family", family]
-    _write_manifest(
-        out,
-        "predict",
-        argv,
-        [src, params_path],
-        ["predictions.csv", "prediction.json"],
-        [],
-    )
+    _write_json(out / "prediction.json", {"family": args.family, "mape_pred": mape_pred})
+    _write_manifest(args, out, ["predictions.csv", "prediction.json"])
     print(f"prediction MAPE {mape_pred:.6e} over {len(series)} records")
     return 0
 
@@ -311,10 +295,7 @@ def _write_sweep(out: Path, law: laws.LawParams, args) -> list[alloc.SweepPoint]
 
 def cmd_alloc(args) -> int:
     out = _out_dir(args)
-    law_path = Path(args.law).resolve()
-    law = _load_law(law_path)
-    if not args.budget > 0:
-        raise ValueError("budget must be > 0")
+    law = _load_law(args.law)
     plan = alloc.optimal_allocation(law, args.budget, (args.n_min, args.n_max))
     _write_json(out / "allocation.json", plan.to_dict())
     tables = ["allocation.json"]
@@ -323,36 +304,15 @@ def cmd_alloc(args) -> int:
         _write_sweep(out, law, args)
         tables.append("sweep.csv")
         plots.append("alloc_sweep.svg")
-    argv = ["alloc", "--law", str(law_path), "--budget", repr(args.budget)]
-    argv += ["--n-min", repr(args.n_min), "--n-max", repr(args.n_max)]
-    if args.sweep:
-        argv += [
-            "--sweep",
-            "--otr-min", repr(args.otr_min),
-            "--otr-max", repr(args.otr_max),
-            "--otr-points", str(args.otr_points),
-        ]
-    _write_manifest(out, "alloc", argv, [law_path], tables, plots)
+    _write_manifest(args, out, tables, plots)
     print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
-    law_path = Path(args.law).resolve()
-    law = _load_law(law_path)
-    if not args.budget > 0:
-        raise ValueError("budget must be > 0")
-    points = _write_sweep(out, law, args)
-    argv = [
-        "sweep",
-        "--law", str(law_path),
-        "--budget", repr(args.budget),
-        "--otr-min", repr(args.otr_min),
-        "--otr-max", repr(args.otr_max),
-        "--otr-points", str(args.otr_points),
-    ]
-    _write_manifest(out, "sweep", argv, [law_path], ["sweep.csv"], ["alloc_sweep.svg"])
+    points = _write_sweep(out, _load_law(args.law), args)
+    _write_manifest(args, out, ["sweep.csv"], ["alloc_sweep.svg"])
     best = min(points, key=lambda p: p.predicted_loss)
     print(f"sweep minimum: otr {best.otr:.4g}, loss {best.predicted_loss:.6g}")
     return 0
@@ -360,17 +320,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_density(args) -> int:
     out = _out_dir(args)
-    src = Path(args.embeddings).resolve()
-    embeddings = density.load_embeddings(src, normalize=args.normalize)
-    seed = args.seed if args.seed is not None else 0
-    clustering = density.kmeans(embeddings, args.k, seed=seed, max_iters=args.max_iters)
+    embeddings = density.load_embeddings(args.embeddings, normalize=args.normalize)
+    clustering = density.kmeans(
+        embeddings, args.k, seed=args.seed, max_iters=args.max_iters
+    )
     report = density.dataset_density(embeddings, clustering)
     _write_json(out / "density_report.json", report.to_dict())
-    argv = ["density", str(src), "--k", str(args.k), "--seed", str(seed)]
-    argv += ["--max-iters", str(args.max_iters)]
-    if args.normalize:
-        argv.append("--normalize")
-    _write_manifest(out, "density", argv, [src], ["density_report.json"], [], seed)
+    _write_manifest(args, out, ["density_report.json"], seed=args.seed)
     print(
         f"k={report.k} n={report.n_total} dim={report.dim} "
         f"log_density={report.log_density:.6g}"
@@ -380,12 +336,12 @@ def cmd_density(args) -> int:
 
 def cmd_select(args) -> int:
     out = _out_dir(args)
-    src = Path(args.embeddings).resolve()
     if (args.keep_fraction is None) == (args.target_log_density is None):
         raise ValueError("give exactly one of --keep-fraction or --target-log-density")
-    embeddings = density.load_embeddings(src, normalize=args.normalize)
-    seed = args.seed if args.seed is not None else 0
-    clustering = density.kmeans(embeddings, args.k, seed=seed, max_iters=args.max_iters)
+    embeddings = density.load_embeddings(args.embeddings, normalize=args.normalize)
+    clustering = density.kmeans(
+        embeddings, args.k, seed=args.seed, max_iters=args.max_iters
+    )
     before = density.dataset_density(embeddings, clustering)
     retained = density.select_low_density(
         embeddings,
@@ -409,23 +365,7 @@ def cmd_select(args) -> int:
             "k_after": after.k,
         },
     )
-    argv = ["select", str(src), "--k", str(args.k), "--seed", str(seed)]
-    argv += ["--max-iters", str(args.max_iters)]
-    if args.keep_fraction is not None:
-        argv += ["--keep-fraction", repr(args.keep_fraction)]
-    if args.target_log_density is not None:
-        argv += ["--target-log-density", repr(args.target_log_density)]
-    if args.normalize:
-        argv.append("--normalize")
-    _write_manifest(
-        out,
-        "select",
-        argv,
-        [src],
-        ["retained_ids.txt", "selection.json"],
-        [],
-        seed,
-    )
+    _write_manifest(args, out, ["retained_ids.txt", "selection.json"], seed=args.seed)
     print(
         f"kept {len(retained)}/{embeddings.n_samples}; "
         f"log density {before.log_density:.6g} -> {after.log_density:.6g}"
@@ -435,12 +375,10 @@ def cmd_select(args) -> int:
 
 def cmd_synth(args) -> int:
     out = _out_dir(args)
-    spec_path = Path(args.spec).resolve()
-    spec = synth.load_spec(spec_path)
+    spec = synth.load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    argv = ["synth", "--spec", str(spec_path)]
-    argv += ["--seed", str(spec.seed)]
+    args.seed = spec.seed
     if isinstance(spec, synth.CurveSpec):
         series = synth.gen_curves(spec)
         name = f"runs.{args.runs_format}"
@@ -448,7 +386,6 @@ def cmd_synth(args) -> int:
             runs.write_csv(series, out / name)
         else:
             runs.write_jsonl(series, out / name)
-        argv += ["--runs-format", args.runs_format]
         outputs = [name]
         print(f"generated {len(series)} records -> {out / name}")
     else:
@@ -460,16 +397,14 @@ def cmd_synth(args) -> int:
             f"{i},{lab}" for i, lab in zip(embeddings.ids, labels)
         ]
         (out / labels_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        argv += ["--emb-format", args.emb_format]
         outputs = [name, labels_name]
         print(f"generated {embeddings.n_samples} embeddings -> {out / name}")
-    _write_manifest(out, "synth", argv, [spec_path], outputs, [], spec.seed)
+    _write_manifest(args, out, outputs, seed=args.seed)
     return 0
 
 
 def cmd_report(args) -> int:
-    manifest_path = Path(args.manifest).resolve()
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
     for path_str, digest in manifest.get("inputs", {}).items():
         path = Path(path_str)
         if not path.exists():
@@ -485,12 +420,11 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_out(p) -> None:
-    p.add_argument("-o", "--out", required=True, help="output directory")
-
-
-def _add_seed(p) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override embedded seeds")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is an input error (exit 1); 2 means an analytic failure
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_replay_only(p) -> None:
@@ -500,23 +434,28 @@ def _add_replay_only(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser; each command's parser is also its manifest's argv schema."""
+    parser = _Parser(
         prog="subscale",
         description="Scaling-law analysis for over-trained and high-density regimes",
     )
     parser.add_argument("--version", action="version", version=f"subscale {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a runs file, optionally smooth")
-    p.add_argument("input")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-o", "--out", required=True, help="output directory")
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+    p = command("ingest", cmd_ingest, "validate a runs file, optionally smooth")
+    p.add_argument("input", type=_path)
     p.add_argument("--format", choices=["csv", "jsonl"], default=None)
     p.add_argument("--smooth-window", type=int, default=None)
     p.add_argument("--smooth-sigma", type=float, default=None)
-    _add_out(p)
-    p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("fit", help="fit one or more law families")
-    p.add_argument("input")
+    fit_p = p = command("fit", cmd_fit, "fit one or more law families")
+    p.add_argument("input", type=_path)
     p.add_argument(
         "--family",
         action="append",
@@ -524,30 +463,25 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(fit.FAMILIES),
         help="repeat for a comparison table",
     )
-    p.add_argument("--config", default=None, help="FitConfig JSON file")
+    p.add_argument("--config", type=_path, default=None, help="FitConfig JSON file")
     p.add_argument("--split-fraction", type=float, default=0.25)
     _add_replay_only(p)
-    _add_out(p)
-    p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("predict", help="evaluate a fitted law on a runs file")
-    p.add_argument("input")
-    p.add_argument("--params", required=True, help="law params JSON")
+    p = command("predict", cmd_predict, "evaluate a fitted law on a runs file")
+    p.add_argument("input", type=_path)
+    p.add_argument("--params", type=_path, required=True, help="law params JSON")
     p.add_argument("--family", choices=sorted(fit.FAMILIES), default=None)
-    _add_out(p)
-    p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("compare", help="fit and rank several families")
-    p.add_argument("input")
+    p = command("compare", cmd_compare, "fit and rank several families")
+    p.set_defaults(parser=fit_p)  # recorded and replayed as `fit`
+    p.add_argument("input", type=_path)
     p.add_argument("--family", action="append", choices=sorted(fit.FAMILIES))
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", type=_path, default=None)
     p.add_argument("--split-fraction", type=float, default=0.25)
     _add_replay_only(p)
-    _add_out(p)
-    p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("alloc", help="compute-optimal (N, D) for a budget")
-    p.add_argument("--law", required=True, help="law params JSON")
+    p = command("alloc", cmd_alloc, "compute-optimal (N, D) for a budget")
+    p.add_argument("--law", type=_path, required=True, help="law params JSON")
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--n-min", type=float, default=alloc.DEFAULT_N_BRACKET[0])
     p.add_argument("--n-max", type=float, default=alloc.DEFAULT_N_BRACKET[1])
@@ -555,50 +489,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--otr-min", type=float, default=1.0)
     p.add_argument("--otr-max", type=float, default=2000.0)
     p.add_argument("--otr-points", type=int, default=25)
-    _add_out(p)
-    p.set_defaults(handler=cmd_alloc)
 
-    p = sub.add_parser("sweep", help="loss along a fixed budget vs OTR")
-    p.add_argument("--law", required=True)
+    p = command("sweep", cmd_sweep, "loss along a fixed budget vs OTR")
+    p.add_argument("--law", type=_path, required=True)
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--otr-min", type=float, default=1.0)
     p.add_argument("--otr-max", type=float, default=2000.0)
     p.add_argument("--otr-points", type=int, default=25)
-    _add_out(p)
-    p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("density", help="cluster embeddings and report density")
-    p.add_argument("embeddings")
+    p = command("density", cmd_density, "cluster embeddings and report density")
+    p.add_argument("embeddings", type=_path)
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="k-means seed")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--normalize", action="store_true")
-    _add_seed(p)
-    _add_out(p)
-    p.set_defaults(handler=cmd_density)
 
-    p = sub.add_parser("select", help="density-based subset selection")
-    p.add_argument("embeddings")
+    p = command("select", cmd_select, "density-based subset selection")
+    p.add_argument("embeddings", type=_path)
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="k-means seed")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--keep-fraction", type=float, default=None)
     p.add_argument("--target-log-density", type=float, default=None)
     p.add_argument("--normalize", action="store_true")
-    _add_seed(p)
-    _add_out(p)
-    p.set_defaults(handler=cmd_select)
 
-    p = sub.add_parser("synth", help="generate fixtures from a spec JSON")
-    p.add_argument("--spec", required=True)
+    p = command("synth", cmd_synth, "generate fixtures from a spec JSON")
+    p.add_argument("--spec", type=_path, required=True)
+    p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p.add_argument("--runs-format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--emb-format", choices=["emb", "csv"], default="emb")
-    _add_seed(p)
-    _add_out(p)
-    p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("report", help="replay a recorded manifest")
-    p.add_argument("manifest")
-    _add_out(p)
-    p.set_defaults(handler=cmd_report)
+    p = command("report", cmd_report, "replay a recorded manifest")
+    p.add_argument("manifest", type=_path)
 
     return parser
 

@@ -147,6 +147,15 @@ class UnknownFamily(SubscaleError):
         super().__init__(f"unknown law family {family!r}")
 
 
+class FamilyMismatch(SubscaleError):
+    def __init__(self, params_family: str, family: str):
+        self.params_family = params_family
+        self.family = family
+        super().__init__(
+            f"{params_family} law params cannot be evaluated as family {family!r}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # alloc
 # ---------------------------------------------------------------------------

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    FamilyMismatch,
     InsufficientData,
     LengthMismatch,
     NoConvergence,
@@ -109,22 +110,29 @@ class FitConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "FitConfig":
-        grid = data.get("multistart_grid")
-        bounds = data.get("bounds")
-        return FitConfig(
-            residual_space=data.get("residual_space", "log"),
-            robust_delta=data.get("robust_delta"),
-            multistart_grid=(
-                None if grid is None else {k: tuple(v) for k, v in grid.items()}
-            ),
-            bounds=(
-                None
-                if bounds is None
-                else {k: (float(v[0]), float(v[1])) for k, v in bounds.items()}
-            ),
-            max_iters=int(data.get("max_iters", 200)),
-            tolerance=float(data.get("tolerance", 1e-14)),
-        )
+        """Config from its JSON object; absent keys keep the field defaults."""
+        if not isinstance(data, dict):
+            kind = type(data).__name__
+            raise ValueError(f"fit config must be a JSON object, not a {kind}")
+        names = {f.name for f in fields(FitConfig)}
+        # "seed" was a field of older versions: accepted, without effect
+        unknown = sorted(set(data) - names - {"seed"})
+        if unknown:
+            raise ValueError(f"unknown fit config key(s): {', '.join(unknown)}")
+        kwargs = {k: v for k, v in data.items() if k in names}
+        for key, convert in _CONFIG_CONVERTERS.items():
+            if kwargs.get(key) is not None:
+                kwargs[key] = convert(kwargs[key])
+        return FitConfig(**kwargs)
+
+
+# JSON value -> field value, for the FitConfig fields that need one
+_CONFIG_CONVERTERS = {
+    "multistart_grid": lambda grid: {k: tuple(v) for k, v in grid.items()},
+    "bounds": lambda bounds: {k: (float(v[0]), float(v[1])) for k, v in bounds.items()},
+    "max_iters": int,
+    "tolerance": float,
+}
 
 
 @dataclass(frozen=True)
@@ -737,6 +745,8 @@ def predict(
     if len(holdout.records) == 0:
         raise InsufficientData("holdout is empty")
     spec = _family(family or family_of(params))
+    if not isinstance(params, spec.law):
+        raise FamilyMismatch(family_of(params), family)
     preds = np.atleast_1d(spec.evaluate(params, spec.extract(holdout)))
     return preds, mape(preds, _losses(holdout))
 

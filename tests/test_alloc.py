@@ -68,6 +68,14 @@ def test_invalid_budget():
         alloc.optimal_allocation(REF, 0.0)
 
 
+@pytest.mark.parametrize("budget", [math.inf, math.nan])
+def test_non_finite_budget_rejected(budget):
+    with pytest.raises(ValueError, match="budget must be finite"):
+        alloc.optimal_allocation(REF, budget)
+    with pytest.raises(ValueError, match="budget must be finite"):
+        alloc.otr_sweep(REF, budget, [1.0, 10.0])
+
+
 def test_random_laws_match_grid():
     rng = np.random.default_rng(42)
     matched = 0
@@ -119,6 +127,11 @@ def test_sweep_budget_and_order_preserved():
     for p in points:
         assert 6.0 * p.n * p.d == pytest.approx(2e20, rel=1e-12)
         assert p.d / p.n == pytest.approx(p.otr, rel=1e-12)
+
+
+def test_sweep_empty_grid_rejected():
+    with pytest.raises(ValueError, match="otr_values must not be empty"):
+        alloc.otr_sweep(REF, 1e20, np.geomspace(1.0, 10.0, 0))
 
 
 def test_sweep_works_for_power_family():

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from subscale import density, laws, runs, synth
+from subscale import cli, density, laws, runs, synth
 from subscale.cli import main
 
 REF = laws.SubOptimalParams(1.372, 61.929, 0.272, 455.345, 0.289, 0.00810, 0.00114)
@@ -421,3 +421,263 @@ def test_console_script_smoke(tmp_path, power_fixture):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "fit_result.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# argument contract
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "params, family",
+    [(REF, "power"), (laws.PowerLawParams(lam=3.0, alpha=0.3), "chinchilla")],
+)
+def test_predict_family_mismatch_is_exit_one(tmp_path, power_fixture, capsys, params, family):
+    law_path = _law_json(tmp_path, params)
+    code = main(
+        ["predict", str(power_fixture), "--params", str(law_path), "--family", family,
+         "-o", str(tmp_path / "pred")]
+    )
+    assert code == 1
+    assert f"cannot be evaluated as family '{family}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({"max_iter": 1, "tolerence": 5}, "max_iter, tolerence"), ([1, 2], "JSON object")],
+)
+def test_fit_bad_config_is_exit_one(tmp_path, power_fixture, capsys, config, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main(
+        ["fit", str(power_fixture), "--family", "power", "--config", str(config_path),
+         "-o", str(tmp_path / "fit")]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["1e400", "inf", "nan"])
+def test_alloc_non_finite_budget_is_exit_one(tmp_path, capsys, budget):
+    law_path = _law_json(tmp_path, REF)
+    code = main(["alloc", "--law", str(law_path), "--budget", budget, "-o", str(tmp_path / "x")])
+    assert code == 1
+    assert "budget must be finite and > 0" in capsys.readouterr().err
+
+
+def test_sweep_zero_otr_points_is_exit_one(tmp_path, capsys):
+    law_path = _law_json(tmp_path, REF)
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep", "--law", str(law_path), "--budget", "1e20", "--otr-points", "0",
+         "-o", str(out)]
+    )
+    assert code == 1
+    assert "otr_values must not be empty" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_ingest_sigma_without_window_is_exit_one(tmp_path, power_fixture, capsys):
+    out = tmp_path / "out"
+    code = main(["ingest", str(power_fixture), "--smooth-sigma", "2.0", "-o", str(out)])
+    assert code == 1
+    assert "--smooth-sigma needs --smooth-window" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "runs.csv", "-o", "out"],  # --family is required
+        ["alloc", "--law", "law.json", "--budget", "lots", "-o", "out"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_error_is_exit_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: subscale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["fit", "--help"]])
+def test_help_and_version_are_exit_zero(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# manifest argv builder
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def cli_inputs(tmp_path, monkeypatch, power_fixture, suboptimal_fixture, blob_fixture):
+    """Every input file of the golden commands, in tmp_path, which is the cwd."""
+    _law_json(tmp_path, laws.PowerLawParams(lam=3.0, alpha=0.3), "law.json")
+    _law_json(tmp_path, REF, "sub_law.json")
+    (tmp_path / "config.json").write_text(json.dumps({"max_iters": 50}))
+    curves = synth.CurveSpec(
+        law=laws.PowerLawParams(lam=2.0, alpha=0.2),
+        model_sizes=(10**7,),
+        token_checkpoints=((10**8, 2 * 10**8, 4 * 10**8, 8 * 10**8),),
+        noise_sigma=0.01,
+        seed=5,
+    )
+    (tmp_path / "curves.json").write_text(json.dumps(curves.to_dict()))
+    blobs = synth.BlobSpec(
+        k=1, dim=2, per_cluster=(synth.BlobCluster(8, (0.0, 0.0), 1.0),), seed=2
+    )
+    (tmp_path / "blobs.json").write_text(json.dumps(blobs.to_dict()))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path.resolve()
+
+
+_N_BRACKET = ["--n-min", "1000000.0", "--n-max", "10000000000000.0"]
+_OTR_DEFAULTS = ["--otr-min", "1.0", "--otr-max", "2000.0", "--otr-points", "25"]
+
+# id: (command line, recorded argv, input files, recorded seed); paths are
+# given relative to the cwd and recorded absolute ("@" marks the directory)
+GOLDEN = {
+    "ingest": (
+        ["ingest", "power_runs.csv", "--smooth-window", "3", "--smooth-sigma", "1.5"],
+        ["ingest", "@/power_runs.csv", "--smooth-window", "3", "--smooth-sigma", "1.5"],
+        ["power_runs.csv"],
+        None,
+    ),
+    "fit-config": (
+        ["fit", "power_runs.csv", "--family", "power", "--config", "config.json"],
+        ["fit", "@/power_runs.csv", "--family", "power", "--config", "@/config.json",
+         "--split-fraction", "0.25"],
+        ["power_runs.csv", "config.json"],
+        None,
+    ),
+    "compare-defaults": (
+        ["compare", "sub_runs.csv"],
+        ["fit", "@/sub_runs.csv", "--family", "power", "--family", "chinchilla",
+         "--family", "suboptimal", "--split-fraction", "0.25"],
+        ["sub_runs.csv"],
+        None,
+    ),
+    "predict": (
+        ["predict", "power_runs.csv", "--params", "law.json"],
+        ["predict", "@/power_runs.csv", "--params", "@/law.json", "--family", "power"],
+        ["power_runs.csv", "law.json"],
+        None,
+    ),
+    "alloc": (
+        ["alloc", "--law", "sub_law.json", "--budget", "1e20"],
+        ["alloc", "--law", "@/sub_law.json", "--budget", "1e+20", *_N_BRACKET,
+         *_OTR_DEFAULTS],
+        ["sub_law.json"],
+        None,
+    ),
+    "alloc-sweep": (
+        ["alloc", "--law", "sub_law.json", "--budget", "1e20", "--sweep",
+         "--otr-points", "5"],
+        ["alloc", "--law", "@/sub_law.json", "--budget", "1e+20", *_N_BRACKET,
+         "--sweep", "--otr-min", "1.0", "--otr-max", "2000.0", "--otr-points", "5"],
+        ["sub_law.json"],
+        None,
+    ),
+    "sweep": (
+        ["sweep", "--law", "sub_law.json", "--budget", "1e19", "--otr-min", "2",
+         "--otr-max", "500", "--otr-points", "9"],
+        ["sweep", "--law", "@/sub_law.json", "--budget", "1e+19", "--otr-min", "2.0",
+         "--otr-max", "500.0", "--otr-points", "9"],
+        ["sub_law.json"],
+        None,
+    ),
+    "density-normalize": (
+        ["density", "vectors.emb", "--k", "2", "--normalize"],
+        ["density", "@/vectors.emb", "--k", "2", "--seed", "0", "--max-iters", "100",
+         "--normalize"],
+        ["vectors.emb"],
+        0,
+    ),
+    "select-keep": (
+        ["select", "vectors.emb", "--k", "2", "--keep-fraction", "0.7", "--seed", "4"],
+        ["select", "@/vectors.emb", "--k", "2", "--seed", "4", "--max-iters", "100",
+         "--keep-fraction", "0.7"],
+        ["vectors.emb"],
+        4,
+    ),
+    "select-target": (
+        ["select", "vectors.emb", "--k", "2", "--target-log-density", "-10.5"],
+        ["select", "@/vectors.emb", "--k", "2", "--seed", "0", "--max-iters", "100",
+         "--target-log-density", "-10.5"],
+        ["vectors.emb"],
+        0,
+    ),
+    "synth-curves": (
+        ["synth", "--spec", "curves.json", "--seed", "6"],
+        ["synth", "--spec", "@/curves.json", "--seed", "6", "--runs-format", "csv",
+         "--emb-format", "emb"],
+        ["curves.json"],
+        6,
+    ),
+    "synth-blobs": (
+        ["synth", "--spec", "blobs.json", "--emb-format", "csv"],
+        ["synth", "--spec", "@/blobs.json", "--seed", "2", "--runs-format", "csv",
+         "--emb-format", "csv"],
+        ["blobs.json"],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_manifest_argv_golden(cli_inputs, case):
+    argv, recorded, inputs, seed = GOLDEN[case]
+    assert main(argv + ["-o", "out"]) == 0
+    manifest = json.loads((cli_inputs / "out" / "manifest.json").read_text())
+    assert manifest["command"] == recorded[0]
+    assert manifest["argv"] == [a.replace("@", str(cli_inputs), 1) for a in recorded]
+    assert sorted(manifest["inputs"]) == sorted(str(cli_inputs / f) for f in inputs)
+    assert manifest["seed"] == seed
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_manifest_argv_round_trip(cli_inputs, monkeypatch, case):
+    # the effective values a command ran with, read when it writes its manifest
+    ran_with = []
+    write_manifest = cli._write_manifest
+
+    def spy(args, *rest, **kwargs):
+        ran_with.append(vars(args).copy())
+        write_manifest(args, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_manifest", spy)
+    assert main(GOLDEN[case][0] + ["-o", "out"]) == 0
+    manifest = json.loads((cli_inputs / "out" / "manifest.json").read_text())
+    replayed = vars(cli.build_parser().parse_args(manifest["argv"] + ["-o", "again"]))
+    skip = {"command", "handler", "parser", "out"}
+    assert {k: v for k, v in replayed.items() if k not in skip} == {
+        k: v for k, v in ran_with[0].items() if k not in skip
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, parent_argv",
+    [
+        (["alloc", "--law", "sub_law.json", "--budget", "1e20"],
+         ["alloc", "--law", "@/sub_law.json", "--budget", "1e+20", *_N_BRACKET]),
+        (["synth", "--spec", "curves.json"],
+         ["synth", "--spec", "@/curves.json", "--seed", "5", "--runs-format", "csv"]),
+        (["synth", "--spec", "blobs.json"],
+         ["synth", "--spec", "@/blobs.json", "--seed", "2", "--emb-format", "emb"]),
+    ],
+    ids=["alloc", "synth-curves", "synth-blobs"],
+)
+def test_parent_shape_manifest_replays(cli_inputs, argv, parent_argv):
+    # manifests written before the argv builder record fewer defaults
+    assert main(argv + ["-o", "a"]) == 0
+    manifest = json.loads((cli_inputs / "a" / "manifest.json").read_text())
+    manifest["argv"] = [a.replace("@", str(cli_inputs), 1) for a in parent_argv]
+    old = cli_inputs / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["report", str(old), "-o", "b"]) == 0
+    for name in manifest["tables"] + manifest["plots"]:
+        assert _file_bytes(cli_inputs / "a" / name) == _file_bytes(cli_inputs / "b" / name)

@@ -6,6 +6,7 @@ import pytest
 
 from subscale import fit, runs, synth
 from subscale.errors import (
+    FamilyMismatch,
     InsufficientData,
     LengthMismatch,
     MissingField,
@@ -203,6 +204,30 @@ def test_fit_deterministic():
     assert a == b
 
 
+def test_fit_config_from_dict_keeps_field_defaults():
+    assert fit.FitConfig.from_dict({}) == fit.FitConfig()
+    # older configs carry a seed, which has no effect
+    assert fit.FitConfig.from_dict({"seed": 7}) == fit.FitConfig()
+    config = fit.FitConfig.from_dict(
+        {"multistart_grid": {"alpha": [0.1, 0.2]}, "bounds": {"alpha": [0, 1]},
+         "max_iters": 50.0, "tolerance": 1}
+    )
+    assert config == fit.FitConfig(
+        multistart_grid={"alpha": (0.1, 0.2)}, bounds={"alpha": (0.0, 1.0)},
+        max_iters=50, tolerance=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [({"max_iter": 1, "tolerence": 5}, "unknown fit config key.*max_iter, tolerence"),
+     ([1, 2], "must be a JSON object, not a list")],
+)
+def test_fit_config_from_dict_rejects_bad_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        fit.FitConfig.from_dict(data)
+
+
 # coefficients (lambda*) are optimized as logs, everything else linearly
 _LOG_MASKS = {
     "power": (True, False),
@@ -285,6 +310,16 @@ def test_predict_empty_holdout_rejected():
     empty = runs.RunSeries(records=(), metadata={})
     with pytest.raises(InsufficientData):
         fit.predict(result_params, empty)
+
+
+@pytest.mark.parametrize(
+    "params, family",
+    [(REF, "power"), (PowerLawParams(lam=3.0, alpha=0.3), "chinchilla")],
+)
+def test_predict_rejects_params_of_another_family(params, family):
+    series = _power_series(n_points=6)
+    with pytest.raises(FamilyMismatch, match=f"as family '{family}'"):
+        fit.predict(params, series, family=family)
 
 
 def test_predict_missing_field():
