@@ -405,14 +405,23 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
-    for path_str, digest in manifest.get("inputs", {}).items():
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest must be a JSON object, not a {type(manifest).__name__}")
+    argv = manifest.get("argv")
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+        raise ValueError("manifest 'argv' must be a non-empty list of strings")
+    if argv[0] == "report":  # no command records a report; replaying one would recurse
+        raise ValueError("manifest 'argv' cannot replay 'report'")
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise ValueError("manifest 'inputs' must be a JSON object")
+    for path_str, digest in inputs.items():
         path = Path(path_str)
         if not path.exists():
             raise ValueError(f"manifest input missing: {path}")
         if _sha256(path) != digest:
             raise ValueError(f"manifest input changed since recording: {path}")
-    argv = list(manifest["argv"]) + ["--out", str(args.out)]
-    return main(argv)
+    return main(argv + ["--out", str(args.out)])
 
 
 # ---------------------------------------------------------------------------

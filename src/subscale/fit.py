@@ -41,12 +41,13 @@ from .errors import (
     SubscaleError,
     UnknownFamily,
 )
-from .laws import (
+from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     ChinchillaParams,
     LawParams,
     PowerLawParams,
     SubOptimalParams,
     chinchilla_gradient,
+    chinchilla_value_and_jacobian,
     eval_chinchilla,
     eval_power,
     eval_suboptimal,
@@ -54,7 +55,11 @@ from .laws import (
     param_keys,
     params_to_dict,
     power_gradient,
+    power_value_and_jacobian,
+    prepare_nd,
+    prepare_power,
     suboptimal_gradient,
+    suboptimal_value_and_jacobian,
 )
 from .runs import RunSeries, require_field, split_fit_holdout
 
@@ -121,17 +126,57 @@ class FitConfig:
             raise ValueError(f"unknown fit config key(s): {', '.join(unknown)}")
         kwargs = {k: v for k, v in data.items() if k in names}
         for key, convert in _CONFIG_CONVERTERS.items():
-            if kwargs.get(key) is not None:
-                kwargs[key] = convert(kwargs[key])
+            if key in kwargs:
+                kwargs[key] = convert(key, kwargs[key])
         return FitConfig(**kwargs)
 
 
-# JSON value -> field value, for the FitConfig fields that need one
+def _config_number(key: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"fit config {key!r} must be a number, got {value!r}")
+
+
+def _config_count(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"fit config {key!r} must be an integer, got {value!r}")
+
+
+def _config_mapping(key: str, value, convert) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"fit config {key!r} must be an object, got {value!r}")
+    return {name: convert(f"{key}.{name}", v) for name, v in value.items()}
+
+
+def _config_values(key: str, value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"fit config {key!r} must be a list of numbers, got {value!r}")
+    return tuple(_config_number(key, v) for v in value)
+
+
+def _config_pair(key: str, value) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"fit config {key!r} must be a [lo, hi] pair, got {value!r}")
+    return _config_number(key, value[0]), _config_number(key, value[1])
+
+
+def _or_null(convert):
+    return lambda key, value: None if value is None else convert(key, value)
+
+
+# JSON value -> field value, each naming its key when the shape is wrong
 _CONFIG_CONVERTERS = {
-    "multistart_grid": lambda grid: {k: tuple(v) for k, v in grid.items()},
-    "bounds": lambda bounds: {k: (float(v[0]), float(v[1])) for k, v in bounds.items()},
-    "max_iters": int,
-    "tolerance": float,
+    "robust_delta": _or_null(_config_number),
+    "multistart_grid": _or_null(lambda key, v: _config_mapping(key, v, _config_values)),
+    "bounds": _or_null(lambda key, v: _config_mapping(key, v, _config_pair)),
+    "max_iters": _config_count,
+    "tolerance": _config_number,
 }
 
 
@@ -251,14 +296,18 @@ class _FamilySpec:
     """What fitting needs beyond the params class; the rest derives from it.
 
     The parameter vector is the class's dataclass fields in order, named by
-    its JSON keys.  The evaluators look the law functions up at call time
-    so that wrappers installed on this module's attributes see every call.
+    its JSON keys.  ``evaluate`` takes the extracted inputs; ``prepare``
+    turns them, once per fit, into what ``value_and_jacobian`` (one call per
+    LM step) reads.  The evaluators look the law functions up at call time
+    so that wrappers installed on this module's attributes see every call;
+    the ``*_gradient`` functions stay importable here for the same wrappers.
     """
 
     law: type
     extract: Callable[[RunSeries], tuple[np.ndarray, ...]]
     evaluate: Callable[[LawParams, tuple], np.ndarray]
-    gradient: Callable[[LawParams, tuple], np.ndarray]
+    prepare: Callable[..., tuple[np.ndarray, ...]]
+    value_and_jacobian: Callable[[LawParams, tuple], tuple[np.ndarray, np.ndarray]]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -275,7 +324,7 @@ class _FamilySpec:
         return "k1" in self.names
 
     def make_params(self, vec) -> LawParams:
-        return self.law(*map(float, vec))
+        return self.law(*np.asarray(vec, dtype=float).tolist())
 
 
 def _power_family(extract) -> _FamilySpec:
@@ -283,7 +332,8 @@ def _power_family(extract) -> _FamilySpec:
         PowerLawParams,
         extract,
         lambda p, x: eval_power(p, *x),
-        lambda p, x: power_gradient(p, *x),
+        prepare_power,
+        lambda p, prep: power_value_and_jacobian(p, prep),
     )
 
 
@@ -295,13 +345,15 @@ FAMILIES: dict[str, _FamilySpec] = {
         ChinchillaParams,
         _series_nd,
         lambda p, x: eval_chinchilla(p, *x),
-        lambda p, x: chinchilla_gradient(p, *x),
+        prepare_nd,
+        lambda p, prep: chinchilla_value_and_jacobian(p, prep),
     ),
     "suboptimal": _FamilySpec(
         SubOptimalParams,
         _series_nd,
         lambda p, x: eval_suboptimal(p, *x),
-        lambda p, x: suboptimal_gradient(p, *x),
+        prepare_nd,
+        lambda p, prep: suboptimal_value_and_jacobian(p, prep),
     ),
 }
 
@@ -473,7 +525,7 @@ def _levenberg_marquardt(
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r, jac = residual_jac(x)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+    if not (np.isfinite(r).all() and np.isfinite(jac).all()):
         raise _StartFailed("non-finite residuals at the start point")
     objective = _huber_objective(r, huber_delta)
     trace = [objective]
@@ -488,11 +540,21 @@ def _levenberg_marquardt(
     rw, jw = _weighted(r, jac)
     a_mat = jw.T @ jw
     g = jw.T @ rw
-    mu = 1e-3 * float(np.max(np.diag(a_mat))) if np.max(np.diag(a_mat)) > 0 else 1e-3
+    diag_max = a_mat.diagonal().max()
+    mu = 1e-3 * float(diag_max) if diag_max > 0 else 1e-3
     nu = 2.0
     converged = False
     n_iters = 0
     small_decreases = 0
+    # the augmented system [J; sqrt(mu) I] d = [-r; 0], filled in place; a
+    # step with pinned coordinates uses the leading block of the buffers.
+    # x, g, and so the pinned set and the J block, change only on an
+    # accepted step, so a rejected one refills only the damping block.
+    m, p = jw.shape
+    lhs_buf = np.empty((m + p, p))
+    rhs_buf = np.zeros(m + p)
+    eye = np.eye(p)
+    accepted = True
 
     def _pinned() -> np.ndarray:
         # coordinates sitting exactly on a bound whose descent direction
@@ -502,25 +564,28 @@ def _levenberg_marquardt(
 
     for _ in range(max_iters):
         n_iters += 1
-        free = ~_pinned()
-        if not free.any():
-            converged = True  # stationary corner of the box
-            break
-        n_free = int(free.sum())
-        # damped step from the augmented system [J; sqrt(mu) I] d = [-r; 0];
-        # solving the normal equations instead squares the conditioning and
-        # visibly degrades the flat direction of log-log power fits
-        lhs = np.vstack([jw[:, free], math.sqrt(mu) * np.eye(n_free)])
-        rhs = np.concatenate([-rw, np.zeros(n_free)])
-        step_free, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        if accepted:
+            free = ~_pinned()
+            n_free = int(free.sum())
+            if n_free == 0:
+                converged = True  # stationary corner of the box
+                break
+            lhs = lhs_buf[: m + n_free, :n_free]
+            lhs[:m] = jw[:, free]
+            np.negative(rw, out=rhs_buf[:m])
+            accepted = False
+        # damped step from the augmented system; solving the normal
+        # equations instead squares the conditioning and visibly degrades
+        # the flat direction of log-log power fits
+        np.multiply(math.sqrt(mu), eye[:n_free, :n_free], out=lhs[m:])
         step = np.zeros_like(x)
-        step[free] = step_free
+        step[free], *_ = np.linalg.lstsq(lhs, rhs_buf[: m + n_free], rcond=None)
         x_new = np.clip(x + step, lo, hi)
         actual = x_new - x
-        step_small = np.max(np.abs(actual)) <= tol * (tol + np.max(np.abs(x)))
+        step_small = np.abs(actual).max() <= tol * (tol + np.abs(x).max())
 
         r_new, jac_new = residual_jac(x_new)
-        finite = np.all(np.isfinite(r_new)) and np.all(np.isfinite(jac_new))
+        finite = np.isfinite(r_new).all() and np.isfinite(jac_new).all()
         obj_new = _huber_objective(r_new, huber_delta) if finite else math.inf
 
         if finite and obj_new < objective:
@@ -535,6 +600,7 @@ def _levenberg_marquardt(
             rw, jw = _weighted(r, jac)
             a_mat = jw.T @ jw
             g = jw.T @ rw
+            accepted = True
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
             # two consecutive negligible decreases: the first one can stop
@@ -564,7 +630,7 @@ def _levenberg_marquardt(
         step[free], *_ = np.linalg.lstsq(jw[:, free], -rw, rcond=None)
         x_try = np.clip(x + step, lo, hi)
         r_try, jac_try = residual_jac(x_try)
-        if not (np.all(np.isfinite(r_try)) and np.all(np.isfinite(jac_try))):
+        if not (np.isfinite(r_try).all() and np.isfinite(jac_try).all()):
             break
         obj_try = _huber_objective(r_try, huber_delta)
         if obj_try >= objective:
@@ -581,7 +647,7 @@ def _levenberg_marquardt(
 
 def _internal_residual_jac(
     spec: _FamilySpec,
-    inputs: tuple[np.ndarray, ...],
+    prepared: tuple[np.ndarray, ...],
     obs: np.ndarray,
     residual_space: str,
     free: np.ndarray,
@@ -590,15 +656,17 @@ def _internal_residual_jac(
 ):
     """Residual/Jacobian closure over the internal (log-scaled, free) vector."""
     ln_obs = np.log(obs)
+    log_free = log_mask[free]
 
     def fn(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ext_free = np.where(log_free, np.exp(theta), theta)
         ext = fixed_vec.copy()
-        ext[free] = np.where(log_mask[free], np.exp(theta), theta)
-        params = spec.make_params(ext)
-        pred = spec.evaluate(params, inputs)
-        jac_ext = spec.gradient(params, inputs)
-        # d ext / d theta = ext for log-scaled coordinates, 1 otherwise
-        scale = np.where(log_mask[free], ext[free], 1.0)
+        ext[free] = ext_free
+        pred, jac_ext = spec.value_and_jacobian(spec.make_params(ext), prepared)
+        # d ext / d theta = ext for log-scaled coordinates, 1 otherwise.  The
+        # column selection stays even when every column is free: its copy is
+        # F-ordered, and the LM matmuls round differently on a C-ordered one
+        scale = np.where(log_free, ext_free, 1.0)
         jac_int = jac_ext[:, free] * scale[None, :]
         if residual_space == "log":
             return np.log(pred) - ln_obs, jac_int / pred[:, None]
@@ -615,7 +683,7 @@ def _to_internal(vec: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
 
 def _run_start(
     spec: _FamilySpec,
-    inputs: tuple[np.ndarray, ...],
+    prepared: tuple[np.ndarray, ...],
     obs: np.ndarray,
     start: np.ndarray,
     lo: np.ndarray,
@@ -644,7 +712,7 @@ def _run_start(
     total_iters = 0
     for free in stages:
         fn = _internal_residual_jac(
-            spec, inputs, obs, config.residual_space, free, vec, log_mask
+            spec, prepared, obs, config.residual_space, free, vec, log_mask
         )
         theta0 = _to_internal(vec, log_mask)[free]
         outcome = _levenberg_marquardt(
@@ -703,10 +771,11 @@ def fit_law(
     lo, hi = _apply_bound_overrides(spec, lo, hi, config.bounds)
     starts = _build_starts(spec, inputs, obs, config, lo, hi)
 
+    prepared = spec.prepare(*inputs)
     best: _LMOutcome | None = None
     for start in starts:  # ties resolve to the earliest grid point
         try:
-            outcome = _run_start(spec, inputs, obs, start, lo, hi, config)
+            outcome = _run_start(spec, prepared, obs, start, lo, hi, config)
         except (_StartFailed, FloatingPointError):
             continue
         if best is None or outcome.objective < best.objective:

@@ -22,8 +22,11 @@ loss law) and the density decay factor (``DecayedPerfParams.decay``, a
 fitted constant per dataset).  They are unrelated parameters.
 
 All evaluators accept scalars or numpy arrays and are smooth in their
-parameters; the ``*_gradient`` functions return the exact partials in a
-fixed column order consumed by the fitter.
+parameters.  For the loss families the fitter calls a fused
+``*_value_and_jacobian`` once per step, over inputs that ``prepare_power``
+or ``prepare_nd`` log-transform and check once per fit; its Jacobian holds
+the exact partials in the params class's field order.  The ``*_gradient``
+functions return those partials for raw inputs.
 """
 
 from __future__ import annotations
@@ -49,12 +52,8 @@ def _ret(value: np.ndarray, scalar: bool):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic 1 / (1 + exp(-z)); callers pass z = k * OTR >= 0 (or NaN)."""
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,11 @@ def eval_power(params: PowerLawParams, x: ArrayLike) -> ArrayLike:
     xa, scalar = _as_array(x)
     if np.any(xa <= 0):
         raise ValueError("x must be > 0")
-    return _ret(np.exp(math.log(params.lam) - params.alpha * np.log(xa)), scalar)
+    return _ret(_power_value(params, np.log(xa)), scalar)
+
+
+def _power_value(params: PowerLawParams, ln_x: np.ndarray) -> np.ndarray:
+    return np.exp(math.log(params.lam) - params.alpha * ln_x)
 
 
 def repetition_factor(otr: ArrayLike, k: float) -> ArrayLike:
@@ -263,9 +266,13 @@ def eval_chinchilla(params: ChinchillaParams, n: ArrayLike, d: ArrayLike) -> Arr
     da, s2 = _as_array(d)
     if np.any(na <= 0) or np.any(da <= 0):
         raise ValueError("n and d must be > 0")
-    term_n = np.exp(math.log(params.lambda_n) - params.alpha_n * np.log(na))
-    term_d = np.exp(math.log(params.lambda_d) - params.alpha_d * np.log(da))
-    return _ret(params.e_irreducible + term_n + term_d, s1 and s2)
+    return _ret(_chinchilla_value(params, np.log(na), np.log(da)), s1 and s2)
+
+
+def _chinchilla_value(params: ChinchillaParams, ln_n, ln_d) -> np.ndarray:
+    term_n = np.exp(math.log(params.lambda_n) - params.alpha_n * ln_n)
+    term_d = np.exp(math.log(params.lambda_d) - params.alpha_d * ln_d)
+    return params.e_irreducible + term_n + term_d
 
 
 def eval_suboptimal(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
@@ -277,9 +284,14 @@ def eval_suboptimal(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> Arr
     r = da / na
     r_d = 1.0 + _sigmoid(params.k1 * r)
     r_n = 1.0 + _sigmoid(params.k2 * r)
-    term_n = r_n * np.exp(math.log(params.lambda_n) - params.alpha_n * np.log(na))
-    term_d = r_d * np.exp(math.log(params.lambda_d) - params.alpha_d * np.log(da))
-    return _ret(params.e_irreducible + term_n + term_d, s1 and s2)
+    return _ret(_suboptimal_value(params, np.log(na), np.log(da), r_n, r_d), s1 and s2)
+
+
+def _suboptimal_value(params: SubOptimalParams, ln_n, ln_d, r_n, r_d) -> np.ndarray:
+    """Chinchilla terms scaled by the repetition factors r_n, r_d."""
+    term_n = r_n * np.exp(math.log(params.lambda_n) - params.alpha_n * ln_n)
+    term_d = r_d * np.exp(math.log(params.lambda_d) - params.alpha_d * ln_d)
+    return params.e_irreducible + term_n + term_d
 
 
 def eval_saturating_perf(params: SaturatingPerfParams, n_samples: ArrayLike) -> ArrayLike:
@@ -333,63 +345,104 @@ def loss_at(params: LawParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
 
 
 # ---------------------------------------------------------------------------
+# Fused value and Jacobian over prepared inputs (the fitter's inner call)
+# ---------------------------------------------------------------------------
+#
+# Each Jacobian column keeps the operand order of the evaluator it
+# differentiates, and the value keeps exp(log lam - alpha ln x) while the
+# Jacobian uses exp(-alpha ln x): the two round differently, so only the
+# inputs and the sigmoids are shared.
+
+
+def prepare_power(x: ArrayLike) -> tuple[np.ndarray]:
+    """(ln x,) for x > 0: what power_value_and_jacobian reads."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xa <= 0):
+        raise ValueError("x must be > 0")
+    return (np.log(xa),)
+
+
+def prepare_nd(n: ArrayLike, d: ArrayLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln N, ln D, OTR = D/N) for N, D > 0, for the (N, D) families."""
+    na = np.atleast_1d(np.asarray(n, dtype=float))
+    da = np.atleast_1d(np.asarray(d, dtype=float))
+    if np.any(na <= 0) or np.any(da <= 0):
+        raise ValueError("n and d must be > 0")
+    return np.log(na), np.log(da), da / na
+
+
+def power_value_and_jacobian(
+    params: PowerLawParams, prepared: tuple[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """eval_power and its partials wrt (lam, alpha); Jacobian (len(x), 2)."""
+    (ln_x,) = prepared
+    base = np.exp(-params.alpha * ln_x)
+    jac = np.empty((len(ln_x), 2))
+    jac[:, 0] = base
+    jac[:, 1] = -params.lam * ln_x * base
+    return _power_value(params, ln_x), jac
+
+
+def chinchilla_value_and_jacobian(
+    params: ChinchillaParams, prepared: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """eval_chinchilla and its partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d)."""
+    ln_n, ln_d, otr = prepared
+    t_n = np.exp(-params.alpha_n * ln_n)
+    t_d = np.exp(-params.alpha_d * ln_d)
+    jac = np.empty((len(otr), 5))
+    jac[:, 0] = 1.0
+    jac[:, 1] = t_n
+    jac[:, 2] = -params.lambda_n * ln_n * t_n
+    jac[:, 3] = t_d
+    jac[:, 4] = -params.lambda_d * ln_d * t_d
+    return _chinchilla_value(params, ln_n, ln_d), jac
+
+
+def suboptimal_value_and_jacobian(
+    params: SubOptimalParams, prepared: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """eval_suboptimal and its partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2).
+
+    The k-columns chain through the logistic: d/dk sigmoid(k*r) =
+    sigmoid*(1-sigmoid)*r.
+    """
+    ln_n, ln_d, otr = prepared
+    s_d = _sigmoid(params.k1 * otr)
+    s_n = _sigmoid(params.k2 * otr)
+    r_d = 1.0 + s_d
+    r_n = 1.0 + s_n
+    t_n = np.exp(-params.alpha_n * ln_n)
+    t_d = np.exp(-params.alpha_d * ln_d)
+    jac = np.empty((len(otr), 7))
+    jac[:, 0] = 1.0
+    jac[:, 1] = r_n * t_n
+    jac[:, 2] = -params.lambda_n * r_n * ln_n * t_n
+    jac[:, 3] = r_d * t_d
+    jac[:, 4] = -params.lambda_d * r_d * ln_d * t_d
+    jac[:, 5] = params.lambda_d * t_d * s_d * (1.0 - s_d) * otr
+    jac[:, 6] = params.lambda_n * t_n * s_n * (1.0 - s_n) * otr
+    return _suboptimal_value(params, ln_n, ln_d, r_n, r_d), jac
+
+
+# ---------------------------------------------------------------------------
 # Analytic gradients (column order matches the fitter's packing)
 # ---------------------------------------------------------------------------
 
 
 def power_gradient(params: PowerLawParams, x: ArrayLike) -> np.ndarray:
     """Partials of eval_power wrt (lam, alpha); shape (len(x), 2)."""
-    xa, _ = _as_array(x)
-    xa = np.atleast_1d(xa)
-    base = np.exp(-params.alpha * np.log(xa))
-    return np.column_stack([base, -params.lam * np.log(xa) * base])
+    return power_value_and_jacobian(params, prepare_power(x))[1]
 
 
 def chinchilla_gradient(params: ChinchillaParams, n: ArrayLike, d: ArrayLike) -> np.ndarray:
     """Partials wrt (e_irreducible, lambda_n, alpha_n, lambda_d, alpha_d)."""
-    na = np.atleast_1d(np.asarray(n, dtype=float))
-    da = np.atleast_1d(np.asarray(d, dtype=float))
-    ln_n, ln_d = np.log(na), np.log(da)
-    t_n = np.exp(-params.alpha_n * ln_n)
-    t_d = np.exp(-params.alpha_d * ln_d)
-    return np.column_stack(
-        [
-            np.ones_like(na),
-            t_n,
-            -params.lambda_n * ln_n * t_n,
-            t_d,
-            -params.lambda_d * ln_d * t_d,
-        ]
-    )
+    return chinchilla_value_and_jacobian(params, prepare_nd(n, d))[1]
 
 
 def suboptimal_gradient(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> np.ndarray:
-    """Partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2).
-
-    The k-columns chain through the logistic: d/dk sigmoid(k*r) =
-    sigmoid*(1-sigmoid)*r.
-    """
-    na = np.atleast_1d(np.asarray(n, dtype=float))
-    da = np.atleast_1d(np.asarray(d, dtype=float))
-    r = da / na
-    ln_n, ln_d = np.log(na), np.log(da)
-    t_n = np.exp(-params.alpha_n * ln_n)
-    t_d = np.exp(-params.alpha_d * ln_d)
-    s_d = _sigmoid(params.k1 * r)
-    s_n = _sigmoid(params.k2 * r)
-    r_d = 1.0 + s_d
-    r_n = 1.0 + s_n
-    return np.column_stack(
-        [
-            np.ones_like(na),
-            r_n * t_n,
-            -params.lambda_n * r_n * ln_n * t_n,
-            r_d * t_d,
-            -params.lambda_d * r_d * ln_d * t_d,
-            params.lambda_d * t_d * s_d * (1.0 - s_d) * r,
-            params.lambda_n * t_n * s_n * (1.0 - s_n) * r,
-        ]
-    )
+    """Partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2)."""
+    return suboptimal_value_and_jacobian(params, prepare_nd(n, d))[1]
 
 
 def saturating_perf_gradient(

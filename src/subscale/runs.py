@@ -108,15 +108,25 @@ def _validate_records(records: tuple[TrainingRun, ...]) -> None:
 def _parse_count(text, row: int, field: str) -> int | None:
     if text is None or text == "":
         return None
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise MalformedRecord(row, f"{field}={text!r} is not numeric") from None
-    if not math.isfinite(value) or value != int(value):
+    if isinstance(text, bool):  # JSON true/false
         raise MalformedRecord(row, f"{field}={text!r} is not an integer count")
+    value = text if isinstance(text, int) else None
+    if isinstance(text, str):
+        try:
+            value = int(text)  # integer literals stay exact
+        except ValueError:
+            pass
+    if value is None:
+        try:
+            number = float(text)
+        except (TypeError, ValueError):
+            raise MalformedRecord(row, f"{field}={text!r} is not numeric") from None
+        if not math.isfinite(number) or number != int(number):
+            raise MalformedRecord(row, f"{field}={text!r} is not an integer count")
+        value = int(number)
     if abs(value) > _MAX_COUNT:
         raise MalformedRecord(row, f"{field}={text!r} exceeds 2^53")
-    return int(value)
+    return value
 
 
 def _parse_float(text, row: int, field: str) -> float | None:

@@ -170,8 +170,10 @@ def gen_curves(spec: CurveSpec) -> RunSeries:
         zip(spec.model_sizes, spec.token_checkpoints)
     ):
         run_id = f"run{i:02d}-n{size}"
-        for step, tokens in enumerate(checkpoints, start=1):
-            loss = float(loss_at(spec.law, size, tokens))
+        # one evaluation per run; elementwise, so each value equals the
+        # scalar loss_at of its record
+        losses = loss_at(spec.law, size, np.asarray(checkpoints, dtype=float)).tolist()
+        for step, (tokens, loss) in enumerate(zip(checkpoints, losses), start=1):
             if spec.noise_sigma > 0:
                 loss *= math.exp(spec.noise_sigma * rng.normal())
             records.append(

@@ -361,6 +361,26 @@ def test_report_rejects_changed_input(tmp_path, blob_fixture):
     assert main(["report", str(out1 / "manifest.json"), "-o", str(tmp_path / "b")]) == 1
 
 
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([1], "manifest must be a JSON object, not a list"),
+        ({"inputs": {}}, "manifest 'argv' must be a non-empty list of strings"),
+        ({"argv": "fit"}, "manifest 'argv' must be a non-empty list of strings"),
+        ({"argv": ["fit", 3]}, "manifest 'argv' must be a non-empty list of strings"),
+        ({"argv": []}, "manifest 'argv' must be a non-empty list of strings"),
+        ({"argv": ["report", "m.json"]}, "cannot replay 'report'"),
+        ({"argv": ["fit"], "inputs": [1]}, "manifest 'inputs' must be a JSON object"),
+    ],
+)
+def test_report_bad_manifest_is_exit_one(tmp_path, capsys, manifest, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["report", str(path), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_thread_count_does_not_change_tables(tmp_path, suboptimal_fixture):
     out1 = tmp_path / "t1"
     out4 = tmp_path / "t4"
@@ -444,7 +464,18 @@ def test_predict_family_mismatch_is_exit_one(tmp_path, power_fixture, capsys, pa
 
 @pytest.mark.parametrize(
     "config, message",
-    [({"max_iter": 1, "tolerence": 5}, "max_iter, tolerence"), ([1, 2], "JSON object")],
+    [
+        ({"max_iter": 1, "tolerence": 5}, "max_iter, tolerence"),
+        ([1, 2], "JSON object"),
+        ({"max_iters": None}, "'max_iters' must be an integer"),
+        ({"bounds": {"alpha": [1]}}, "'bounds.alpha' must be a [lo, hi] pair"),
+        ({"multistart_grid": {"alpha": 3}}, "'multistart_grid.alpha' must be a list"),
+        ({"bounds": [0, 1]}, "'bounds' must be an object"),
+        ({"tolerance": None}, "'tolerance' must be a number"),
+        ({"robust_delta": "big"}, "'robust_delta' must be a number"),
+        ({"max_iters": 2.5}, "'max_iters' must be an integer"),
+        ({"multistart_grid": {"alpha": [0.1, "x"]}}, "'multistart_grid.alpha' must be a"),
+    ],
 )
 def test_fit_bad_config_is_exit_one(tmp_path, power_fixture, capsys, config, message):
     config_path = tmp_path / "config.json"

@@ -253,23 +253,32 @@ def test_family_registry_derives_from_params_class(tag):
 
 
 @pytest.mark.parametrize(
-    "tag, evaluator, gradient",
+    "tag, evaluator, fused",
     [
-        ("power", "eval_power", "power_gradient"),
-        ("chinchilla", "eval_chinchilla", "chinchilla_gradient"),
-        ("suboptimal", "eval_suboptimal", "suboptimal_gradient"),
+        ("power", "eval_power", "power_value_and_jacobian"),
+        ("chinchilla", "eval_chinchilla", "chinchilla_value_and_jacobian"),
+        ("suboptimal", "eval_suboptimal", "suboptimal_value_and_jacobian"),
     ],
 )
-def test_family_rows_look_up_laws_at_call_time(monkeypatch, tag, evaluator, gradient):
+def test_family_rows_look_up_laws_at_call_time(monkeypatch, tag, evaluator, fused):
     # call tracing replaces these module attributes; the rows must see it
     calls = []
-    for name in (evaluator, gradient):
+    for name in (evaluator, fused):
         original = getattr(fit, name)
         monkeypatch.setattr(
             fit, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
         )
     fit.fit_law(_suboptimal_series(n_sizes=3, n_checkpoints=4), tag)
-    assert evaluator in calls and gradient in calls
+    assert evaluator in calls and fused in calls
+
+
+@pytest.mark.parametrize(
+    "name", ["eval_power", "eval_chinchilla", "eval_suboptimal", "power_gradient",
+             "chinchilla_gradient", "suboptimal_gradient"],
+)
+def test_traced_law_names_stay_importable_from_fit(name):
+    # call tracers wrap these by name on this module
+    assert callable(getattr(fit, name))
 
 
 def test_huber_robust_fit_still_recovers():

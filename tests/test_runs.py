@@ -5,6 +5,7 @@ import pytest
 
 from subscale import runs, synth
 from subscale.errors import (
+    MalformedRecord,
     MissingColumn,
     NonMonotoneTokens,
     NonPositiveValue,
@@ -72,6 +73,48 @@ def test_ingest_non_monotone_tokens(tmp_path):
     with pytest.raises(NonMonotoneTokens) as err:
         runs.ingest(path)
     assert err.value.run_id == "a"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("true", "model_size=True is not an integer count"),
+        ("false", "model_size=False is not an integer count"),
+        ("9007199254740993", "model_size=9007199254740993 exceeds 2^53"),
+        ('"9007199254740993"', "model_size='9007199254740993' exceeds 2^53"),
+        ("-9007199254740993", "exceeds 2^53"),
+        ("12.5", "model_size=12.5 is not an integer count"),
+    ],
+)
+def test_jsonl_count_rejected_with_row(tmp_path, value, message):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(
+        '{"run_id": "a", "model_size": 10, "tokens": 100, "loss": 3.0}\n'
+        f'{{"run_id": "a", "model_size": {value}, "tokens": 200, "loss": 2.9}}\n'
+    )
+    with pytest.raises(MalformedRecord) as err:
+        runs.ingest(path)
+    assert err.value.row == 2 and message in str(err.value)
+
+
+def test_csv_count_above_2_53_rejected_exactly(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text(
+        "run_id,model_size,tokens,loss\n"
+        "a,10,9007199254740992,3.0\n"
+        "b,10,9007199254740993,3.0\n"
+    )
+    with pytest.raises(MalformedRecord, match="tokens='9007199254740993' exceeds 2\\^53"):
+        runs.ingest(path)
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("9007199254740992", 2**53), (" 7 ", 7), ("1e3", 1000), ("40.0", 40), ("-3", -3)],
+)
+def test_count_literals_parse_exactly(text, count):
+    value = runs._parse_count(text, 1, "tokens")
+    assert type(value) is int and value == count
 
 
 def test_csv_and_jsonl_encode_identically(tmp_path):
