@@ -1,4 +1,4 @@
-"""Compute-budget allocation and training-strategy analysis.
+"""Compute-budget allocation and exponent-stability analysis.
 
 Given a loss law L(N, D) and a fixed budget C = 6*N*D, the optimal
 allocation minimizes predicted loss along the budget curve D = C/(6N).
@@ -22,16 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BinTooSmall,
-    KnobMissing,
-    NoInteriorMinimum,
-    NoRunReachesTarget,
-    UnknownFamily,
-)
+from .errors import BinTooSmall, NoInteriorMinimum
 from .fit import fit_power_loglog
-from .laws import ChinchillaParams, LawParams, SubOptimalParams, loss_at, params_to_dict
-from .runs import RunSeries, gaussian_smooth
+from .laws import (
+    ChinchillaParams,
+    LawParams,
+    SubOptimalParams,
+    family_of,
+    loss_at,
+    params_to_dict,
+)
+from .runs import RunSeries
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -106,8 +107,8 @@ def optimal_allocation(
     boundary guess.
     """
     if not isinstance(law, (ChinchillaParams, SubOptimalParams)):
-        raise UnknownFamily(
-            f"allocation needs a chinchilla or suboptimal law, got {type(law).__name__}"
+        raise ValueError(
+            f"allocation needs a chinchilla or suboptimal law, got {family_of(law)!r}"
         )
     if not (budget > 0 and math.isfinite(budget)):
         raise ValueError(f"budget must be finite and > 0, got {budget!r}")
@@ -287,118 +288,3 @@ def alpha_stability(
         otr_threshold=otr_threshold,
         n_stable_bins=len(stable),
     )
-
-
-# ---------------------------------------------------------------------------
-# Hyperparameter frontier
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    target_loss: float
-    knob_value: float
-    min_tokens: int
-
-    def to_dict(self) -> dict:
-        return {
-            "target_loss": self.target_loss,
-            "knob_value": self.knob_value,
-            "min_tokens": self.min_tokens,
-        }
-
-
-@dataclass(frozen=True)
-class FrontierWarning:
-    target_loss: float
-    knob_value: float
-    reason: str
-
-    def to_dict(self) -> dict:
-        return {
-            "target_loss": self.target_loss,
-            "knob_value": self.knob_value,
-            "reason": self.reason,
-        }
-
-
-@dataclass(frozen=True)
-class FrontierResult:
-    knob: str
-    points: tuple[FrontierPoint, ...]
-    warnings: tuple[FrontierWarning, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "knob": self.knob,
-            "points": [p.to_dict() for p in self.points],
-            "warnings": [w.to_dict() for w in self.warnings],
-        }
-
-
-def hyperparam_frontier(
-    runs: RunSeries,
-    knob: str,
-    target_losses,
-    smooth_window: int = 10,
-) -> FrontierResult:
-    """Minimum-token knob settings for a list of target losses.
-
-    Losses are smoothed first (so noise cannot trigger early crossings),
-    then for each target the knob value whose runs cross the target with
-    the fewest tokens wins; ties go to the smaller knob value.  Knob values
-    that never reach a target are dropped from that target with a warning;
-    a target no run reaches raises NoRunReachesTarget.
-    """
-    if knob not in ("batch_size", "learning_rate"):
-        raise ValueError("knob must be 'batch_size' or 'learning_rate'")
-
-    by_run: dict[str, list] = {}
-    for rec in runs.records:
-        by_run.setdefault(rec.run_id, []).append(rec)
-    knob_of_run: dict[str, float] = {}
-    for run_id, records in by_run.items():
-        values = {getattr(r, knob) for r in records}
-        if None in values:
-            raise KnobMissing(knob, run_id)
-        if len(values) != 1:
-            raise KnobMissing(knob, run_id, detail="not constant within the run")
-        knob_of_run[run_id] = float(values.pop())
-
-    smoothed = gaussian_smooth(runs, window=smooth_window)
-    crossings: dict[float, dict[float, int]] = {}  # knob value -> target -> tokens
-    targets = [float(t) for t in target_losses]
-    for run_id, _ in by_run.items():
-        records = sorted(
-            (r for r in smoothed.records if r.run_id == run_id),
-            key=lambda r: r.tokens,
-        )
-        value = knob_of_run[run_id]
-        for target in targets:
-            hit = next((r.tokens for r in records if r.loss <= target), None)
-            if hit is None:
-                continue
-            per_target = crossings.setdefault(value, {})
-            if target not in per_target or hit < per_target[target]:
-                per_target[target] = hit
-
-    knob_values = sorted(set(knob_of_run.values()))
-    points = []
-    warnings = []
-    for target in targets:
-        candidates = []
-        for value in knob_values:
-            tokens = crossings.get(value, {}).get(target)
-            if tokens is None:
-                warnings.append(
-                    FrontierWarning(target, value, "no run at this value reaches the target")
-                )
-            else:
-                candidates.append((tokens, value))
-        if not candidates:
-            raise NoRunReachesTarget(target)
-        best_tokens, best_value = min(candidates)  # ties: smaller knob value
-        points.append(
-            FrontierPoint(target_loss=target, knob_value=best_value, min_tokens=best_tokens)
-        )
-    return FrontierResult(knob=knob, points=tuple(points), warnings=tuple(warnings))

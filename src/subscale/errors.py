@@ -176,18 +176,3 @@ class BinTooSmall(SubscaleError):
             f"OTR bin [{bin_range[0]:g}, {bin_range[1]:g}) has {count} records, "
             f"needs at least {needed}"
         )
-
-
-class KnobMissing(SubscaleError):
-    def __init__(self, knob: str, run_id: str, detail: str = "absent"):
-        self.knob = knob
-        self.run_id = run_id
-        super().__init__(f"run {run_id!r}: hyperparameter {knob!r} is {detail}")
-
-
-class NoRunReachesTarget(SubscaleError):
-    exit_code = 2
-
-    def __init__(self, target: float):
-        self.target = target
-        super().__init__(f"no run reaches target loss {target!r}")

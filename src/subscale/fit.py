@@ -52,6 +52,7 @@ from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     eval_power,
     eval_suboptimal,
     family_of,
+    json_integer,
     param_keys,
     params_to_dict,
     power_gradient,
@@ -141,11 +142,7 @@ def _config_number(key: str, value) -> float:
 
 
 def _config_count(key: str, value) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"fit config {key!r} must be an integer, got {value!r}")
+    return json_integer(value, f"fit config {key!r}")
 
 
 def _config_mapping(key: str, value, convert) -> dict:
@@ -427,11 +424,8 @@ def _build_starts(
     hi: np.ndarray,
 ) -> list[np.ndarray]:
     """Cartesian multistart grid; non-gridded parameters come from the data."""
-    if spec.law is PowerLawParams:
-        default_grid = {"alpha": EXPONENT_GRID}
-    else:
-        default_grid = {"alpha_n": EXPONENT_GRID, "alpha_d": EXPONENT_GRID}
-    grid = dict(default_grid)
+    # every exponent is gridded, in the same way log_scaled is derived
+    grid = {name: EXPONENT_GRID for name in spec.names if name.startswith("alpha")}
     if config.multistart_grid:
         for name, values in config.multistart_grid.items():
             if name in spec.names:

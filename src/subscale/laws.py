@@ -9,24 +9,16 @@ Families:
                             repetition factor of the over-training ratio
                             OTR = D/N; captures the extra loss incurred when
                             tokens far exceed the optimal budget for N.
-* saturating_perf P(n)    = p0 * (1 - exp(-beta * I(n))) with information
-                            gain I(n) = i0 * n**(-alpha) (redundant, high
-                            density data) or I(n) = i0 * n when alpha == 0
-                            (diverse, low-density data).
-* decayed_perf    P(C)    = decay * lam * C**alpha, a performance power law
-                            scaled by a density decay factor in (0, 1].
-
-Note the two distinct "R_D"-style quantities: the over-training repetition
-factor (``repetition_factor``, a logistic of OTR used by the suboptimal
-loss law) and the density decay factor (``DecayedPerfParams.decay``, a
-fitted constant per dataset).  They are unrelated parameters.
 
 All evaluators accept scalars or numpy arrays and are smooth in their
-parameters.  For the loss families the fitter calls a fused
-``*_value_and_jacobian`` once per step, over inputs that ``prepare_power``
-or ``prepare_nd`` log-transform and check once per fit; its Jacobian holds
-the exact partials in the params class's field order.  The ``*_gradient``
-functions return those partials for raw inputs.
+parameters.  The fitter calls a fused ``*_value_and_jacobian`` once per
+step, over inputs that ``prepare_power`` or ``prepare_nd`` log-transform and
+check once per fit; its Jacobian holds the exact partials in the params
+class's field order.  The ``*_gradient`` functions return those partials
+for raw inputs.
+
+``params_from_dict`` reads a law file; it and the other JSON readers check
+each value with ``json_number``/``json_integer``, which name the bad key.
 """
 
 from __future__ import annotations
@@ -86,7 +78,7 @@ class ChinchillaParams:
     alpha_d: float
 
     def __post_init__(self):
-        if self.e_irreducible < 0:
+        if not self.e_irreducible >= 0:
             raise ValueError("e_irreducible must be >= 0")
         for name in ("lambda_n", "alpha_n", "lambda_d", "alpha_d"):
             if not getattr(self, name) > 0:
@@ -109,84 +101,29 @@ class SubOptimalParams:
     k2: float
 
     def __post_init__(self):
-        if self.e_irreducible < 0:
+        if not self.e_irreducible >= 0:
             raise ValueError("e_irreducible must be >= 0")
         for name in ("lambda_n", "alpha_n", "lambda_d", "alpha_d"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.k1 < 0 or self.k2 < 0:
+        if not (self.k1 >= 0 and self.k2 >= 0):
             raise ValueError("k1 and k2 must be >= 0")
 
 
-@dataclass(frozen=True)
-class SaturatingPerfParams:
-    """p0 * (1 - exp(-beta * I(n))); alpha == 0 selects linear gain I = i0*n."""
+LawParams = Union[PowerLawParams, ChinchillaParams, SubOptimalParams]
 
-    p0: float
-    beta: float
-    i0: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not self.p0 > 0:
-            raise ValueError("p0 must be > 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-        if not self.i0 > 0:
-            raise ValueError("i0 must be > 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-
-
-@dataclass(frozen=True)
-class DecayedPerfParams:
-    """decay * lam * C**alpha with density decay factor in (0, 1]."""
-
-    decay: float
-    lam: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        if not self.lam > 0:
-            raise ValueError("lam must be > 0")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-
-
-LawParams = Union[
-    PowerLawParams,
-    ChinchillaParams,
-    SubOptimalParams,
-    SaturatingPerfParams,
-    DecayedPerfParams,
-]
-
-# family tag -> (class, python attr -> json key)
-_FAMILIES: dict[str, tuple[type, dict[str, str]]] = {
-    "power": (PowerLawParams, {"lam": "lambda", "alpha": "alpha"}),
-    "chinchilla": (
-        ChinchillaParams,
-        {f.name: f.name for f in fields(ChinchillaParams)},
-    ),
-    "suboptimal": (
-        SubOptimalParams,
-        {f.name: f.name for f in fields(SubOptimalParams)},
-    ),
-    "saturating_perf": (
-        SaturatingPerfParams,
-        {f.name: f.name for f in fields(SaturatingPerfParams)},
-    ),
-    "decayed_perf": (
-        DecayedPerfParams,
-        {"decay": "decay", "lam": "lambda", "alpha": "alpha"},
-    ),
+# family tag -> params class; JSON keys are the field names, except that
+# the power law's ``lam`` is written "lambda"
+_FAMILIES: dict[str, type] = {
+    "power": PowerLawParams,
+    "chinchilla": ChinchillaParams,
+    "suboptimal": SubOptimalParams,
 }
+_JSON_KEYS = {"lam": "lambda"}
 
 
 def _tag_of(cls: type) -> str:
-    for tag, (klass, _) in _FAMILIES.items():
+    for tag, klass in _FAMILIES.items():
         if klass is cls:
             return tag
     raise UnknownFamily(cls.__name__)
@@ -198,32 +135,53 @@ def family_of(params: LawParams) -> str:
 
 def param_keys(cls: type) -> tuple[str, ...]:
     """JSON keys of a params class in field order (the fitter's vector order)."""
-    keymap = _FAMILIES[_tag_of(cls)][1]
-    return tuple(keymap[f.name] for f in fields(cls))
+    return tuple(_JSON_KEYS.get(f.name, f.name) for f in fields(cls))
 
 
 def params_to_dict(params: LawParams) -> dict:
     """JSON-ready mapping with a ``family`` discriminator."""
-    tag = family_of(params)
-    _, keymap = _FAMILIES[tag]
-    out = {"family": tag}
-    for attr, key in keymap.items():
-        out[key] = getattr(params, attr)
+    out = {"family": family_of(params)}
+    for key, f in zip(param_keys(type(params)), fields(params)):
+        out[key] = getattr(params, f.name)
     return out
 
 
+def json_number(value, name: str) -> float:
+    """A finite JSON number (not a boolean) as a float; else ValueError naming ``name``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def json_integer(value, name: str) -> int:
+    """A JSON integer, or an integral float such as 50.0; else ValueError naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def params_from_dict(data: dict) -> LawParams:
-    """Inverse of :func:`params_to_dict`."""
-    tag = data.get("family")
-    if tag not in _FAMILIES:
+    """Inverse of :func:`params_to_dict`; a bad shape raises ValueError naming the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"law params must be a JSON object, not a {type(data).__name__}")
+    if "family" not in data:
+        raise ValueError("law params: missing field 'family'")
+    tag = data["family"]
+    if not isinstance(tag, str) or tag not in _FAMILIES:
         raise UnknownFamily(str(tag))
-    cls, keymap = _FAMILIES[tag]
-    kwargs = {}
-    for attr, key in keymap.items():
+    cls = _FAMILIES[tag]
+    values = []
+    for key in param_keys(cls):
         if key not in data:
-            raise UnknownFamily(f"{tag}: missing field {key!r}")
-        kwargs[attr] = float(data[key])
-    return cls(**kwargs)
+            raise ValueError(f"{tag} law params: missing field {key!r}")
+        values.append(json_number(data[key], f"{tag} law params: {key!r}"))
+    return cls(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -294,44 +252,8 @@ def _suboptimal_value(params: SubOptimalParams, ln_n, ln_d, r_n, r_d) -> np.ndar
     return params.e_irreducible + term_n + term_d
 
 
-def eval_saturating_perf(params: SaturatingPerfParams, n_samples: ArrayLike) -> ArrayLike:
-    """Saturating performance p0 * (1 - exp(-beta * I(n))).
-
-    alpha > 0 uses diminishing information gain I = i0 * n**(-alpha);
-    alpha == 0 is the low-density regime with linear gain I = i0 * n.
-
-    Note the literal consequence of the high-density form: the per-sample
-    gain I(n) shrinks with n, so P itself decreases in n for alpha > 0.
-    The model is evaluated exactly as parameterized; treat it as a
-    pointwise gain model, not a cumulative learning curve.
-    """
-    na, scalar = _as_array(n_samples)
-    if np.any(na <= 0):
-        raise ValueError("n_samples must be > 0")
-    if params.alpha > 0:
-        gain = params.i0 * np.power(na, -params.alpha)
-    else:
-        gain = params.i0 * na
-    return _ret(params.p0 * -np.expm1(-params.beta * gain), scalar)
-
-
-def eval_decayed_perf(params: DecayedPerfParams, c: ArrayLike) -> ArrayLike:
-    """decay * lam * C**alpha for compute C > 0."""
-    ca, scalar = _as_array(c)
-    if np.any(ca <= 0):
-        raise ValueError("c must be > 0")
-    return _ret(
-        params.decay * np.exp(math.log(params.lam) + params.alpha * np.log(ca)),
-        scalar,
-    )
-
-
 def loss_at(params: LawParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
-    """Evaluate a loss-family law at (model size, tokens).
-
-    The power family is evaluated at compute C = 6*n*d; performance
-    families are rejected.
-    """
+    """Evaluate a law at (model size, tokens); the power family at compute C = 6*n*d."""
     if isinstance(params, PowerLawParams):
         na, s1 = _as_array(n)
         da, s2 = _as_array(d)
@@ -339,9 +261,7 @@ def loss_at(params: LawParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
         return eval_power(params, float(c) if (s1 and s2) else c)
     if isinstance(params, ChinchillaParams):
         return eval_chinchilla(params, n, d)
-    if isinstance(params, SubOptimalParams):
-        return eval_suboptimal(params, n, d)
-    raise UnknownFamily(f"{family_of(params)} is not a loss law over (N, D)")
+    return eval_suboptimal(params, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -443,42 +363,3 @@ def chinchilla_gradient(params: ChinchillaParams, n: ArrayLike, d: ArrayLike) ->
 def suboptimal_gradient(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> np.ndarray:
     """Partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2)."""
     return suboptimal_value_and_jacobian(params, prepare_nd(n, d))[1]
-
-
-def saturating_perf_gradient(
-    params: SaturatingPerfParams, n_samples: ArrayLike
-) -> np.ndarray:
-    """Partials wrt (p0, beta, i0, alpha).
-
-    The alpha column uses the diminishing-gain branch; at the alpha == 0
-    regime boundary the gain switches to linear and the column is zero
-    (the branch itself does not vary with alpha).
-    """
-    na = np.atleast_1d(np.asarray(n_samples, dtype=float))
-    ln_n = np.log(na)
-    if params.alpha > 0:
-        gain = params.i0 * np.power(na, -params.alpha)
-        d_gain_alpha = -gain * ln_n
-    else:
-        gain = params.i0 * na
-        d_gain_alpha = np.zeros_like(na)
-    decay = np.exp(-params.beta * gain)
-    d_gain = params.p0 * params.beta * decay
-    return np.column_stack(
-        [
-            -np.expm1(-params.beta * gain),
-            params.p0 * gain * decay,
-            d_gain * gain / params.i0,
-            d_gain * d_gain_alpha,
-        ]
-    )
-
-
-def decayed_perf_gradient(params: DecayedPerfParams, c: ArrayLike) -> np.ndarray:
-    """Partials wrt (decay, lam, alpha)."""
-    ca = np.atleast_1d(np.asarray(c, dtype=float))
-    ln_c = np.log(ca)
-    base = np.exp(math.log(params.lam) + params.alpha * ln_c)
-    return np.column_stack(
-        [base, params.decay * base / params.lam, params.decay * base * ln_c]
-    )

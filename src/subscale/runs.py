@@ -123,6 +123,10 @@ def _parse_count(text, row: int, field: str) -> int | None:
             raise MalformedRecord(row, f"{field}={text!r} is not numeric") from None
         if not math.isfinite(number) or number != int(number):
             raise MalformedRecord(row, f"{field}={text!r} is not an integer count")
+        if abs(number) >= _MAX_COUNT:  # from 2^53 on, a float may be rounded
+            raise MalformedRecord(
+                row, f"{field}={text!r} is a decimal at or above 2^53; write an integer"
+            )
         value = int(number)
     if abs(value) > _MAX_COUNT:
         raise MalformedRecord(row, f"{field}={text!r} exceeds 2^53")
@@ -240,20 +244,6 @@ def write_jsonl(series: RunSeries, path) -> None:
                 "dataset_tag": rec.dataset_tag,
             }
             fh.write(json.dumps(obj) + "\n")
-
-
-def compute_flops(model_size: float, tokens: float) -> float:
-    """Training compute budget, the standard 6*N*D approximation."""
-    if not (model_size > 0 and tokens > 0):
-        raise ValueError("model_size and tokens must be > 0")
-    return 6.0 * float(model_size) * float(tokens)
-
-
-def otr(model_size: float, tokens: float) -> float:
-    """Over-training ratio D/N: tokens seen per model parameter."""
-    if not (model_size > 0 and tokens > 0):
-        raise ValueError("model_size and tokens must be > 0")
-    return float(tokens) / float(model_size)
 
 
 def run_ids(series: RunSeries) -> list[str]:

@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .density import EmbeddingSet
-from .laws import LawParams, loss_at, params_from_dict, params_to_dict
+from .laws import (
+    LawParams,
+    json_integer,
+    json_number,
+    loss_at,
+    params_from_dict,
+    params_to_dict,
+)
 from .rng import SplitMix64
 from .runs import RunSeries, TrainingRun
 
@@ -53,8 +60,8 @@ class CurveSpec:
                 raise ValueError("token checkpoints must be > 0")
             if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
                 raise ValueError("token checkpoints must strictly increase")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -69,13 +76,14 @@ class CurveSpec:
     @staticmethod
     def from_dict(data: dict) -> "CurveSpec":
         return CurveSpec(
-            law=params_from_dict(data["law"]),
-            model_sizes=tuple(int(v) for v in data["model_sizes"]),
+            law=params_from_dict(_get(data, "law")),
+            model_sizes=tuple(_integers(_get(data, "model_sizes"), "model_sizes")),
             token_checkpoints=tuple(
-                tuple(int(v) for v in row) for row in data["token_checkpoints"]
+                tuple(_integers(row, "token_checkpoints"))
+                for row in _list(_get(data, "token_checkpoints"), "token_checkpoints")
             ),
-            noise_sigma=float(data.get("noise_sigma", 0.0)),
-            seed=int(data.get("seed", 0)),
+            noise_sigma=_number(data.get("noise_sigma", 0.0), "noise_sigma"),
+            seed=_integer(data.get("seed", 0), "seed"),
         )
 
 
@@ -132,24 +140,58 @@ class BlobSpec:
     @staticmethod
     def from_dict(data: dict) -> "BlobSpec":
         return BlobSpec(
-            k=int(data["k"]),
-            dim=int(data["dim"]),
+            k=_integer(_get(data, "k"), "k"),
+            dim=_integer(_get(data, "dim"), "dim"),
             per_cluster=tuple(
                 BlobCluster(
-                    n_samples=int(b["n_samples"]),
-                    centroid=tuple(float(c) for c in b["centroid"]),
-                    spread=float(b["spread"]),
+                    n_samples=_integer(_get(b, "n_samples", _CLUSTER), "n_samples"),
+                    centroid=tuple(
+                        _number(c, "centroid")
+                        for c in _list(_get(b, "centroid", _CLUSTER), "centroid")
+                    ),
+                    spread=_number(_get(b, "spread", _CLUSTER), "spread"),
                 )
-                for b in data["per_cluster"]
+                for b in _list(_get(data, "per_cluster"), "per_cluster")
             ),
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0), "seed"),
         )
+
+
+# Spec JSON readers: a wrong shape raises ValueError naming the key.
+
+_CLUSTER = "spec 'per_cluster' entry"
+
+
+def _get(obj, key: str, where: str = "spec"):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"spec {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    return json_number(value, f"spec {key!r}")
+
+
+def _integer(value, key: str) -> int:
+    return json_integer(value, f"spec {key!r}")
+
+
+def _integers(values, key: str) -> list[int]:
+    return [_integer(v, key) for v in _list(values, key)]
 
 
 def load_spec(path) -> CurveSpec | BlobSpec:
     """Load a generator spec from JSON; ``kind`` picks the type."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = data.get("kind")
+    kind = _get(data, "kind")
     if kind == "curves":
         return CurveSpec.from_dict(data)
     if kind == "blobs":

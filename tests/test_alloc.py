@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from subscale import alloc, fit, runs
-from subscale.errors import (
-    BinTooSmall,
-    KnobMissing,
-    NoInteriorMinimum,
-    NoRunReachesTarget,
-)
+from subscale import alloc, runs
+from subscale.errors import BinTooSmall, NoInteriorMinimum
 from subscale.laws import ChinchillaParams, PowerLawParams, SubOptimalParams, loss_at
 
 REF = SubOptimalParams(1.372, 61.929, 0.272, 455.345, 0.289, 0.00810, 0.00114)
@@ -231,129 +226,3 @@ def test_alpha_stability_bin_too_small():
     series = runs.RunSeries.from_records(records)
     with pytest.raises(BinTooSmall):
         alloc.alpha_stability(series, bins)
-
-
-# ---------------------------------------------------------------------------
-# hyperparam_frontier
-# ---------------------------------------------------------------------------
-
-
-def _frontier_runs(curves, knob="batch_size"):
-    """curves: {knob_value: [(tokens, loss), ...]}"""
-    records = []
-    for i, (value, pts) in enumerate(sorted(curves.items())):
-        for j, (tokens, loss) in enumerate(pts):
-            kwargs = {knob: value if knob == "learning_rate" else int(value)}
-            records.append(
-                runs.TrainingRun(
-                    run_id=f"r{i}",
-                    model_size=10**8,
-                    tokens=int(tokens),
-                    loss=float(loss),
-                    step=j + 1,
-                    **kwargs,
-                )
-            )
-    return runs.RunSeries.from_records(records)
-
-
-def test_frontier_picks_fastest_run():
-    series = _frontier_runs(
-        {
-            128: [(5e8, 3.5), (1e9, 3.0), (2e9, 2.8)],
-            256: [(5e8, 3.6), (2e9, 3.0), (4e9, 2.7)],
-        }
-    )
-    result = alloc.hyperparam_frontier(series, "batch_size", [3.0], smooth_window=1)
-    assert result.points[0].knob_value == 128
-    assert result.points[0].min_tokens == int(1e9)
-
-
-def test_frontier_unreachable_target():
-    series = _frontier_runs({128: [(5e8, 3.5), (1e9, 3.0)]})
-    with pytest.raises(NoRunReachesTarget):
-        alloc.hyperparam_frontier(series, "batch_size", [1.0], smooth_window=1)
-
-
-def test_frontier_warning_for_partial_knob():
-    series = _frontier_runs(
-        {
-            128: [(5e8, 3.5), (1e9, 3.0), (2e9, 2.5)],
-            256: [(5e8, 3.6), (2e9, 3.1)],
-        }
-    )
-    result = alloc.hyperparam_frontier(series, "batch_size", [2.8], smooth_window=1)
-    assert result.points[0].knob_value == 128
-    assert any(w.knob_value == 256 for w in result.warnings)
-
-
-def test_frontier_knob_missing():
-    records = [
-        runs.TrainingRun("a", 10**8, 10**9, 3.0, step=1),
-        runs.TrainingRun("a", 10**8, 2 * 10**9, 2.9, step=2),
-    ]
-    with pytest.raises(KnobMissing):
-        alloc.hyperparam_frontier(
-            runs.RunSeries.from_records(records), "batch_size", [2.95], smooth_window=1
-        )
-
-
-def test_frontier_min_tokens_monotone_in_target():
-    rng = np.random.default_rng(17)
-    curves = {}
-    for value in (64, 128, 256, 512):
-        t0 = float(rng.uniform(2e8, 6e8))
-        gamma = float(rng.uniform(0.15, 0.3))
-        tokens = np.geomspace(t0, 400 * t0, 25)
-        losses = 6.0 * (tokens / t0) ** -gamma
-        curves[value] = list(zip(tokens, losses))
-    series = _frontier_runs(curves)
-    targets = [5.0, 4.0, 3.0, 2.5]
-    result = alloc.hyperparam_frontier(series, "batch_size", targets, smooth_window=1)
-    by_target = {p.target_loss: p.min_tokens for p in result.points}
-    ordered = [by_target[t] for t in sorted(targets)]  # harder targets first
-    assert all(a >= b for a, b in zip(ordered, ordered[1:]))
-
-
-def test_frontier_recovers_batch_size_power_law():
-    # Token cost to reach loss L at batch size B:
-    #     T(L) * (1 + 0.5*(ln B - ln B*(L))^2),  B*(L) = (lam_b / L)^(1/alpha_b),
-    # with T(L) growing steeply enough that each run's token column is
-    # strictly increasing.  The argmin over B at target L(B_j) is exactly
-    # B_j, so the frontier points lie on the generating power law.
-    lam_b, alpha_b, gamma = 5000.0, 0.4, 0.05
-    b_grid = np.geomspace(64, 4096, 13)
-    targets = lam_b * b_grid**-alpha_b  # per-B optimal loss, on the grid
-    l0 = float(targets.max())
-    curves = {}
-    for b in b_grid:
-        pts = []
-        for L in sorted(targets, reverse=True):  # loss decreasing, tokens increasing
-            b_star = (lam_b / L) ** (1.0 / alpha_b)
-            cost = (
-                1e8
-                * (l0 / L) ** (1.0 / gamma)
-                * (1.0 + 0.5 * (math.log(b) - math.log(b_star)) ** 2)
-            )
-            pts.append((cost, L))
-        assert all(a[0] < c[0] for a, c in zip(pts, pts[1:]))
-        curves[float(b)] = pts
-    series = _frontier_runs(curves)
-    result = alloc.hyperparam_frontier(
-        series, "batch_size", list(targets), smooth_window=1
-    )
-    xs = np.array([p.knob_value for p in result.points])
-    ys = np.array([p.target_loss for p in result.points])
-    lam_fit, alpha_fit = fit.fit_power_loglog(xs, ys)
-    assert alpha_fit == pytest.approx(alpha_b, rel=0.02)
-
-
-def test_frontier_uses_smoothed_losses():
-    # a noise spike dips below the target but the smoothed curve does not
-    pts = [(1e8 * (i + 1), 3.5 - 0.02 * i) for i in range(12)]
-    pts[3] = (pts[3][0], 2.0)  # spike
-    series = _frontier_runs({128: pts})
-    raw = alloc.hyperparam_frontier(series, "batch_size", [2.5], smooth_window=1)
-    assert raw.points[0].min_tokens == int(4e8)
-    with pytest.raises(NoRunReachesTarget):
-        alloc.hyperparam_frontier(series, "batch_size", [2.5], smooth_window=10)

@@ -516,6 +516,108 @@ def test_ingest_sigma_without_window_is_exit_one(tmp_path, power_fixture, capsys
     assert not (out / "runs.csv").exists()
 
 
+_POWER = {"family": "power", "lambda": 3.0, "alpha": 0.3}
+_CHINCHILLA = {"family": "chinchilla", "e_irreducible": 1.4, "lambda_n": 61.9,
+               "alpha_n": 0.27, "lambda_d": 455.3, "alpha_d": 0.29}
+
+
+def _argv_with_law(tmp_path, runs_path, command, law):
+    """argv of a command that reads ``law``; synth reads it from a curves spec."""
+    path = tmp_path / "law.json"
+    out = ["-o", str(tmp_path / "out")]
+    if command == "synth":
+        spec = {"kind": "curves", "law": law, "model_sizes": [10**7],
+                "token_checkpoints": [[10**8, 2 * 10**8]]}
+        path.write_text(json.dumps(spec))
+        return ["synth", "--spec", str(path)] + out
+    path.write_text(json.dumps(law))
+    if command == "predict":
+        return ["predict", str(runs_path), "--params", str(path)] + out
+    return [command, "--law", str(path), "--budget", "1e20"] + out
+
+
+@pytest.mark.parametrize("command", ["alloc", "sweep", "predict", "synth"])
+@pytest.mark.parametrize(
+    "law, message",
+    [
+        ([1], "law params must be a JSON object, not a list"),
+        (dict(_POWER, **{"lambda": [1]}), "power law params: 'lambda' must be a finite number"),
+        (dict(_POWER, **{"lambda": True}), "'lambda' must be a finite number, got True"),
+        (dict(_CHINCHILLA, e_irreducible=math.nan), "'e_irreducible' must be a finite number"),
+        (dict(_CHINCHILLA, lambda_n=math.inf), "'lambda_n' must be a finite number"),
+        ({"family": "power", "alpha": 0.3}, "power law params: missing field 'lambda'"),
+        ({"alpha": 0.3}, "law params: missing field 'family'"),
+        ({"family": "saturating_perf", "p0": 0.9}, "unknown law family 'saturating_perf'"),
+        ({"family": "decayed_perf", "decay": 0.5}, "unknown law family 'decayed_perf'"),
+    ],
+    ids=["not-object", "list", "bool", "nan", "inf", "no-key", "no-family", "saturating_perf",
+         "decayed_perf"],
+)
+def test_bad_law_file_is_exit_one(tmp_path, power_fixture, capsys, command, law, message):
+    code = main(_argv_with_law(tmp_path, power_fixture, command, law))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err
+
+
+def test_alloc_on_power_law_names_the_family(tmp_path, capsys):
+    code = main(_argv_with_law(tmp_path, None, "alloc", _POWER))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "allocation needs a chinchilla or suboptimal law, got 'power'" in err
+    assert "unknown law family" not in err
+
+
+_CURVES = {"kind": "curves", "law": _POWER, "model_sizes": [1000],
+           "token_checkpoints": [[10, 20, 30]], "seed": 4}
+_BLOBS = {"kind": "blobs", "k": 1, "dim": 2, "seed": 1,
+          "per_cluster": [{"n_samples": 5, "centroid": [0.0, 1.0], "spread": 0.5}]}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([1], "spec must be a JSON object, got [1]"),
+        ({"kind": "curves"}, "spec: missing field 'law'"),
+        ({k: v for k, v in _BLOBS.items() if k != "per_cluster"},
+         "spec: missing field 'per_cluster'"),
+        (dict(_BLOBS, per_cluster=[{"n_samples": 5, "centroid": [0.0, 1.0]}]),
+         "spec 'per_cluster' entry: missing field 'spread'"),
+        (dict(_CURVES, seed=1.5), "spec 'seed' must be an integer, got 1.5"),
+        (dict(_CURVES, model_sizes=[1000.7]), "spec 'model_sizes' must be an integer, got 1000.7"),
+        (dict(_CURVES, token_checkpoints=[[10, 20, 30.9]]),
+         "spec 'token_checkpoints' must be an integer, got 30.9"),
+        (dict(_CURVES, noise_sigma=math.inf), "spec 'noise_sigma' must be a finite number"),
+        (dict(_CURVES, noise_sigma=math.nan), "spec 'noise_sigma' must be a finite number"),
+        (dict(_CURVES, model_sizes=1000), "spec 'model_sizes' must be a list"),
+        (dict(_BLOBS, per_cluster=[{"n_samples": 5, "centroid": [0.0, math.inf],
+                                    "spread": 0.5}]), "spec 'centroid' must be a finite"),
+    ],
+    ids=["not-object", "no-law", "no-per_cluster", "no-spread", "seed", "model_sizes",
+         "checkpoint", "inf-noise", "nan-noise", "not-list", "inf-centroid"],
+)
+def test_bad_synth_spec_is_exit_one(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code = main(["synth", "--spec", str(path), "-o", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_synth_integral_float_spec_matches_integer_spec(tmp_path):
+    as_floats = dict(_CURVES, model_sizes=[1000.0], token_checkpoints=[[10.0, 20, 30.0]],
+                     noise_sigma=0.01, seed=4.0)
+    outputs = []
+    for name, spec in (("ints", dict(_CURVES, noise_sigma=0.01)), ("floats", as_floats)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(path), "-o", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "runs.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +282,27 @@ def test_family_rows_look_up_laws_at_call_time(monkeypatch, tag, evaluator, fuse
 def test_traced_law_names_stay_importable_from_fit(name):
     # call tracers wrap these by name on this module
     assert callable(getattr(fit, name))
+
+
+def test_benchmark_tracer_installs_and_restores_every_attribute():
+    # perfbench/tracing.py wraps subscale functions by module attribute; a
+    # deleted or renamed target makes install() raise AttributeError there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracing)
+    names = ("cli", "runs", "fit", "laws", "alloc", "density", "synth", "rng", "svg")
+    modules = {n: importlib.import_module(f"subscale.{n}") for n in names}
+    tracer = tracing.Tracer(modules)
+    before = [(owner, attr, getattr(owner, attr)) for owner, attr, *_ in tracer._targets]
+    try:
+        tracer.install()
+        for owner, attr, original in before:
+            assert getattr(owner, attr).__wrapped__ is original
+    finally:
+        tracer.remove()
+    for owner, attr, original in before:
+        assert getattr(owner, attr) is original
 
 
 def test_huber_robust_fit_still_recovers():

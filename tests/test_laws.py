@@ -184,51 +184,6 @@ def test_swap_symmetry_suboptimal_special_cases():
 
 
 # ---------------------------------------------------------------------------
-# performance laws
-# ---------------------------------------------------------------------------
-
-
-def test_saturating_low_density_linear_regime():
-    p = laws.SaturatingPerfParams(p0=0.8, beta=0.002, i0=1.0, alpha=0.0)
-    for n in (1.0, 2.0, 5.0):
-        linear = p.p0 * p.beta * p.i0 * n
-        assert p.beta * p.i0 * n <= 0.01
-        assert laws.eval_saturating_perf(p, n) == pytest.approx(linear, rel=0.01)
-
-
-def test_saturating_low_density_saturates():
-    p = laws.SaturatingPerfParams(p0=0.8, beta=0.5, i0=1.0, alpha=0.0)
-    assert laws.eval_saturating_perf(p, 1e6) == pytest.approx(0.8, rel=1e-9)
-
-
-def test_saturating_high_density_decreasing():
-    p = laws.SaturatingPerfParams(p0=0.9, beta=2.0, i0=5.0, alpha=0.4)
-    grid = np.geomspace(1, 1e6, 50)
-    values = laws.eval_saturating_perf(p, grid)
-    assert np.all(np.diff(values) < 0)
-
-
-def test_decayed_perf_basics():
-    plain = laws.DecayedPerfParams(decay=1.0, lam=2.0, alpha=0.1)
-    assert laws.eval_decayed_perf(plain, 1e18) == pytest.approx(
-        2.0 * (1e18**0.1), rel=1e-12
-    )
-    half = laws.DecayedPerfParams(decay=0.5, lam=2.0, alpha=0.1)
-    for c in (1e12, 1e18, 1e21):
-        assert laws.eval_decayed_perf(half, c) == pytest.approx(
-            0.5 * laws.eval_decayed_perf(plain, c), rel=1e-12
-        )
-
-
-def test_decayed_perf_loglog_slope():
-    p = laws.DecayedPerfParams(decay=0.7, lam=3.5, alpha=0.137)
-    c = np.geomspace(1e15, 1e22, 40)
-    y = laws.eval_decayed_perf(p, c)
-    slope, _ = np.polyfit(np.log(c), np.log(y), 1)
-    assert slope == pytest.approx(0.137, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
 
@@ -241,9 +196,7 @@ def _central_diff(f, vec, i, eps):
     return (f(up) - f(dn)) / (2 * eps)
 
 
-@pytest.mark.parametrize(
-    "case", ["power", "chinchilla", "suboptimal", "saturating", "decayed"]
-)
+@pytest.mark.parametrize("case", ["power", "chinchilla", "suboptimal"])
 def test_analytic_gradients_match_finite_differences(case):
     n = np.array([1e7, 1e9, 4e10])
     d = np.array([1e9, 5e11, 9e12])
@@ -262,31 +215,13 @@ def test_analytic_gradients_match_finite_differences(case):
             return laws.eval_chinchilla(laws.ChinchillaParams(*v), n, d)
 
         grad = laws.chinchilla_gradient(laws.ChinchillaParams(*vec), n, d)
-    elif case == "suboptimal":
+    else:
         vec = np.array([1.3, 61.0, 0.27, 450.0, 0.29, 0.008, 0.0011])
 
         def f(v):
             return laws.eval_suboptimal(laws.SubOptimalParams(*v), n, d)
 
         grad = laws.suboptimal_gradient(laws.SubOptimalParams(*vec), n, d)
-    elif case == "saturating":
-        vec = np.array([0.9, 1.5, 4.0, 0.35])
-        samples = np.array([3.0, 40.0, 900.0])
-
-        def f(v):
-            return laws.eval_saturating_perf(laws.SaturatingPerfParams(*v), samples)
-
-        grad = laws.saturating_perf_gradient(laws.SaturatingPerfParams(*vec), samples)
-        n = samples
-    else:
-        vec = np.array([0.6, 2.5, 0.13])
-        c = np.array([1e15, 1e18, 1e21])
-
-        def f(v):
-            return laws.eval_decayed_perf(laws.DecayedPerfParams(*v), c)
-
-        grad = laws.decayed_perf_gradient(laws.DecayedPerfParams(*vec), c)
-        n = c
 
     for i in range(len(vec)):
         eps = 1e-6 * max(1.0, abs(vec[i]))
@@ -307,8 +242,6 @@ def test_analytic_gradients_match_finite_differences(case):
         laws.PowerLawParams(lam=5.0, alpha=0.0521),
         laws.ChinchillaParams(1.372, 61.929, 0.272, 455.345, 0.289),
         REF,
-        laws.SaturatingPerfParams(p0=0.9, beta=2.0, i0=5.0, alpha=0.4),
-        laws.DecayedPerfParams(decay=0.7, lam=3.5, alpha=0.137),
     ],
 )
 def test_params_json_roundtrip(params):
@@ -327,5 +260,3 @@ def test_invalid_params_rejected():
         laws.PowerLawParams(lam=-1.0, alpha=0.1)
     with pytest.raises(ValueError):
         laws.SubOptimalParams(1.0, 1.0, 0.1, 1.0, 0.1, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        laws.DecayedPerfParams(decay=1.5, lam=1.0, alpha=0.1)
