@@ -193,6 +193,8 @@ def kmeans(
     Deterministic for a fixed seed; empty clusters are reseeded from the
     point currently farthest from its centroid, so no cluster ends empty.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     x = embeddings.vectors
     n = embeddings.n_samples
     if k < 1 or k > n:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -53,6 +54,7 @@ from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     eval_suboptimal,
     family_of,
     json_integer,
+    json_number,
     param_keys,
     params_to_dict,
     power_gradient,
@@ -133,12 +135,10 @@ class FitConfig:
 
 
 def _config_number(key: str, value) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"fit config {key!r} must be a number, got {value!r}")
+    try:
+        return json_number(value, key)
+    except ValueError:  # NaN and infinities too
+        raise ValueError(f"fit config {key!r} must be a number, got {value!r}") from None
 
 
 def _config_count(key: str, value) -> int:
@@ -295,9 +295,11 @@ class _FamilySpec:
     The parameter vector is the class's dataclass fields in order, named by
     its JSON keys.  ``evaluate`` takes the extracted inputs; ``prepare``
     turns them, once per fit, into what ``value_and_jacobian`` (one call per
-    LM step) reads.  The evaluators look the law functions up at call time
-    so that wrappers installed on this module's attributes see every call;
-    the ``*_gradient`` functions stay importable here for the same wrappers.
+    LM step) reads.  ``init`` gives, by name, the start values that come from
+    the data, given the inputs, the losses and one grid point's values.  The
+    evaluators look the law functions up at call time so that wrappers
+    installed on this module's attributes see every call; the
+    ``*_gradient`` functions stay importable here for the same wrappers.
     """
 
     law: type
@@ -305,6 +307,7 @@ class _FamilySpec:
     evaluate: Callable[[LawParams, tuple], np.ndarray]
     prepare: Callable[..., tuple[np.ndarray, ...]]
     value_and_jacobian: Callable[[LawParams, tuple], tuple[np.ndarray, np.ndarray]]
+    init: Callable[[tuple, np.ndarray, dict], dict]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -324,6 +327,50 @@ class _FamilySpec:
         return self.law(*np.asarray(vec, dtype=float).tolist())
 
 
+def _power_init(inputs: tuple, obs: np.ndarray, combo: dict) -> dict:
+    """λ through the first and last records at the grid point's exponent."""
+    alpha = combo["alpha"]
+    x = inputs[0]
+    ln_lam = 0.5 * (
+        (math.log(obs[0]) + alpha * math.log(x[0]))
+        + (math.log(obs[-1]) + alpha * math.log(x[-1]))
+    )
+    return {"lambda": math.exp(ln_lam)}
+
+
+def _nd_init(inputs: tuple, obs: np.ndarray, combo: dict, repetition: bool) -> dict:
+    """E at 0.9 × min loss, the default k, and λ_n, λ_d solved on two records.
+
+    The 2x2 system pins both coefficients on the first and last records at
+    the grid point's values; ``repetition`` applies the logistic factors.
+    """
+    init = {"e_irreducible": 0.9 * float(obs.min())}
+    if repetition:
+        init.update(k1=K1_INIT, k2=K2_INIT)
+    point = {**init, **combo}
+    n, d = inputs
+    basis = []
+    for i in (0, len(obs) - 1):
+        t_n = n[i] ** -point["alpha_n"]
+        t_d = d[i] ** -point["alpha_d"]
+        if repetition:
+            r = d[i] / n[i]
+            t_n *= 1.0 + 1.0 / (1.0 + math.exp(-point["k2"] * r))
+            t_d *= 1.0 + 1.0 / (1.0 + math.exp(-point["k1"] * r))
+        basis.append((t_n, t_d))
+    a = np.array(basis)
+    e = point["e_irreducible"]
+    b = np.array([max(obs[0] - e, 1e-9), max(obs[-1] - e, 1e-9)])
+    try:
+        sol = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        sol = np.array([-1.0, -1.0])
+    if not np.all(np.isfinite(sol)) or np.any(sol <= 0):
+        # fall back to an even split of the first record's excess loss
+        sol = np.array([0.5 * b[0] / a[0, 0], 0.5 * b[0] / a[0, 1]])
+    return {**init, "lambda_n": float(sol[0]), "lambda_d": float(sol[1])}
+
+
 def _power_family(extract) -> _FamilySpec:
     return _FamilySpec(
         PowerLawParams,
@@ -331,6 +378,7 @@ def _power_family(extract) -> _FamilySpec:
         lambda p, x: eval_power(p, *x),
         prepare_power,
         lambda p, prep: power_value_and_jacobian(p, prep),
+        _power_init,
     )
 
 
@@ -344,6 +392,7 @@ FAMILIES: dict[str, _FamilySpec] = {
         lambda p, x: eval_chinchilla(p, *x),
         prepare_nd,
         lambda p, prep: chinchilla_value_and_jacobian(p, prep),
+        partial(_nd_init, repetition=False),
     ),
     "suboptimal": _FamilySpec(
         SubOptimalParams,
@@ -351,6 +400,7 @@ FAMILIES: dict[str, _FamilySpec] = {
         lambda p, x: eval_suboptimal(p, *x),
         prepare_nd,
         lambda p, prep: suboptimal_value_and_jacobian(p, prep),
+        partial(_nd_init, repetition=True),
     ),
 }
 
@@ -361,58 +411,19 @@ def _family(tag: str) -> _FamilySpec:
     return FAMILIES[tag]
 
 
-def _default_bounds(spec: _FamilySpec, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = [], []
-    min_loss = float(obs.min())
+def _bounds(
+    spec: _FamilySpec, obs: np.ndarray, overrides: dict | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Box per parameter, by name; entries of ``FitConfig.bounds`` take priority."""
+    box = {"e_irreducible": (0.0, float(obs.min())), "k1": _K_BOUNDS, "k2": _K_BOUNDS}
     for name in spec.names:
         if name.startswith("lambda"):
-            lo.append(_COEFF_BOUNDS[0])
-            hi.append(_COEFF_BOUNDS[1])
+            box[name] = _COEFF_BOUNDS
         elif name.startswith("alpha"):
-            lo.append(_EXPONENT_BOUNDS[0])
-            hi.append(_EXPONENT_BOUNDS[1])
-        elif name == "e_irreducible":
-            lo.append(0.0)
-            hi.append(min_loss)
-        else:  # k1, k2
-            lo.append(_K_BOUNDS[0])
-            hi.append(_K_BOUNDS[1])
-    return np.array(lo), np.array(hi)
-
-
-def _apply_bound_overrides(
-    spec: _FamilySpec, lo: np.ndarray, hi: np.ndarray, overrides: dict | None
-) -> tuple[np.ndarray, np.ndarray]:
-    if not overrides:
-        return lo, hi
-    lo, hi = lo.copy(), hi.copy()
-    for name, (b_lo, b_hi) in overrides.items():
-        if name in spec.names:
-            i = spec.names.index(name)
-            lo[i], hi[i] = b_lo, b_hi
+            box[name] = _EXPONENT_BOUNDS
+    box.update(overrides or {})
+    lo, hi = np.array([box[name] for name in spec.names], dtype=float).T.copy()
     return lo, hi
-
-
-def _two_point_coeffs(
-    e: float,
-    basis_first: np.ndarray,
-    basis_last: np.ndarray,
-    loss_first: float,
-    loss_last: float,
-) -> tuple[float, float]:
-    """Solve the 2x2 system pinning both coefficients on first/last records."""
-    a = np.array([basis_first, basis_last])
-    b = np.array([max(loss_first - e, 1e-9), max(loss_last - e, 1e-9)])
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        sol = np.array([-1.0, -1.0])
-    if not np.all(np.isfinite(sol)) or np.any(sol <= 0):
-        # fall back to an even split of the first record's excess loss
-        sol = np.array(
-            [0.5 * b[0] / basis_first[0], 0.5 * b[0] / basis_first[1]]
-        )
-    return float(sol[0]), float(sol[1])
 
 
 def _build_starts(
@@ -423,7 +434,7 @@ def _build_starts(
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> list[np.ndarray]:
-    """Cartesian multistart grid; non-gridded parameters come from the data."""
+    """Cartesian multistart grid; non-gridded parameters come from ``spec.init``."""
     # every exponent is gridded, in the same way log_scaled is derived
     grid = {name: EXPONENT_GRID for name in spec.names if name.startswith("alpha")}
     if config.multistart_grid:
@@ -431,46 +442,11 @@ def _build_starts(
             if name in spec.names:
                 grid[name] = tuple(float(v) for v in values)
 
-    names = list(grid)
-    min_loss = float(obs.min())
     starts = []
-    for combo_values in itertools.product(*(grid[n] for n in names)):
-        combo = dict(zip(names, combo_values))
-        vec = np.empty(len(spec.names))
-        if spec.law is PowerLawParams:
-            alpha = combo["alpha"]
-            x = inputs[0]
-            ln_lam = 0.5 * (
-                (math.log(obs[0]) + alpha * math.log(x[0]))
-                + (math.log(obs[-1]) + alpha * math.log(x[-1]))
-            )
-            vec[0] = combo.get("lambda", math.exp(ln_lam))
-            vec[1] = alpha
-        else:
-            n, d = inputs
-            e = combo.get("e_irreducible", 0.9 * min_loss)
-            a_n, a_d = combo["alpha_n"], combo["alpha_d"]
-            k1 = combo.get("k1", K1_INIT)
-            k2 = combo.get("k2", K2_INIT)
-            basis = []
-            for i in (0, len(obs) - 1):
-                t_n = n[i] ** -a_n
-                t_d = d[i] ** -a_d
-                if spec.staged_k:
-                    r = d[i] / n[i]
-                    t_n *= 1.0 + 1.0 / (1.0 + math.exp(-k2 * r))
-                    t_d *= 1.0 + 1.0 / (1.0 + math.exp(-k1 * r))
-                basis.append(np.array([t_n, t_d]))
-            lam_n, lam_d = _two_point_coeffs(e, basis[0], basis[1], obs[0], obs[-1])
-            vec[0] = e
-            vec[1] = combo.get("lambda_n", lam_n)
-            vec[2] = a_n
-            vec[3] = combo.get("lambda_d", lam_d)
-            vec[4] = a_d
-            if spec.staged_k:
-                vec[5] = k1
-                vec[6] = k2
-        starts.append(np.clip(vec, lo, hi))
+    for combo_values in itertools.product(*grid.values()):
+        combo = dict(zip(grid, combo_values))
+        values = {**spec.init(inputs, obs, combo), **combo}
+        starts.append(np.clip(np.array([values[name] for name in spec.names]), lo, hi))
     return starts
 
 
@@ -761,8 +737,7 @@ def fit_law(
             f"got {len(obs)}"
         )
 
-    lo, hi = _default_bounds(spec, obs)
-    lo, hi = _apply_bound_overrides(spec, lo, hi, config.bounds)
+    lo, hi = _bounds(spec, obs, config.bounds)
     starts = _build_starts(spec, inputs, obs, config, lo, hi)
 
     prepared = spec.prepare(*inputs)

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
@@ -69,7 +68,6 @@ class RunSeries:
     """Ordered, validated collection of training records."""
 
     records: tuple[TrainingRun, ...]
-    metadata: dict
 
     def __len__(self) -> int:
         return len(self.records)
@@ -78,10 +76,10 @@ class RunSeries:
         return iter(self.records)
 
     @staticmethod
-    def from_records(records, metadata: dict | None = None) -> "RunSeries":
+    def from_records(records) -> "RunSeries":
         records = tuple(records)
         _validate_records(records)
-        return RunSeries(records=records, metadata=dict(metadata or {}))
+        return RunSeries(records=records)
 
 
 def _validate_records(records: tuple[TrainingRun, ...]) -> None:
@@ -199,12 +197,7 @@ def ingest(path, format: str | None = None) -> RunSeries:
                     raise MalformedRecord(row, "record is not a JSON object")
                 records.append(_record_from_mapping(raw, row))
 
-    metadata = {
-        "source": str(path),
-        "format": format,
-        "ingested_at": datetime.now(timezone.utc).isoformat(),
-    }
-    return RunSeries.from_records(records, metadata)
+    return RunSeries.from_records(records)
 
 
 def write_csv(series: RunSeries, path) -> None:
@@ -294,7 +287,7 @@ def gaussian_smooth(
             smoothed = float(np.dot(w, losses[j[valid]]) / w.sum())
             new_records[idx[pos]] = replace(new_records[idx[pos]], loss=smoothed)
 
-    return RunSeries(records=tuple(new_records), metadata=dict(series.metadata))
+    return RunSeries(records=tuple(new_records))
 
 
 def split_fit_holdout(
@@ -321,12 +314,7 @@ def split_fit_holdout(
     holdout_records = tuple(
         r for i, r in enumerate(series.records) if i not in take_fit
     )
-    fit_meta = dict(series.metadata, split="fit", split_fraction=fraction)
-    hold_meta = dict(series.metadata, split="holdout", split_fraction=fraction)
-    return (
-        RunSeries(records=fit_records, metadata=fit_meta),
-        RunSeries(records=holdout_records, metadata=hold_meta),
-    )
+    return RunSeries(records=fit_records), RunSeries(records=holdout_records)
 
 
 def require_field(series: RunSeries, field: str) -> None:

@@ -228,13 +228,7 @@ def gen_curves(spec: CurveSpec) -> RunSeries:
                     dataset_tag="synthetic",
                 )
             )
-    metadata = {
-        "generator": "gen_curves",
-        "law": params_to_dict(spec.law),
-        "noise_sigma": spec.noise_sigma,
-        "seed": spec.seed,
-    }
-    return RunSeries.from_records(records, metadata)
+    return RunSeries.from_records(records)
 
 
 def otr_checkpoints(

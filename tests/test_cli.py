@@ -266,6 +266,21 @@ def test_density_bad_format_exit_one(tmp_path):
     assert main(["density", str(bad), "--k", "1", "-o", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("max_iters", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command", [["density"], ["select", "--keep-fraction", "0.5"]], ids=["density", "select"]
+)
+def test_kmeans_max_iters_below_one_is_exit_one(
+    tmp_path, blob_fixture, capsys, command, max_iters
+):
+    code = main(
+        command + [str(blob_fixture), "--k", "2", "--max-iters", max_iters,
+                   "-o", str(tmp_path / "x")]
+    )
+    assert code == 1
+    assert f"max_iters must be >= 1, got {max_iters}" in capsys.readouterr().err
+
+
 def test_select_noop_keeps_everything(tmp_path, blob_fixture):
     out = tmp_path / "sel"
     code = main(
@@ -475,6 +490,10 @@ def test_predict_family_mismatch_is_exit_one(tmp_path, power_fixture, capsys, pa
         ({"robust_delta": "big"}, "'robust_delta' must be a number"),
         ({"max_iters": 2.5}, "'max_iters' must be an integer"),
         ({"multistart_grid": {"alpha": [0.1, "x"]}}, "'multistart_grid.alpha' must be a"),
+        ({"tolerance": math.inf}, "'tolerance' must be a number"),
+        ({"robust_delta": math.nan}, "'robust_delta' must be a number"),
+        ({"bounds": {"alpha": [0.01, math.inf]}}, "'bounds.alpha' must be a number"),
+        ({"multistart_grid": {"alpha": [0.1, math.nan]}}, "'multistart_grid.alpha' must be a"),
     ],
 )
 def test_fit_bad_config_is_exit_one(tmp_path, power_fixture, capsys, config, message):

@@ -253,6 +253,15 @@ def test_family_registry_derives_from_params_class(tag):
     assert spec.make_params(dataclasses.astuple(params)) == params
     assert spec.log_scaled == _LOG_MASKS[tag]
     assert spec.staged_k == (tag == "suboptimal")
+    # init starts every parameter the default grid leaves out
+    series = runs.RunSeries.from_records(
+        dataclasses.replace(r, batch_size=2 ** (4 + i), learning_rate=1e-4 * (i + 1))
+        for i, r in enumerate(_suboptimal_series(n_sizes=3, n_checkpoints=4).records)
+    )
+    combo = {name: fit.EXPONENT_GRID[0] for name in spec.names if name.startswith("alpha")}
+    init = spec.init(spec.extract(series), fit._losses(series), combo)
+    assert set(spec.names) - set(combo) <= set(init)
+    assert all(math.isfinite(init[name]) for name in spec.names if name not in combo)
 
 
 @pytest.mark.parametrize(
@@ -340,7 +349,7 @@ def test_predict_on_fit_data_matches_mape_fit():
 
 def test_predict_empty_holdout_rejected():
     result_params = PowerLawParams(lam=1.0, alpha=0.1)
-    empty = runs.RunSeries(records=(), metadata={})
+    empty = runs.RunSeries(records=())
     with pytest.raises(InsufficientData):
         fit.predict(result_params, empty)
 

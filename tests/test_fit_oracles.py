@@ -6,15 +6,19 @@ references below are the earlier implementations, kept here only as
 oracles: separate evaluator and gradient formulas over raw (N, D) inputs,
 a residual closure that calls both, and the LM loop that stacks
 ``[J; sqrt(mu) I]`` afresh on every step.  The engine must agree with them
-bit for bit, start by start.
+bit for bit, start by start.  The bounds and the multistart points, now
+built by name from each family row, are pinned the same way against the
+positional code they replaced.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from subscale import fit, laws, synth
+from subscale import fit, laws, runs, synth
 from subscale.laws import ChinchillaParams, PowerLawParams, SubOptimalParams
 from subscale.rng import SplitMix64
 
@@ -308,8 +312,7 @@ def test_every_start_matches_unfused_engine(family, config_name):
     spec = fit.FAMILIES[family]
     inputs = spec.extract(series)
     obs = fit._losses(series)
-    lo, hi = fit._default_bounds(spec, obs)
-    lo, hi = fit._apply_bound_overrides(spec, lo, hi, config.bounds)
+    lo, hi = fit._bounds(spec, obs, config.bounds)
     starts = fit._build_starts(spec, inputs, obs, config, lo, hi)
     prepared = spec.prepare(*inputs)
     n_compared = 0
@@ -344,7 +347,7 @@ def test_fit_law_matches_best_reference_start():
         spec = fit.FAMILIES[family]
         inputs = spec.extract(series)
         obs = fit._losses(series)
-        lo, hi = fit._default_bounds(spec, obs)
+        lo, hi = fit._bounds(spec, obs, None)
         best = None
         for start in fit._build_starts(spec, inputs, obs, config, lo, hi):
             outcome = _ref_run_start(spec, inputs, obs, start, lo, hi, config)
@@ -355,6 +358,193 @@ def test_fit_law_matches_best_reference_start():
         assert result.best_objective == best[1]
         assert result.objective_trace == tuple(best[4])
         assert result.n_iterations == best[3]
+
+
+# ---------------------------------------------------------------------------
+# Reference: positional bounds and starts
+# ---------------------------------------------------------------------------
+
+
+def _ref_default_bounds(spec, obs):
+    lo, hi = [], []
+    min_loss = float(obs.min())
+    for name in spec.names:
+        if name.startswith("lambda"):
+            lo.append(1e-12)
+            hi.append(1e12)
+        elif name.startswith("alpha"):
+            lo.append(1e-3)
+            hi.append(2.0)
+        elif name == "e_irreducible":
+            lo.append(0.0)
+            hi.append(min_loss)
+        else:  # k1, k2
+            lo.append(0.0)
+            hi.append(1.0)
+    return np.array(lo), np.array(hi)
+
+
+def _ref_apply_bound_overrides(spec, lo, hi, overrides):
+    if not overrides:
+        return lo, hi
+    lo, hi = lo.copy(), hi.copy()
+    for name, (b_lo, b_hi) in overrides.items():
+        if name in spec.names:
+            i = spec.names.index(name)
+            lo[i], hi[i] = b_lo, b_hi
+    return lo, hi
+
+
+def _ref_two_point_coeffs(e, basis_first, basis_last, loss_first, loss_last):
+    a = np.array([basis_first, basis_last])
+    b = np.array([max(loss_first - e, 1e-9), max(loss_last - e, 1e-9)])
+    try:
+        sol = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        sol = np.array([-1.0, -1.0])
+    if not np.all(np.isfinite(sol)) or np.any(sol <= 0):
+        sol = np.array([0.5 * b[0] / basis_first[0], 0.5 * b[0] / basis_first[1]])
+    return float(sol[0]), float(sol[1])
+
+
+def _ref_build_starts(spec, inputs, obs, config, lo, hi):
+    grid = {name: (0.05, 0.1, 0.2, 0.3, 0.5) for name in spec.names if name.startswith("alpha")}
+    if config.multistart_grid:
+        for name, values in config.multistart_grid.items():
+            if name in spec.names:
+                grid[name] = tuple(float(v) for v in values)
+    names = list(grid)
+    min_loss = float(obs.min())
+    starts = []
+    for combo_values in itertools.product(*(grid[n] for n in names)):
+        combo = dict(zip(names, combo_values))
+        vec = np.empty(len(spec.names))
+        if spec.law is PowerLawParams:
+            alpha = combo["alpha"]
+            x = inputs[0]
+            ln_lam = 0.5 * (
+                (math.log(obs[0]) + alpha * math.log(x[0]))
+                + (math.log(obs[-1]) + alpha * math.log(x[-1]))
+            )
+            vec[0] = combo.get("lambda", math.exp(ln_lam))
+            vec[1] = alpha
+        else:
+            n, d = inputs
+            e = combo.get("e_irreducible", 0.9 * min_loss)
+            a_n, a_d = combo["alpha_n"], combo["alpha_d"]
+            k1 = combo.get("k1", 0.00810)
+            k2 = combo.get("k2", 0.00114)
+            basis = []
+            for i in (0, len(obs) - 1):
+                t_n = n[i] ** -a_n
+                t_d = d[i] ** -a_d
+                if spec.staged_k:
+                    r = d[i] / n[i]
+                    t_n *= 1.0 + 1.0 / (1.0 + math.exp(-k2 * r))
+                    t_d *= 1.0 + 1.0 / (1.0 + math.exp(-k1 * r))
+                basis.append(np.array([t_n, t_d]))
+            lam_n, lam_d = _ref_two_point_coeffs(e, basis[0], basis[1], obs[0], obs[-1])
+            vec[0] = e
+            vec[1] = combo.get("lambda_n", lam_n)
+            vec[2] = a_n
+            vec[3] = combo.get("lambda_d", lam_d)
+            vec[4] = a_d
+            if spec.staged_k:
+                vec[5] = k1
+                vec[6] = k2
+        starts.append(np.clip(vec, lo, hi))
+    return starts
+
+
+# ---------------------------------------------------------------------------
+# Bounds and starts, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _repeat_first_record(series):
+    # the last record repeats the first one's (N, D): the two-point system
+    # is singular
+    first = series.records[0]
+    last = dataclasses.replace(first, run_id="repeat", loss=first.loss * 1.01)
+    return runs.RunSeries.from_records(series.records + (last,))
+
+
+def _losses_rising_with_scale(series):
+    # the lowest loss on the smallest, earliest record: the two-point solve
+    # goes negative
+    losses = sorted(r.loss for r in series.records)
+    return runs.RunSeries.from_records(
+        dataclasses.replace(r, loss=loss) for r, loss in zip(series.records, losses)
+    )
+
+
+START_DATA = {
+    "ladder": lambda: _series(1, 0.05),
+    "noisy": lambda: _series(4, 1.0),
+    "singular": lambda: _repeat_first_record(_series(1, 0.05)),
+    "rising": lambda: _losses_rising_with_scale(_series(1, 0.0)),
+}
+
+START_CONFIGS = {
+    "default": fit.FitConfig(),
+    # names no family has all of, and an e box reaching below zero
+    "bounds": fit.FitConfig(
+        bounds={"alpha": (0.01, 0.2), "lambda": (2.0, 3.0), "alpha_n": (0.25, 0.3),
+                "lambda_d": (1.0, 50.0), "e_irreducible": (-5.0, 0.5), "k1": (0.0, 0.002),
+                "k3": (0.0, 9.0)},
+    ),
+    "grid": fit.FitConfig(
+        multistart_grid={"lambda": [0.5, 3.0], "lambda_n": [10.0, 1e13],
+                         "e_irreducible": [-1.0, 1.2], "k1": [0.0, 0.05]},
+    ),
+    "both": fit.FitConfig(
+        bounds={"lambda_n": (20.0, 30.0), "k1": (0.01, 0.02), "e_irreducible": (-1.0, 3.0)},
+        multistart_grid={"alpha_n": [0.3], "lambda": [1e-20], "e_irreducible": [0.0, 2.0],
+                         "k1": [0.0, 0.5]},
+    ),
+}
+
+
+@pytest.mark.parametrize("data", sorted(START_DATA))
+@pytest.mark.parametrize("config_name", sorted(START_CONFIGS))
+@pytest.mark.parametrize("family", ["power", "chinchilla", "suboptimal"])
+def test_bounds_and_starts_match_positional_reference(family, config_name, data):
+    config = START_CONFIGS[config_name]
+    series = START_DATA[data]()
+    spec = fit.FAMILIES[family]
+    inputs = spec.extract(series)
+    obs = fit._losses(series)
+    want_lo, want_hi = _ref_apply_bound_overrides(
+        spec, *_ref_default_bounds(spec, obs), config.bounds
+    )
+    lo, hi = fit._bounds(spec, obs, config.bounds)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    want = _ref_build_starts(spec, inputs, obs, config, want_lo, want_hi)
+    got = fit._build_starts(spec, inputs, obs, config, lo, hi)
+    assert len(got) == len(want) > 0
+    for start, ref in zip(got, want):
+        assert np.array_equal(start, ref)
+
+
+@pytest.mark.parametrize("data", ["singular", "rising"])
+@pytest.mark.parametrize("family", ["chinchilla", "suboptimal"])
+def test_start_data_reaches_the_two_point_fallback(family, data):
+    series = START_DATA[data]()
+    spec = fit.FAMILIES[family]
+    obs = fit._losses(series)
+    n, d = spec.extract(series)
+    e = 0.9 * float(obs.min())
+    a = np.array([[n[i] ** -0.05, d[i] ** -0.05] for i in (0, -1)])
+    if spec.staged_k:
+        r = d[[0, -1]] / n[[0, -1]]
+        a *= np.column_stack([1.0 + _ref_sigmoid(0.00114 * r), 1.0 + _ref_sigmoid(0.00810 * r)])
+    b = np.maximum(obs[[0, -1]] - e, 1e-9)
+    try:
+        sol = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        assert data == "singular"
+        return
+    assert np.any(sol <= 0)
 
 
 # ---------------------------------------------------------------------------
