@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import BinTooSmall, NoInteriorMinimum
-from .fit import fit_power_loglog
 from .laws import (
     ChinchillaParams,
     LawParams,
@@ -32,7 +31,9 @@ from .laws import (
     loss_at,
     params_to_dict,
 )
-from .runs import RunSeries
+
+if TYPE_CHECKING:
+    from .runs import RunSeries
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -247,6 +248,8 @@ def alpha_stability(
     mean/std and the normality check; records outside every bin are
     ignored.
     """
+    from .fit import fit_power_loglog  # the fitting engine, for this analysis only
+
     bins = [(float(lo), float(hi)) for lo, hi in otr_bins]
     if not bins:
         raise ValueError("otr_bins must be non-empty")

@@ -18,13 +18,24 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, alloc, density, fit, laws, runs, synth
+from . import __version__
 from .errors import SubscaleError
-from .svg import SvgPlot
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import alloc, fit, laws, runs
+    from .svg import SvgPlot
+
+# Each handler imports the modules its command runs, so that a child process
+# loads only those (and `--version` or `--help` no numpy); calls still go
+# through module attributes.  The parser reads these copies of
+# sorted(fit.FAMILIES) and alloc.DEFAULT_N_BRACKET, which tests pin to their
+# sources, instead of importing fit and alloc for every command.
+_FAMILY_CHOICES = ["batch_power", "chinchilla", "lr_power", "power", "suboptimal"]
+_DEFAULT_N_BRACKET = (1e6, 1e13)
 _DEFAULT_FAMILIES = ["power", "chinchilla", "suboptimal"]
 
 
@@ -93,6 +104,8 @@ def _out_dir(args) -> Path:
 
 
 def _load_config(args) -> fit.FitConfig:
+    from . import fit
+
     if args.config:
         data = json.loads(args.config.read_text(encoding="utf-8"))
         return fit.FitConfig.from_dict(data)
@@ -100,6 +113,8 @@ def _load_config(args) -> fit.FitConfig:
 
 
 def _load_law(path: Path) -> laws.LawParams:
+    from . import laws
+
     return laws.params_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
@@ -129,6 +144,9 @@ def _fit_plot(
     series: runs.RunSeries, params: laws.LawParams, family: str, title: str
 ) -> SvgPlot:
     """Observed losses (markers) and fitted curves (dashed), per run."""
+    from . import fit, runs
+    from .svg import SvgPlot
+
     plot = SvgPlot(
         title=title, x_label="training tokens", y_label="loss", x_log=True, y_log=True
     )
@@ -146,6 +164,9 @@ def _fit_plot(
 
 def _sweep_plot(law: laws.LawParams, budget: float, otr_values) -> SvgPlot:
     """Loss vs model size at fixed budgets, with the locus of the minima."""
+    from . import alloc
+    from .svg import SvgPlot
+
     plot = SvgPlot(
         title="loss vs model size at fixed compute",
         x_label="model size (parameters)",
@@ -179,6 +200,8 @@ def _sweep_plot(law: laws.LawParams, budget: float, otr_values) -> SvgPlot:
 
 
 def cmd_ingest(args) -> int:
+    from . import runs
+
     if args.smooth_sigma is not None and args.smooth_window is None:
         raise ValueError("--smooth-sigma needs --smooth-window")
     out = _out_dir(args)
@@ -193,6 +216,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import fit, runs
+
     out = _out_dir(args)
     series = runs.ingest(args.input)
     config = _load_config(args)
@@ -255,6 +280,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import fit, laws, runs
+
     out = _out_dir(args)
     series = runs.ingest(args.input)
     params = _load_law(args.params)
@@ -278,11 +305,15 @@ def cmd_compare(args) -> int:
 
 
 def _otr_grid(args) -> np.ndarray:
+    import numpy as np
+
     return np.geomspace(args.otr_min, args.otr_max, args.otr_points)
 
 
 def _write_sweep(out: Path, law: laws.LawParams, args) -> list[alloc.SweepPoint]:
     """Write sweep.csv and alloc_sweep.svg for the budget and OTR grid in args."""
+    from . import alloc
+
     otr_values = _otr_grid(args)
     points = alloc.otr_sweep(law, args.budget, otr_values)
     lines = [_csv_line(["otr", "n", "d", "loss"])]
@@ -294,6 +325,8 @@ def _write_sweep(out: Path, law: laws.LawParams, args) -> list[alloc.SweepPoint]
 
 
 def cmd_alloc(args) -> int:
+    from . import alloc
+
     out = _out_dir(args)
     law = _load_law(args.law)
     plan = alloc.optimal_allocation(law, args.budget, (args.n_min, args.n_max))
@@ -319,6 +352,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from . import density
+
     out = _out_dir(args)
     embeddings = density.load_embeddings(args.embeddings, normalize=args.normalize)
     clustering = density.kmeans(
@@ -335,6 +370,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from . import density
+
     out = _out_dir(args)
     if (args.keep_fraction is None) == (args.target_log_density is None):
         raise ValueError("give exactly one of --keep-fraction or --target-log-density")
@@ -374,6 +411,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import runs, synth
+
     out = _out_dir(args)
     spec = synth.load_spec(args.spec)
     if args.seed is not None:
@@ -389,6 +428,8 @@ def cmd_synth(args) -> int:
         outputs = [name]
         print(f"generated {len(series)} records -> {out / name}")
     else:
+        from . import density
+
         embeddings, labels = synth.gen_blobs(spec)
         name = "embeddings.csv" if args.emb_format == "csv" else "embeddings.emb"
         density.save_embeddings(out / name, embeddings)
@@ -469,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         action="append",
         required=True,
-        choices=sorted(fit.FAMILIES),
+        choices=_FAMILY_CHOICES,
         help="repeat for a comparison table",
     )
     p.add_argument("--config", type=_path, default=None, help="FitConfig JSON file")
@@ -479,12 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("predict", cmd_predict, "evaluate a fitted law on a runs file")
     p.add_argument("input", type=_path)
     p.add_argument("--params", type=_path, required=True, help="law params JSON")
-    p.add_argument("--family", choices=sorted(fit.FAMILIES), default=None)
+    p.add_argument("--family", choices=_FAMILY_CHOICES, default=None)
 
     p = command("compare", cmd_compare, "fit and rank several families")
     p.set_defaults(parser=fit_p)  # recorded and replayed as `fit`
     p.add_argument("input", type=_path)
-    p.add_argument("--family", action="append", choices=sorted(fit.FAMILIES))
+    p.add_argument("--family", action="append", choices=_FAMILY_CHOICES)
     p.add_argument("--config", type=_path, default=None)
     p.add_argument("--split-fraction", type=float, default=0.25)
     _add_replay_only(p)
@@ -492,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("alloc", cmd_alloc, "compute-optimal (N, D) for a budget")
     p.add_argument("--law", type=_path, required=True, help="law params JSON")
     p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--n-min", type=float, default=alloc.DEFAULT_N_BRACKET[0])
-    p.add_argument("--n-max", type=float, default=alloc.DEFAULT_N_BRACKET[1])
+    p.add_argument("--n-min", type=float, default=_DEFAULT_N_BRACKET[0])
+    p.add_argument("--n-max", type=float, default=_DEFAULT_N_BRACKET[1])
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--otr-min", type=float, default=1.0)
     p.add_argument("--otr-max", type=float, default=2000.0)

@@ -18,7 +18,6 @@ densities are materialized on request and flagged when they overflow.
 from __future__ import annotations
 
 import bisect
-import csv
 import heapq
 import math
 import struct
@@ -32,6 +31,7 @@ from .errors import (
     EmbeddingFormatError,
     KTooLarge,
     TargetUnreachable,
+    UnfilledClusters,
 )
 from .rng import SplitMix64
 
@@ -234,8 +234,12 @@ def kmeans(
             break
         assignment = new_assignment
         for cid in range(k):
-            centers[cid] = x[assignment == cid].mean(axis=0)
+            # a reseed can empty another cluster; its centroid is then NaN,
+            # the mean of no rows, without numpy's empty-slice warnings
+            centers[cid] = x[assignment == cid].mean(axis=0) if counts[cid] else np.nan
 
+    if np.any(counts == 0):  # counts is of the final assignment
+        raise UnfilledClusters(k, len(np.unique(x, axis=0)), int(np.sum(counts == 0)))
     return Clustering.from_parts(assignment, centers)
 
 
@@ -499,6 +503,8 @@ def save_embeddings(path, embeddings: EmbeddingSet) -> None:
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
+        import csv
+
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id"] + [f"v{i}" for i in range(embeddings.dim)])
@@ -516,6 +522,8 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
     """Read either embedding format; see :func:`save_embeddings`."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
+        import csv
+
         with path.open("r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)

@@ -89,6 +89,17 @@ class KTooLarge(SubscaleError):
         super().__init__(f"k={k} is outside [1, {n_samples}] for {n_samples} samples")
 
 
+class UnfilledClusters(SubscaleError):
+    def __init__(self, k: int, n_distinct: int, n_empty: int):
+        self.k = k
+        self.n_distinct = n_distinct
+        self.n_empty = n_empty
+        super().__init__(
+            f"k={k} clusters cannot all be filled: k-means left {n_empty} empty, "
+            f"and the data has {n_distinct} distinct rows"
+        )
+
+
 class DegenerateGeometry(SubscaleError):
     exit_code = 2
 

@@ -54,7 +54,6 @@ from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     eval_suboptimal,
     family_of,
     json_integer,
-    json_number,
     param_keys,
     params_to_dict,
     power_gradient,
@@ -74,6 +73,8 @@ K2_INIT = 0.00114
 _COEFF_BOUNDS = (1e-12, 1e12)
 _EXPONENT_BOUNDS = (1e-3, 2.0)
 _K_BOUNDS = (0.0, 1.0)
+# log-scaled coordinates are floored here before their log is taken
+_LOG_FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +102,17 @@ class FitConfig:
     def __post_init__(self):
         if self.residual_space not in ("log", "linear"):
             raise ValueError("residual_space must be 'log' or 'linear'")
+        # NaN and infinities, however the config was built
+        numbers = {"tolerance": [self.tolerance]}
+        if self.robust_delta is not None:
+            numbers["robust_delta"] = [self.robust_delta]
+        for key in ("multistart_grid", "bounds"):
+            for name, values in (getattr(self, key) or {}).items():
+                numbers[f"{key}.{name}"] = values
+        for key, values in numbers.items():
+            for value in values:
+                if not math.isfinite(value):
+                    raise _not_a_number(key, value)
         if self.robust_delta is not None and not self.robust_delta > 0:
             raise ValueError("robust_delta must be > 0 when set")
         if not self.tolerance > 0:
@@ -134,11 +146,18 @@ class FitConfig:
         return FitConfig(**kwargs)
 
 
+def _not_a_number(key: str, value) -> ValueError:
+    return ValueError(f"fit config {key!r} must be a number, got {value!r}")
+
+
 def _config_number(key: str, value) -> float:
-    try:
-        return json_number(value, key)
-    except ValueError:  # NaN and infinities too
-        raise ValueError(f"fit config {key!r} must be a number, got {value!r}") from None
+    # FitConfig itself rejects NaN and infinities
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise _not_a_number(key, value)
 
 
 def _config_count(key: str, value) -> int:
@@ -411,6 +430,30 @@ def _family(tag: str) -> _FamilySpec:
     return FAMILIES[tag]
 
 
+def _check_bounds(family: str, overrides: dict | None) -> None:
+    """Reject a ``FitConfig.bounds`` box that leaves the family's parameter domain.
+
+    Each end of a box must give valid params when every other parameter is
+    1, a point inside every family's domain.  Log-scaled coordinates are
+    floored as the fitter floors them, so a coefficient box may start at 0.
+    """
+    spec = _family(family)
+    reference = dict.fromkeys(spec.names, 1.0)
+    for name, log_scaled in zip(spec.names, spec.log_scaled):
+        if name not in (overrides or {}):
+            continue
+        lo, hi = overrides[name]
+        for end in (lo, hi):
+            point = {**reference, name: max(end, _LOG_FLOOR) if log_scaled else end}
+            try:
+                spec.make_params(list(point.values()))
+            except ValueError as exc:
+                raise ValueError(
+                    f"fit config 'bounds.{name}' = [{lo!r}, {hi!r}] leaves the domain "
+                    f"of the {family} law: {exc}"
+                ) from None
+
+
 def _bounds(
     spec: _FamilySpec, obs: np.ndarray, overrides: dict | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -664,7 +707,7 @@ def _run_start(
     log_mask = np.array(spec.log_scaled)
     # floor only the log-scaled coordinates; zero bounds on linear ones
     # (e_irreducible, k1, k2) must survive exactly
-    lo_guard = np.where(log_mask, np.maximum(lo, 1e-300), lo)
+    lo_guard = np.where(log_mask, np.maximum(lo, _LOG_FLOOR), lo)
     lo_int = _to_internal(lo_guard, log_mask)
     hi_int = _to_internal(hi, log_mask)
 
@@ -726,9 +769,11 @@ def fit_law(
         InsufficientData: fewer records than free parameters + 1.
         MissingField: the family needs an absent optional field.
         NoConvergence: every start point failed outright.
+        ValueError: a ``config.bounds`` box leaves the family's domain.
     """
     config = config or FitConfig()
     spec = _family(family)
+    _check_bounds(family, config.bounds)
     inputs = spec.extract(fit_split)
     obs = _losses(fit_split)
     if len(obs) < len(spec.names) + 1:
@@ -869,6 +914,12 @@ def compare_laws(
     parameters; rows whose fit failed are kept at the bottom with the error
     message instead of aborting the comparison.
     """
+    # a box outside a family's domain is bad input, not a failed fit; an
+    # unknown family becomes its row's error below
+    if config is not None:
+        for tag in families:
+            if tag in FAMILIES:
+                _check_bounds(tag, config.bounds)
     fit_split, holdout = split_fit_holdout(series, split_fraction)
     rows: list[ComparisonRow] = []
     for tag in families:

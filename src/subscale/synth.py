@@ -13,10 +13,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .density import EmbeddingSet
 from .laws import (
     LawParams,
     json_integer,
@@ -27,6 +27,9 @@ from .laws import (
 )
 from .rng import SplitMix64
 from .runs import RunSeries, TrainingRun
+
+if TYPE_CHECKING:
+    from .density import EmbeddingSet
 
 # Parameter counts of the reference model ladder (20M .. 7.03B).
 LADDER_MODEL_SIZES: tuple[int, ...] = tuple(
@@ -244,6 +247,8 @@ def otr_checkpoints(
 
 def gen_blobs(spec: BlobSpec) -> tuple[EmbeddingSet, np.ndarray]:
     """Draw the blob fixture; returns the embeddings and generating labels."""
+    from .density import EmbeddingSet
+
     rng = SplitMix64(spec.seed)
     rows = []
     labels = []

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from subscale import cli, density, laws, runs, synth
+from subscale import alloc, cli, density, fit, laws, runs, synth
 from subscale.cli import main
 
 REF = laws.SubOptimalParams(1.372, 61.929, 0.272, 455.345, 0.289, 0.00810, 0.00114)
@@ -281,6 +281,25 @@ def test_kmeans_max_iters_below_one_is_exit_one(
     assert f"max_iters must be >= 1, got {max_iters}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["density"], ["select", "--keep-fraction", "0.5"]], ids=["density", "select"]
+)
+def test_kmeans_unfillable_k_is_exit_one_without_warnings(tmp_path, command):
+    # 10 distinct rows, each 5 times: k=20 still fills, k=21 cannot
+    x = np.repeat(np.random.default_rng(0).standard_normal((10, 2)), 5, axis=0)
+    path = tmp_path / "dup.csv"
+    density.save_embeddings(path, density.EmbeddingSet.from_array(x))
+    argv = [sys.executable, "-m", "subscale.cli", *command, str(path), "-o"]
+    ok = subprocess.run(argv + [str(tmp_path / "ok"), "--k", "20"], capture_output=True, text=True)
+    bad = subprocess.run(argv + [str(tmp_path / "bad"), "--k", "21"], capture_output=True, text=True)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert bad.returncode == 1
+    assert bad.stderr == (
+        f"subscale {command[0]}: k=21 clusters cannot all be filled: k-means left 1 empty, "
+        "and the data has 10 distinct rows\n"
+    )
+
+
 def test_select_noop_keeps_everything(tmp_path, blob_fixture):
     out = tmp_path / "sel"
     code = main(
@@ -505,6 +524,53 @@ def test_fit_bad_config_is_exit_one(tmp_path, power_fixture, capsys, config, mes
     )
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "families, bounds, message",
+    [
+        (["suboptimal"], {"alpha_n": [-1, 0.5]}, "alpha_n must be > 0"),
+        (["suboptimal"], {"e_irreducible": [-10, 0.5]}, "e_irreducible must be >= 0"),
+        (["suboptimal"], {"k1": [-1, 0.5]}, "k1 and k2 must be >= 0"),
+        (["power", "chinchilla"], {"alpha_n": [-1, 0.5]}, "alpha_n must be > 0"),
+    ],
+    ids=["alpha_n", "e_irreducible", "k1", "compare"],
+)
+def test_fit_bounds_outside_domain_is_exit_one(
+    tmp_path, suboptimal_fixture, capsys, families, bounds, message
+):
+    (name, (lo, hi)), = bounds.items()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"bounds": bounds}))
+    family_args = [a for f in families for a in ("--family", f)]
+    code = main(
+        ["fit", str(suboptimal_fixture), *family_args, "--config", str(config_path),
+         "-o", str(tmp_path / "fit")]
+    )
+    assert code == 1
+    law = families[-1]
+    assert capsys.readouterr().err == (
+        f"subscale fit: fit config 'bounds.{name}' = [{float(lo)!r}, {float(hi)!r}] "
+        f"leaves the domain of the {law} law: {message}\n"
+    )
+    assert not (tmp_path / "fit" / "manifest.json").exists()
+
+
+def test_fit_coefficient_box_from_zero_still_fits(tmp_path, suboptimal_fixture):
+    # coefficients are fitted as logs, floored above 0, so 0 is a valid lower end
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"bounds": {"lambda_n": [0, 10]}}))
+    code = main(
+        ["fit", str(suboptimal_fixture), "--family", "suboptimal", "--config",
+         str(config_path), "-o", str(tmp_path / "fit")]
+    )
+    assert code == 0
+
+
+def test_parser_copies_match_their_sources():
+    # the parser holds these so that most commands never import fit or alloc
+    assert cli._FAMILY_CHOICES == sorted(fit.FAMILIES)
+    assert cli._DEFAULT_N_BRACKET == alloc.DEFAULT_N_BRACKET
 
 
 @pytest.mark.parametrize("budget", ["1e400", "inf", "nan"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from subscale.errors import (
     EmbeddingFormatError,
     KTooLarge,
     TargetUnreachable,
+    UnfilledClusters,
 )
 from subscale.rng import SplitMix64
 
@@ -66,6 +68,18 @@ def test_kmeans_deterministic():
     b = density.kmeans(emb, 3, seed=42)
     assert np.array_equal(a.assignment, b.assignment)
     assert np.array_equal(a.centroids, b.centroids)
+
+
+def test_kmeans_on_duplicate_rows_never_warns_and_names_unfillable_k():
+    # a reseed empties another cluster for one Lloyd step at k=15..20
+    x = np.repeat(np.random.default_rng(0).standard_normal((10, 2)), 5, axis=0)
+    emb = EmbeddingSet.from_array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (10, 15, 20):
+            assert np.all(np.isfinite(density.kmeans(emb, k, seed=0).centroids))
+        with pytest.raises(UnfilledClusters, match="k=21 .* 10 distinct rows"):
+            density.kmeans(emb, 21, seed=0)
 
 
 def test_kmeans_k_too_large():

@@ -207,6 +207,36 @@ def test_fit_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"tolerance": math.inf}, "tolerance"),
+        ({"robust_delta": math.inf}, "robust_delta"),
+        ({"robust_delta": math.nan}, "robust_delta"),
+        ({"bounds": {"alpha": (0.01, math.inf)}}, "bounds.alpha"),
+        ({"multistart_grid": {"alpha": (0.1, -math.inf)}}, "multistart_grid.alpha"),
+    ],
+)
+def test_fit_config_rejects_non_finite_numbers(kwargs, key):
+    with pytest.raises(ValueError, match=f"fit config '{key}' must be a number"):
+        fit.FitConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "family, bounds",
+    [("power", {"alpha": (0.0, 1.0)}), ("chinchilla", {"alpha_d": (-0.5, 0.5)}),
+     ("suboptimal", {"k2": (-1.0, 0.0)}), ("suboptimal", {"e_irreducible": (-1.0, 1.0)})],
+)
+def test_fit_law_rejects_box_outside_domain_before_fitting(family, bounds):
+    series = _suboptimal_series(noise=0.0, seed=1)
+    (name,) = bounds
+    with pytest.raises(ValueError, match=f"'bounds.{name}' .* the domain of the {family} law"):
+        fit.fit_law(series, family, fit.FitConfig(bounds=bounds))
+    # compare rejects the config instead of failing the family's row
+    with pytest.raises(ValueError, match=f"'bounds.{name}'"):
+        fit.compare_laws(series, ["power", family], fit.FitConfig(bounds=bounds))
+
+
 def test_fit_config_from_dict_keeps_field_defaults():
     assert fit.FitConfig.from_dict({}) == fit.FitConfig()
     # older configs carry a seed, which has no effect
