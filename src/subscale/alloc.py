@@ -29,7 +29,6 @@ from .laws import (
     SubOptimalParams,
     family_of,
     loss_at,
-    params_to_dict,
 )
 
 if TYPE_CHECKING:
@@ -55,16 +54,6 @@ class AllocationPlan:
     otr_star: float
     predicted_loss: float
     law: LawParams
-
-    def to_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "n_star": self.n_star,
-            "d_star": self.d_star,
-            "otr_star": self.otr_star,
-            "predicted_loss": self.predicted_loss,
-            "law": params_to_dict(self.law),
-        }
 
 
 def _golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -188,14 +177,6 @@ class BinFit:
     lam: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "otr_range": list(self.otr_range),
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "n_points": self.n_points,
-        }
-
 
 @dataclass(frozen=True)
 class ExponentStabilityReport:
@@ -207,20 +188,6 @@ class ExponentStabilityReport:
     normality_method: str
     otr_threshold: float
     n_stable_bins: int
-
-    def to_dict(self) -> dict:
-        return {
-            "bins": [b.to_dict() for b in self.bins],
-            "mean_alpha": self.mean_alpha,
-            "std_alpha": self.std_alpha,
-            "normality_stat": (
-                None if math.isnan(self.normality_stat) else self.normality_stat
-            ),
-            "normality_pass": self.normality_pass,
-            "normality_method": self.normality_method,
-            "otr_threshold": self.otr_threshold,
-            "n_stable_bins": self.n_stable_bins,
-        }
 
 
 def _jarque_bera(values: np.ndarray) -> float:

@@ -52,10 +52,59 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _json_default(obj):
+    """A law as its params file, any other dataclass as its fields."""
+    from . import laws  # reached only by the commands that already loaded it
+
+    if isinstance(obj, laws.LawParams):
+        return laws.params_to_dict(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    return json.dumps(
+        obj, indent=2, sort_keys=True, allow_nan=False, default=_json_default
+    )
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
+    path.write_text(_json_text(obj) + "\n", encoding="utf-8")
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    # csv writes str(value); a numpy float's str follows numpy's print options
+    return float(value) if isinstance(value, float) else value
+
+
+def _write_table(path: Path, header, rows) -> None:
+    """The one CSV writer of result tables: LF line ends, minimal quoting."""
+    import csv
+
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(c) for c in row] for row in rows)
+
+
+def _write_fit_table(path: Path, rows) -> None:
+    """Fit columns, then the union of the rows' parameter names in first-seen order."""
+    from . import laws
+
+    records = [{} if r.params is None else laws.params_to_dict(r.params) for r in rows]
+    names = list(dict.fromkeys(k for rec in records for k in rec if k != "family"))
+    _write_table(
+        path,
+        ["family", "mape_fit", "mape_pred", "converged"] + names,
+        (
+            [r.family, r.mape_fit, r.mape_pred, r.converged] + [rec.get(k) for k in names]
+            for r, rec in zip(rows, records)
+        ),
     )
 
 
@@ -116,16 +165,6 @@ def _load_law(path: Path) -> laws.LawParams:
     from . import laws
 
     return laws.params_from_dict(json.loads(path.read_text(encoding="utf-8")))
-
-
-def _csv_line(cells) -> str:
-    out = []
-    for c in cells:
-        if isinstance(c, float):
-            out.append(repr(c))
-        else:
-            out.append(str(c))
-    return ",".join(out)
 
 
 def _runs_by_id(series: runs.RunSeries) -> dict[str, list[runs.TrainingRun]]:
@@ -224,8 +263,8 @@ def cmd_fit(args) -> int:
 
     if len(args.family) > 1:
         table = fit.compare_laws(series, args.family, config, args.split_fraction)
-        (out / "comparison.csv").write_text(table.to_csv_text(), encoding="utf-8")
-        _write_json(out / "comparison.json", table.to_dict())
+        _write_fit_table(out / "comparison.csv", table.rows)
+        _write_json(out / "comparison.json", table)
         best = next((r for r in table.rows if r.error is None), None)
         tables = ["comparison.csv", "comparison.json"]
         plots = []
@@ -255,15 +294,17 @@ def cmd_fit(args) -> int:
         _, mape_pred = fit.predict(result.params, holdout, family=family)
         result = dataclasses.replace(result, mape_pred=mape_pred)
 
-    _write_json(out / "fit_result.json", result.to_dict())
-    (out / "fit_result.csv").write_text(result.to_csv_text(), encoding="utf-8")
-    lines = [_csv_line(["run_id", "model_size", "tokens", "loss", "predicted", "residual"])]
+    _write_json(out / "fit_result.json", result)
+    _write_fit_table(out / "fit_result.csv", [result])
     preds, _ = fit.predict(result.params, fit_split, family=family)
-    for rec, pred, res in zip(fit_split.records, preds, result.residuals):
-        lines.append(
-            _csv_line([rec.run_id, rec.model_size, rec.tokens, rec.loss, float(pred), res])
-        )
-    (out / "residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(
+        out / "residuals.csv",
+        ["run_id", "model_size", "tokens", "loss", "predicted", "residual"],
+        (
+            [rec.run_id, rec.model_size, rec.tokens, rec.loss, pred, res]
+            for rec, pred, res in zip(fit_split.records, preds, result.residuals)
+        ),
+    )
     plot = _fit_plot(series, result.params, family, f"{family} fit")
     plot.write(out / "loss_tokens.svg")
     _write_manifest(
@@ -287,12 +328,14 @@ def cmd_predict(args) -> int:
     params = _load_law(args.params)
     args.family = args.family or laws.family_of(params)
     preds, mape_pred = fit.predict(params, series, family=args.family)
-    lines = [_csv_line(["run_id", "model_size", "tokens", "loss", "predicted"])]
-    for rec, pred in zip(series.records, preds):
-        lines.append(
-            _csv_line([rec.run_id, rec.model_size, rec.tokens, rec.loss, float(pred)])
-        )
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(
+        out / "predictions.csv",
+        ["run_id", "model_size", "tokens", "loss", "predicted"],
+        (
+            [rec.run_id, rec.model_size, rec.tokens, rec.loss, pred]
+            for rec, pred in zip(series.records, preds)
+        ),
+    )
     _write_json(out / "prediction.json", {"family": args.family, "mape_pred": mape_pred})
     _write_manifest(args, out, ["predictions.csv", "prediction.json"])
     print(f"prediction MAPE {mape_pred:.6e} over {len(series)} records")
@@ -316,10 +359,11 @@ def _write_sweep(out: Path, law: laws.LawParams, args) -> list[alloc.SweepPoint]
 
     otr_values = _otr_grid(args)
     points = alloc.otr_sweep(law, args.budget, otr_values)
-    lines = [_csv_line(["otr", "n", "d", "loss"])]
-    for p in points:
-        lines.append(_csv_line([p.otr, p.n, p.d, p.predicted_loss]))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(
+        out / "sweep.csv",
+        ["otr", "n", "d", "loss"],
+        ([p.otr, p.n, p.d, p.predicted_loss] for p in points),
+    )
     _sweep_plot(law, args.budget, otr_values).write(out / "alloc_sweep.svg")
     return points
 
@@ -330,7 +374,7 @@ def cmd_alloc(args) -> int:
     out = _out_dir(args)
     law = _load_law(args.law)
     plan = alloc.optimal_allocation(law, args.budget, (args.n_min, args.n_max))
-    _write_json(out / "allocation.json", plan.to_dict())
+    _write_json(out / "allocation.json", plan)
     tables = ["allocation.json"]
     plots = []
     if args.sweep:
@@ -338,7 +382,7 @@ def cmd_alloc(args) -> int:
         tables.append("sweep.csv")
         plots.append("alloc_sweep.svg")
     _write_manifest(args, out, tables, plots)
-    print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
+    print(_json_text(plan))
     return 0
 
 
@@ -434,10 +478,7 @@ def cmd_synth(args) -> int:
         name = "embeddings.csv" if args.emb_format == "csv" else "embeddings.emb"
         density.save_embeddings(out / name, embeddings)
         labels_name = "labels.csv"
-        lines = ["id,label"] + [
-            f"{i},{lab}" for i, lab in zip(embeddings.ids, labels)
-        ]
-        (out / labels_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(out / labels_name, ["id", "label"], zip(embeddings.ids, labels))
         outputs = [name, labels_name]
         print(f"generated {embeddings.n_samples} embeddings -> {out / name}")
     _write_manifest(args, out, outputs, seed=args.seed)

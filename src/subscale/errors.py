@@ -108,8 +108,7 @@ class DegenerateGeometry(SubscaleError):
 
 
 class TargetUnreachable(SubscaleError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class EmbeddingFormatError(SubscaleError):
@@ -137,8 +136,7 @@ class NonPositiveActual(SubscaleError):
 
 
 class InsufficientData(SubscaleError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class NoConvergence(SubscaleError):
@@ -158,6 +156,15 @@ class UnknownFamily(SubscaleError):
         super().__init__(f"unknown law family {family!r}")
 
 
+class NonFiniteLoss(SubscaleError):
+    def __init__(self, family: str):
+        self.family = family
+        super().__init__(
+            f"the {family} law's loss overflows the float range; "
+            "its parameters are out of range"
+        )
+
+
 class FamilyMismatch(SubscaleError):
     def __init__(self, params_family: str, family: str):
         self.params_family = params_family
@@ -174,9 +181,6 @@ class FamilyMismatch(SubscaleError):
 
 class NoInteriorMinimum(SubscaleError):
     exit_code = 2
-
-    def __init__(self, detail: str):
-        super().__init__(detail)
 
 
 class BinTooSmall(SubscaleError):

@@ -53,9 +53,9 @@ from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     eval_power,
     eval_suboptimal,
     family_of,
+    finite_loss,
     json_integer,
     param_keys,
-    params_to_dict,
     power_gradient,
     power_value_and_jacobian,
     prepare_nd,
@@ -106,8 +106,14 @@ class FitConfig:
         numbers = {"tolerance": [self.tolerance]}
         if self.robust_delta is not None:
             numbers["robust_delta"] = [self.robust_delta]
+        # a name of any family is accepted: compare shares one config
+        known = {name for spec in FAMILIES.values() for name in spec.names}
         for key in ("multistart_grid", "bounds"):
             for name, values in (getattr(self, key) or {}).items():
+                if name not in known:
+                    raise ValueError(
+                        f"fit config '{key}.{name}' names no parameter of any law family"
+                    )
                 numbers[f"{key}.{name}"] = values
         for key, values in numbers.items():
             for value in values:
@@ -208,33 +214,6 @@ class FitResult:
     residuals: tuple[float, ...]
     n_iterations: int
     objective_trace: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": params_to_dict(self.params),
-            "mape_fit": self.mape_fit,
-            "mape_pred": self.mape_pred,
-            "converged": self.converged,
-            "n_starts_tried": self.n_starts_tried,
-            "best_objective": self.best_objective,
-            "n_iterations": self.n_iterations,
-            "residuals": list(self.residuals),
-            "objective_trace": list(self.objective_trace),
-        }
-
-    def to_csv_text(self) -> str:
-        """One-row CSV, columns family, mape_fit, mape_pred, converged, params."""
-        record = params_to_dict(self.params)
-        names = [k for k in record if k != "family"]
-        header = ",".join(["family", "mape_fit", "mape_pred", "converged"] + names)
-        cells = [
-            self.family,
-            repr(self.mape_fit),
-            "" if self.mape_pred is None else repr(self.mape_pred),
-            str(self.converged).lower(),
-        ] + [repr(record[k]) for k in names]
-        return header + "\n" + ",".join(cells) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -827,11 +806,13 @@ def predict(
     """
     if len(holdout.records) == 0:
         raise InsufficientData("holdout is empty")
-    spec = _family(family or family_of(params))
+    family = family or family_of(params)
+    spec = _family(family)
     if not isinstance(params, spec.law):
         raise FamilyMismatch(family_of(params), family)
-    preds = np.atleast_1d(spec.evaluate(params, spec.extract(holdout)))
-    return preds, mape(preds, _losses(holdout))
+    with np.errstate(over="ignore"):
+        preds = np.atleast_1d(spec.evaluate(params, spec.extract(holdout)))
+    return finite_loss(preds, family), mape(preds, _losses(holdout))
 
 
 # ---------------------------------------------------------------------------
@@ -849,52 +830,11 @@ class ComparisonRow:
     params: LawParams | None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "mape_fit": self.mape_fit,
-            "mape_pred": self.mape_pred,
-            "converged": self.converged,
-            "n_params": self.n_params,
-            "params": None if self.params is None else params_to_dict(self.params),
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
     split_fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "split_fraction": self.split_fraction,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-    def to_csv_text(self) -> str:
-        """Fixed column order: family, mape_fit, mape_pred, converged, params."""
-        param_names: list[str] = []
-        for row in self.rows:
-            if row.params is None:
-                continue
-            for key in params_to_dict(row.params):
-                if key != "family" and key not in param_names:
-                    param_names.append(key)
-        lines = [",".join(["family", "mape_fit", "mape_pred", "converged"] + param_names)]
-        for row in self.rows:
-            record = params_to_dict(row.params) if row.params is not None else {}
-            cells = [
-                row.family,
-                "" if row.mape_fit is None else repr(row.mape_fit),
-                "" if row.mape_pred is None else repr(row.mape_pred),
-                "" if row.converged is None else str(row.converged).lower(),
-            ]
-            cells += [
-                repr(record[name]) if name in record else "" for name in param_names
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 # What a family's fit may legitimately fail with; anything else is a bug

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import UnknownFamily
+from .errors import NonFiniteLoss, UnknownFamily
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -252,16 +252,26 @@ def _suboptimal_value(params: SubOptimalParams, ln_n, ln_d, r_n, r_d) -> np.ndar
     return params.e_irreducible + term_n + term_d
 
 
+def finite_loss(value: ArrayLike, family: str) -> ArrayLike:
+    """value, computed under ``np.errstate(over="ignore")``; NonFiniteLoss if it overflowed."""
+    if not np.isfinite(value).all():
+        raise NonFiniteLoss(family)
+    return value
+
+
 def loss_at(params: LawParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
     """Evaluate a law at (model size, tokens); the power family at compute C = 6*n*d."""
-    if isinstance(params, PowerLawParams):
-        na, s1 = _as_array(n)
-        da, s2 = _as_array(d)
-        c = 6.0 * na * da
-        return eval_power(params, float(c) if (s1 and s2) else c)
-    if isinstance(params, ChinchillaParams):
-        return eval_chinchilla(params, n, d)
-    return eval_suboptimal(params, n, d)
+    with np.errstate(over="ignore"):
+        if isinstance(params, PowerLawParams):
+            na, s1 = _as_array(n)
+            da, s2 = _as_array(d)
+            c = 6.0 * na * da
+            value = eval_power(params, float(c) if (s1 and s2) else c)
+        elif isinstance(params, ChinchillaParams):
+            value = eval_chinchilla(params, n, d)
+        else:
+            value = eval_suboptimal(params, n, d)
+    return finite_loss(value, family_of(params))
 
 
 # ---------------------------------------------------------------------------

@@ -270,9 +270,13 @@ def gaussian_smooth(
         sigma = window / 4.0
     if not sigma > 0:
         raise ValueError("sigma must be > 0")
+    two_var = 2.0 * sigma * sigma
+    if two_var == 0.0:  # the centre weight would be 0/0
+        raise ValueError(f"sigma {sigma!r} is too small: 2*sigma**2 underflows to 0")
 
     offsets = np.arange(-(window // 2), (window - 1) // 2 + 1)
-    kernel = np.exp(-(offsets.astype(float) ** 2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # a far offset of a tiny sigma weighs exp(-inf) = 0
+        kernel = np.exp(-(offsets.astype(float) ** 2) / two_var)
 
     new_records = list(series.records)
     for run_id, idx in _indices_by_run(series).items():

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -513,6 +515,8 @@ def test_predict_family_mismatch_is_exit_one(tmp_path, power_fixture, capsys, pa
         ({"robust_delta": math.nan}, "'robust_delta' must be a number"),
         ({"bounds": {"alpha": [0.01, math.inf]}}, "'bounds.alpha' must be a number"),
         ({"multistart_grid": {"alpha": [0.1, math.nan]}}, "'multistart_grid.alpha' must be a"),
+        ({"bounds": {"alpah": [0.1, 0.2]}}, "'bounds.alpah' names no parameter of any law"),
+        ({"multistart_grid": {"alpah": [0.1]}}, "'multistart_grid.alpah' names no parameter"),
     ],
 )
 def test_fit_bad_config_is_exit_one(tmp_path, power_fixture, capsys, config, message):
@@ -899,3 +903,86 @@ def test_parent_shape_manifest_replays(cli_inputs, argv, parent_argv):
     assert main(["report", str(old), "-o", "b"]) == 0
     for name in manifest["tables"] + manifest["plots"]:
         assert _file_bytes(cli_inputs / "a" / name) == _file_bytes(cli_inputs / "b" / name)
+
+
+# ---------------------------------------------------------------------------
+# result tables, smoothing and overflow
+# ---------------------------------------------------------------------------
+
+
+def test_text_cells_are_quoted(tmp_path):
+    # a comma and a double quote in a run id: ingest reads it quoted, and
+    # residuals.csv and predictions.csv must give it back as one cell
+    run_id = 'run,1 "big"'
+    spec = synth.CurveSpec(
+        law=laws.ChinchillaParams(1.7, 400.0, 0.34, 410.0, 0.28),
+        model_sizes=(10**7, 10**8, 10**9),
+        token_checkpoints=tuple(
+            tuple(int(n * 3 * 1.5**i) for i in range(12)) for n in (1e7, 1e8, 1e9)
+        ),
+    )
+    records = [
+        dataclasses.replace(r, run_id=run_id + r.run_id) for r in synth.gen_curves(spec).records
+    ]
+    path = tmp_path / "runs.csv"
+    runs.write_csv(runs.RunSeries.from_records(records), path)
+    law = _law_json(tmp_path, spec.law)
+    assert main(["fit", str(path), "--family", "chinchilla", "-o", str(tmp_path / "fit")]) == 0
+    assert main(["predict", str(path), "--params", str(law), "-o", str(tmp_path / "pred")]) == 0
+    for table in (tmp_path / "fit" / "residuals.csv", tmp_path / "pred" / "predictions.csv"):
+        with table.open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {row[0] for row in rows} <= {r.run_id for r in records}
+        assert all(row[0].startswith(run_id) for row in rows)
+
+
+def test_ingest_underflowing_sigma_is_exit_one(tmp_path, power_fixture):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "subscale.cli", "ingest", str(power_fixture),
+         "--smooth-window", "3", "--smooth-sigma", "1e-170", "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "subscale ingest: sigma 1e-170 is too small: 2*sigma**2 underflows to 0\n"
+    )
+    assert not (out / "runs.csv").exists()
+
+
+def test_ingest_tiny_sigma_leaves_losses_without_warnings(tmp_path, power_fixture):
+    # 2*sigma**2 is a subnormal: every weight but the centre one is exp(-inf) = 0
+    out = tmp_path / "out"
+    argv = ["ingest", str(power_fixture), "--smooth-window", "3", "--smooth-sigma", "1e-160"]
+    assert main(argv + ["-o", str(out)]) == 0
+    before = [r.loss for r in runs.ingest(power_fixture).records]
+    assert [r.loss for r in runs.ingest(out / "runs.csv").records] == before
+
+
+OVERFLOWING_LAW = laws.ChinchillaParams(1.7e308, 1e308, 0.001, 1.0, 0.3)
+OVERFLOW_MESSAGE = (
+    "the chinchilla law's loss overflows the float range; its parameters are out of range\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, table",
+    [
+        (["predict", "{runs}", "--params", "{law}"], "predictions.csv"),
+        (["sweep", "--law", "{law}", "--budget", "1e21"], "sweep.csv"),
+        (["alloc", "--law", "{law}", "--budget", "1e21", "--sweep"], "allocation.json"),
+    ],
+    ids=["predict", "sweep", "alloc"],
+)
+def test_overflowing_law_is_exit_one_before_any_table(tmp_path, power_fixture, command, table):
+    law = _law_json(tmp_path, OVERFLOWING_LAW)
+    argv = [a.format(runs=power_fixture, law=law) for a in command]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "subscale.cli", *argv, "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"subscale {command[0]}: {OVERFLOW_MESSAGE}"
+    assert not (out / table).exists() and not (out / "manifest.json").exists()

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subscale import fit, runs, synth
+from subscale import cli, fit, runs, synth
 from subscale.errors import (
     FamilyMismatch,
     InsufficientData,
     LengthMismatch,
     MissingField,
+    NonFiniteLoss,
     NonPositiveActual,
 )
 from subscale.laws import (
@@ -261,6 +262,21 @@ def test_fit_config_from_dict_rejects_bad_input(data, message):
         fit.FitConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["bounds", "multistart_grid"])
+def test_fit_config_rejects_a_name_no_family_has(key):
+    with pytest.raises(ValueError, match=f"'{key}.k3' names no parameter of any law family"):
+        fit.FitConfig(**{key: {"alpha": (0.1, 0.2), "k3": (0.0, 9.0)}})
+    # every family's names are accepted, whichever family is fitted
+    names = {name for spec in fit.FAMILIES.values() for name in spec.names}
+    fit.FitConfig(**{key: dict.fromkeys(names, (0.1, 0.2))})
+
+
+def test_predict_overflowing_law_raises_without_warning():
+    law = ChinchillaParams(1.7e308, 1e308, 0.001, 1.0, 0.3)
+    with pytest.raises(NonFiniteLoss, match="chinchilla law's loss overflows"):
+        fit.predict(law, _suboptimal_series(n_sizes=2, n_checkpoints=4))
+
+
 # coefficients (lambda*) are optimized as logs, everything else linearly
 _LOG_MASKS = {
     "power": (True, False),
@@ -465,10 +481,11 @@ def test_compare_propagates_programming_errors(monkeypatch):
         fit.compare_laws(series, ["power"], split_fraction=0.25)
 
 
-def test_comparison_csv_layout():
+def test_comparison_csv_layout(tmp_path):
     series = _suboptimal_series(n_checkpoints=8, noise=0.005, seed=14)
     table = fit.compare_laws(series, ["power", "chinchilla"], split_fraction=0.25)
-    text = fit.ComparisonTable.to_csv_text(table)
+    cli._write_fit_table(tmp_path / "comparison.csv", table.rows)
+    text = (tmp_path / "comparison.csv").read_text(encoding="utf-8")
     header = text.splitlines()[0].split(",")
     assert header[:4] == ["family", "mape_fit", "mape_pred", "converged"]
     assert len(text.splitlines()) == 3

@@ -487,11 +487,11 @@ START_DATA = {
 
 START_CONFIGS = {
     "default": fit.FitConfig(),
-    # names no family has all of, and an e box reaching below zero
+    # names no family has all of, and an e box reaching below zero (a name no
+    # family has is rejected by FitConfig itself)
     "bounds": fit.FitConfig(
         bounds={"alpha": (0.01, 0.2), "lambda": (2.0, 3.0), "alpha_n": (0.25, 0.3),
-                "lambda_d": (1.0, 50.0), "e_irreducible": (-5.0, 0.5), "k1": (0.0, 0.002),
-                "k3": (0.0, 9.0)},
+                "lambda_d": (1.0, 50.0), "e_irreducible": (-5.0, 0.5), "k1": (0.0, 0.002)},
     ),
     "grid": fit.FitConfig(
         multistart_grid={"lambda": [0.5, 3.0], "lambda_n": [10.0, 1e13],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subscale import laws
+from subscale.errors import NonFiniteLoss
 
 REF = laws.SubOptimalParams(
     e_irreducible=1.372,
@@ -154,6 +155,21 @@ def test_suboptimal_u_shape_at_fixed_compute():
     assert changes == 1  # single interior minimum on the log grid
     interior = int(np.argmin(losses))
     assert 0 < interior < len(losses) - 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        laws.ChinchillaParams(1.7e308, 1e308, 0.001, 1.0, 0.3),
+        laws.SubOptimalParams(1e308, 1e308, 0.001, 1e308, 0.001, 1e308, 0.0),
+        laws.PowerLawParams(1e300, 30.0),
+    ],
+    ids=["chinchilla", "suboptimal", "power"],
+)
+def test_loss_at_overflow_raises_without_warning(params):
+    # the power law overflows below C = 1 (n = d = 0.1), the others anywhere
+    with pytest.raises(NonFiniteLoss, match=f"the {laws.family_of(params)} law's loss"):
+        laws.loss_at(params, np.array([0.1, 1e9]), np.array([0.1, 1e11]))
 
 
 def test_swap_symmetry_chinchilla():

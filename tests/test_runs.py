@@ -223,6 +223,12 @@ def test_smooth_keeps_other_fields_and_length():
         )
 
 
+def test_smooth_sigma_whose_kernel_underflows_rejected():
+    series = _series([("a", 10**8, 10**9 * (i + 1), 3.0 - 0.1 * i) for i in range(5)])
+    with pytest.raises(ValueError, match="sigma 1e-170 is too small"):
+        runs.gaussian_smooth(series, window=3, sigma=1e-170)
+
+
 def test_smooth_window_larger_than_run():
     series = runs.RunSeries.from_records(_run_of_losses([3.0, 2.9, 2.8]))
     with pytest.raises(WindowLargerThanRun) as err:
