@@ -21,6 +21,21 @@ one freezes the steepness at the default constants and fits the remaining
 parameters; stage two releases everything from the stage-one solution.
 This keeps the logistic in its informative regime and removes most of the
 multimodality.
+
+The starts of a fit run in lockstep, in groups of consecutive starts sized
+so that one stack of Jacobians stays small (a whole 25-start grid on 88
+records is one group).  Each LM round makes one fused
+``*_value_and_jacobian`` call for every running start of the group, and
+does the pinned masks, clipping, stop tests, objectives and the normal
+matrices as stacked numpy operations; only ``np.linalg.lstsq`` on each
+damped system and each start's damping update stay per start.  Every start
+keeps the arithmetic of a start run alone, so its iterate, objective,
+trace, iteration count and outcome are bit for bit those of the serial
+loop this engine replaced (``tests/test_fit_oracles.py`` keeps that loop
+as the oracle).  Keeping them so takes care; see the README's "Fitting
+engine" for the rules.  When a group raises, its starts run again one at a
+time, so the error belongs to the start that raised it and ``fit_law``
+raises for the earliest such start, as a loop over the starts would.
 """
 
 from __future__ import annotations
@@ -291,20 +306,23 @@ class _FamilySpec:
     """What fitting needs beyond the params class; the rest derives from it.
 
     The parameter vector is the class's dataclass fields in order, named by
-    its JSON keys.  ``evaluate`` takes the extracted inputs; ``prepare``
-    turns them, once per fit, into what ``value_and_jacobian`` (one call per
-    LM step) reads.  ``init`` gives, by name, the start values that come from
-    the data, given the inputs, the losses and one grid point's values.  The
-    evaluators look the law functions up at call time so that wrappers
-    installed on this module's attributes see every call; the
-    ``*_gradient`` functions stay importable here for the same wrappers.
+    its JSON keys.  ``evaluate`` takes one law and the extracted inputs;
+    ``prepare`` turns the inputs, once per fit, into what
+    ``value_and_jacobian`` reads.  That one is called once per LM round for
+    all running starts: it takes a (starts, params) matrix of parameter
+    vectors and returns the (starts, records) values and the (starts,
+    params, records) Jacobians.  ``init`` gives, by name, the start values
+    that come from the data, given the inputs, the losses and one grid
+    point's values.  The evaluators look the law functions up at call time
+    so that wrappers installed on this module's attributes see every call;
+    the ``*_gradient`` functions stay importable here for the same wrappers.
     """
 
     law: type
     extract: Callable[[RunSeries], tuple[np.ndarray, ...]]
     evaluate: Callable[[LawParams, tuple], np.ndarray]
     prepare: Callable[..., tuple[np.ndarray, ...]]
-    value_and_jacobian: Callable[[LawParams, tuple], tuple[np.ndarray, np.ndarray]]
+    value_and_jacobian: Callable[[np.ndarray, tuple], tuple[np.ndarray, np.ndarray]]
     init: Callable[[tuple, np.ndarray, dict], dict]
 
     @property
@@ -375,7 +393,7 @@ def _power_family(extract) -> _FamilySpec:
         extract,
         lambda p, x: eval_power(p, *x),
         prepare_power,
-        lambda p, prep: power_value_and_jacobian(p, prep),
+        lambda theta, prep: power_value_and_jacobian(theta, prep),
         _power_init,
     )
 
@@ -389,7 +407,7 @@ FAMILIES: dict[str, _FamilySpec] = {
         _series_nd,
         lambda p, x: eval_chinchilla(p, *x),
         prepare_nd,
-        lambda p, prep: chinchilla_value_and_jacobian(p, prep),
+        lambda theta, prep: chinchilla_value_and_jacobian(theta, prep),
         partial(_nd_init, repetition=False),
     ),
     "suboptimal": _FamilySpec(
@@ -397,7 +415,7 @@ FAMILIES: dict[str, _FamilySpec] = {
         _series_nd,
         lambda p, x: eval_suboptimal(p, *x),
         prepare_nd,
-        lambda p, prep: suboptimal_value_and_jacobian(p, prep),
+        lambda theta, prep: suboptimal_value_and_jacobian(theta, prep),
         partial(_nd_init, repetition=True),
     ),
 }
@@ -473,8 +491,12 @@ def _build_starts(
 
 
 # ---------------------------------------------------------------------------
-# Levenberg-Marquardt core
+# Levenberg-Marquardt core: every start of a group in lockstep
 # ---------------------------------------------------------------------------
+
+# Starts per group: as many as keep one stack of Jacobians (starts x
+# parameters x records) within this many floats, and at least one.
+_GROUP_FLOATS = 20_000
 
 
 class _StartFailed(Exception):
@@ -490,199 +512,288 @@ class _LMOutcome:
     trace: list[float] = field(default_factory=list)
 
 
-def _huber_objective(r: np.ndarray, delta: float | None) -> float:
+def _finite_rows(r: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    return np.isfinite(r).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+
+
+def _huber_objectives(r: np.ndarray, delta: float | None) -> np.ndarray:
+    """The objective of each row of residuals."""
     if delta is None:
-        return 0.5 * float(r @ r)
+        return 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
     a = np.abs(r)
-    return float(
-        np.sum(np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta)))
-    )
+    return np.sum(np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta)), axis=1)
 
 
-def _levenberg_marquardt(
-    residual_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+def _weighted(r: np.ndarray, jac: np.ndarray, delta: float | None):
+    # IRLS weights: the normal equations then carry the exact gradient of
+    # the Huber objective
+    if delta is None:
+        return r, jac
+    a = np.abs(r)
+    w = np.where(a <= delta, 1.0, np.sqrt(delta / np.maximum(a, 1e-300)))
+    return w * r, w[:, None, :] * jac
+
+
+class _Stack:
+    """The running starts of one LM solve, one row each.
+
+    ``jac`` holds each row's Jacobian transposed, (params, records), so that
+    ``jac[i].T`` is F-ordered like the serial loop's.  ``polish`` is None
+    while a row is in the damped loop, then the number of undamped steps it
+    has taken.  The damping and the counters stay Python floats and ints.
+    """
+
+    def __init__(self, rows, x, r, jac, delta):
+        self.delta = delta
+        self.rows, self.x, self.r, self.jac = rows, x, r, jac
+        self.objective = _huber_objectives(r, delta)
+        self.trace = [[v] for v in self.objective.tolist()]
+        self._derive()
+        diag = self.a_mat.diagonal(axis1=1, axis2=2).max(axis=1).tolist()
+        self.mu = [1e-3 * d if d > 0 else 1e-3 for d in diag]
+        n = len(rows)
+        self.nu = [2.0] * n
+        self.n_iters = [0] * n
+        self.small = [0] * n
+        self.converged = [False] * n
+        self.polish: list[int | None] = [None] * n
+
+    def _derive(self) -> None:
+        self.rw, self.jw = _weighted(self.r, self.jac, self.delta)
+        # one bound array on both sides: numpy then takes BLAS's syrk, as
+        # the serial jw.T @ jw did; two copies would go through gemm
+        self.a_mat = self.jw @ self.jw.transpose(0, 2, 1)
+        self.g = (self.jw @ self.rw[:, :, None])[:, :, 0]
+
+    def accept(self, mask, x, r, jac, objective) -> None:
+        """Move the rows in ``mask`` to the new point."""
+        if not mask.any():
+            return
+        for dst, src in ((self.x, x), (self.r, r), (self.jac, jac), (self.objective, objective)):
+            np.copyto(dst, src, where=mask.reshape(mask.shape + (1,) * (src.ndim - 1)))
+        for i, value in zip(np.flatnonzero(mask).tolist(), objective[mask].tolist()):
+            self.trace[i].append(value)
+        self._derive()
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name in ("rows", "x", "r", "jac", "objective", "a_mat", "g"):
+            setattr(self, name, getattr(self, name)[mask])
+        self.rw, self.jw = _weighted(self.r, self.jac, self.delta)
+        for name in ("trace", "mu", "nu", "n_iters", "small", "converged", "polish"):
+            setattr(self, name, list(itertools.compress(getattr(self, name), mask)))
+
+
+def _lockstep_lm(
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     max_iters: int,
     tol: float,
     huber_delta: float | None = None,
-) -> _LMOutcome:
-    """Box-projected LM with Nielsen damping updates.
+) -> list:
+    """Box-projected LM with Nielsen damping, for a stack of starts at once.
 
-    Steps are accepted only when the objective strictly decreases, so the
-    returned trace is non-increasing by construction.  With Huber weighting
-    the normal equations use IRLS weights, which reproduces the exact
-    gradient of the robust objective.
+    ``x0`` has one start per row; ``evaluate(theta, rows)`` gives the
+    residuals and transposed Jacobians of the given rows.  Returns an
+    ``_LMOutcome`` per row, or ``_StartFailed`` for a row whose start point
+    has non-finite residuals.
+
+    Each row runs the serial algorithm, with its own damping: steps are
+    accepted only when the objective strictly decreases, so every trace is
+    non-increasing.  After the damped loop, up to three undamped
+    Gauss-Newton steps polish the iterate: damping escalation can leave it a
+    whisker short along the flat valley of near-linear problems, where the
+    remaining descent is real but each damped step is below objective
+    resolution.  Rows move through both phases together, one evaluation of
+    all running rows per round.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r, jac = residual_jac(x)
-    if not (np.isfinite(r).all() and np.isfinite(jac).all()):
-        raise _StartFailed("non-finite residuals at the start point")
-    objective = _huber_objective(r, huber_delta)
-    trace = [objective]
+    x = np.clip(x0, lo, hi)
+    outcomes: list = [None] * len(x)
+    r, jac = evaluate(x, np.arange(len(x)))
+    finite = _finite_rows(r, jac)
+    for i in np.flatnonzero(~finite).tolist():
+        outcomes[i] = _StartFailed("non-finite residuals at the start point")
+    rows = np.flatnonzero(finite)
+    st = _Stack(rows, x[rows], r[rows], jac[rows], huber_delta)
+    m, n = r.shape[1], x.shape[1]
+    diag = np.arange(n)
 
-    def _weighted(r_, jac_):
-        if huber_delta is None:
-            return r_, jac_
-        a = np.abs(r_)
-        w = np.where(a <= huber_delta, 1.0, np.sqrt(huber_delta / np.maximum(a, 1e-300)))
-        return w * r_, w[:, None] * jac_
+    def finish(done: list[bool]) -> None:
+        for i in itertools.compress(range(len(done)), done):
+            outcomes[st.rows[i]] = _LMOutcome(
+                x=st.x[i].copy(),
+                objective=st.trace[i][-1],
+                converged=st.converged[i],
+                n_iters=st.n_iters[i],
+                trace=st.trace[i],
+            )
+        st.keep(~np.array(done))
 
-    rw, jw = _weighted(r, jac)
-    a_mat = jw.T @ jw
-    g = jw.T @ rw
-    diag_max = a_mat.diagonal().max()
-    mu = 1e-3 * float(diag_max) if diag_max > 0 else 1e-3
-    nu = 2.0
-    converged = False
-    n_iters = 0
-    small_decreases = 0
-    # the augmented system [J; sqrt(mu) I] d = [-r; 0], filled in place; a
-    # step with pinned coordinates uses the leading block of the buffers.
-    # x, g, and so the pinned set and the J block, change only on an
-    # accepted step, so a rejected one refills only the damping block.
-    m, p = jw.shape
-    lhs_buf = np.empty((m + p, p))
-    rhs_buf = np.zeros(m + p)
-    eye = np.eye(p)
-    accepted = True
-
-    def _pinned() -> np.ndarray:
+    while len(st.rows):
         # coordinates sitting exactly on a bound whose descent direction
         # points outward; stepping through them and clipping distorts the
-        # damped model and stalls the other coordinates
-        return ((x == lo) & (g > 0)) | ((x == hi) & (g < 0))
-
-    for _ in range(max_iters):
-        n_iters += 1
-        if accepted:
-            free = ~_pinned()
-            n_free = int(free.sum())
-            if n_free == 0:
-                converged = True  # stationary corner of the box
+        # damped model and stalls the other coordinates.  x and g change
+        # only on an accepted step, so neither does this set otherwise.
+        free = ~(((st.x == lo) & (st.g > 0)) | ((st.x == hi) & (st.g < 0)))
+        n_free = free.sum(axis=1).tolist()
+        for i, polish in enumerate(st.polish):
+            if polish is None:
+                st.n_iters[i] += 1
+                if n_free[i] == 0:
+                    st.converged[i] = True  # stationary corner of the box
+        done = [k == 0 for k in n_free]
+        if any(done):
+            finish(done)
+            free = free[~np.array(done)]
+            n_free = [k for k in n_free if k]
+            if not len(st.rows):
                 break
-            lhs = lhs_buf[: m + n_free, :n_free]
-            lhs[:m] = jw[:, free]
-            np.negative(rw, out=rhs_buf[:m])
-            accepted = False
-        # damped step from the augmented system; solving the normal
-        # equations instead squares the conditioning and visibly degrades
-        # the flat direction of log-log power fits
-        np.multiply(math.sqrt(mu), eye[:n_free, :n_free], out=lhs[m:])
-        step = np.zeros_like(x)
-        step[free], *_ = np.linalg.lstsq(lhs, rhs_buf[: m + n_free], rcond=None)
-        x_new = np.clip(x + step, lo, hi)
-        actual = x_new - x
-        step_small = np.abs(actual).max() <= tol * (tol + np.abs(x).max())
 
-        r_new, jac_new = residual_jac(x_new)
-        finite = np.isfinite(r_new).all() and np.isfinite(jac_new).all()
-        obj_new = _huber_objective(r_new, huber_delta) if finite else math.inf
-
-        if finite and obj_new < objective:
-            predicted = -float(actual @ g) - 0.5 * float(actual @ (a_mat @ actual))
-            gain = (objective - obj_new) / predicted if predicted > 0 else 1.0
-            if (objective - obj_new) <= tol * max(objective, 1e-300):
-                small_decreases += 1
+        # damped steps solve the augmented system [J; sqrt(mu) I] d = [-r; 0]:
+        # the normal equations would square the conditioning and visibly
+        # degrade the flat direction of log-log power fits.  Polishing rows
+        # solve J d = -r.
+        aug = np.zeros((len(st.rows), m + n, n))
+        aug[:, :m] = st.jw.transpose(0, 2, 1)
+        aug[:, m + diag, diag] = np.sqrt(st.mu)[:, None]
+        rhs = np.zeros((len(st.rows), m + n))
+        np.negative(st.rw, out=rhs[:, :m])
+        damped = [p is None for p in st.polish]
+        step = np.zeros_like(st.x)
+        for i, k in enumerate(n_free):
+            cols = slice(None) if k == n else free[i]
+            if damped[i]:
+                lhs, b = aug[i, : m + k, :k], rhs[i, : m + k]
+                if k < n:
+                    lhs[:m] = st.jw[i, cols].T
             else:
-                small_decreases = 0
-            x, r, jac, objective = x_new, r_new, jac_new, obj_new
-            trace.append(objective)
-            rw, jw = _weighted(r, jac)
-            a_mat = jw.T @ jw
-            g = jw.T @ rw
-            accepted = True
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-            # two consecutive negligible decreases: the first one can stop
-            # an ill-conditioned problem an iteration short of the optimum
-            if step_small or small_decreases >= 2:
-                converged = True
-                break
-        else:
-            if step_small:
-                converged = True
-                break
-            mu *= nu
-            nu *= 2.0
-            if mu > 1e32:
-                break
+                lhs, b = st.jw[i, cols].T, rhs[i, :m]
+            step[i, cols] = np.linalg.lstsq(lhs, b, rcond=None)[0]
 
-    # undamped Gauss-Newton polish: damping escalation can leave the iterate
-    # a whisker short along the flat valley of near-linear problems, where
-    # the remaining descent is real but each damped step is below objective
-    # resolution.  Accepted only on strict decrease, so the trace stays
-    # non-increasing.
-    for _ in range(3):
-        free = ~_pinned()
-        if not free.any():
-            break
-        step = np.zeros_like(x)
-        step[free], *_ = np.linalg.lstsq(jw[:, free], -rw, rcond=None)
-        x_try = np.clip(x + step, lo, hi)
-        r_try, jac_try = residual_jac(x_try)
-        if not (np.isfinite(r_try).all() and np.isfinite(jac_try).all()):
-            break
-        obj_try = _huber_objective(r_try, huber_delta)
-        if obj_try >= objective:
-            break
-        x, r, jac, objective = x_try, r_try, jac_try, obj_try
-        trace.append(objective)
-        rw, jw = _weighted(r, jac)
-        g = jw.T @ rw
+        x_new = np.clip(st.x + step, lo, hi)
+        r_new, jac_new = evaluate(x_new, st.rows)
+        finite = _finite_rows(r_new, jac_new)
+        obj_new = np.full(len(st.rows), math.inf)
+        if finite.all():
+            obj_new = _huber_objectives(r_new, huber_delta)
+        elif finite.any():
+            obj_new[finite] = _huber_objectives(r_new[finite], huber_delta)
+        better = obj_new < st.objective
 
-    return _LMOutcome(
-        x=x, objective=objective, converged=converged, n_iters=n_iters, trace=trace
-    )
+        actual = x_new - st.x
+        step_small = np.abs(actual).max(axis=1) <= tol * (tol + np.abs(st.x).max(axis=1))
+        step_small = step_small.tolist()
+        # the decrease the damped model predicted, for the rows that gained
+        gained = better & np.array(damped)
+        predicted = {}
+        if gained.any():
+            act = actual[gained]
+            g_dot = (act[:, None, :] @ st.g[gained][:, :, None])[:, 0, 0]
+            quad = (act[:, None, :] @ (st.a_mat[gained] @ act[:, :, None]))[:, 0, 0]
+            idx = np.flatnonzero(gained).tolist()
+            predicted = dict(zip(idx, (-g_dot - 0.5 * quad).tolist()))
+        objective, new = st.objective.tolist(), obj_new.tolist()
+
+        done = [False] * len(st.rows)
+        for i, (polish, ok) in enumerate(zip(st.polish, better.tolist())):
+            if polish is not None:
+                # an undamped step is kept only on strict decrease, at most three
+                st.polish[i] = polish + 1
+                done[i] = not ok or polish == 2
+                continue
+            if ok:
+                pred = predicted[i]
+                gain = (objective[i] - new[i]) / pred if pred > 0 else 1.0
+                if (objective[i] - new[i]) <= tol * max(objective[i], 1e-300):
+                    st.small[i] += 1
+                else:
+                    st.small[i] = 0
+                st.mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                st.nu[i] = 2.0
+                # two consecutive negligible decreases: the first one can
+                # stop an ill-conditioned problem an iteration short of the
+                # optimum
+                stop = step_small[i] or st.small[i] >= 2
+            elif step_small[i]:
+                stop = True
+            else:
+                st.mu[i] *= st.nu[i]
+                st.nu[i] *= 2.0
+                stop = False
+                if st.mu[i] > 1e32:
+                    st.polish[i] = 0
+            if stop:
+                st.converged[i] = True
+                st.polish[i] = 0
+            elif st.n_iters[i] == max_iters:
+                st.polish[i] = 0
+        st.accept(better, x_new, r_new, jac_new, obj_new)
+        if any(done):
+            finish(done)
+    return outcomes
 
 
-def _internal_residual_jac(
+def _to_internal(vec: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
+    out = np.array(vec, dtype=float)
+    out[..., log_mask] = np.log(out[..., log_mask])
+    return out
+
+
+def _stage_residuals(
     spec: _FamilySpec,
     prepared: tuple[np.ndarray, ...],
     obs: np.ndarray,
     residual_space: str,
     free: np.ndarray,
-    fixed_vec: np.ndarray,
+    fixed: np.ndarray,
     log_mask: np.ndarray,
 ):
-    """Residual/Jacobian closure over the internal (log-scaled, free) vector."""
+    """Residuals and transposed Jacobians over internal (log-scaled, free) rows.
+
+    ``fixed`` holds the full parameter vector of each row the stage runs;
+    ``evaluate(theta, rows)`` fills the free coordinates of ``fixed[rows]``
+    from ``theta`` and makes one evaluator call for all of them.
+    """
     ln_obs = np.log(obs)
     log_free = log_mask[free]
+    all_free = bool(free.all())
 
-    def fn(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(theta: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ext_free = np.where(log_free, np.exp(theta), theta)
-        ext = fixed_vec.copy()
-        ext[free] = ext_free
-        pred, jac_ext = spec.value_and_jacobian(spec.make_params(ext), prepared)
-        # d ext / d theta = ext for log-scaled coordinates, 1 otherwise.  The
-        # column selection stays even when every column is free: its copy is
-        # F-ordered, and the LM matmuls round differently on a C-ordered one
+        if all_free:
+            ext = ext_free
+        else:
+            ext = fixed[rows]
+            ext[:, free] = ext_free
+        for vec in ext[~(ext > 0).all(axis=1)]:
+            spec.make_params(vec)  # the params class rejects a point outside its domain
+        pred, jac_ext = spec.value_and_jacobian(ext, prepared)
+        # d ext / d theta = ext for log-scaled coordinates, 1 otherwise
         scale = np.where(log_free, ext_free, 1.0)
-        jac_int = jac_ext[:, free] * scale[None, :]
+        jac_int = (jac_ext if all_free else jac_ext[:, free]) * scale[:, :, None]
         if residual_space == "log":
-            return np.log(pred) - ln_obs, jac_int / pred[:, None]
+            return np.log(pred) - ln_obs, jac_int / pred[:, None, :]
         return pred - obs, jac_int
 
-    return fn
+    return evaluate
 
 
-def _to_internal(vec: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
-    out = np.asarray(vec, dtype=float).copy()
-    out[log_mask] = np.log(out[log_mask])
-    return out
-
-
-def _run_start(
+def _run_group(
     spec: _FamilySpec,
     prepared: tuple[np.ndarray, ...],
     obs: np.ndarray,
-    start: np.ndarray,
+    group: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     config: FitConfig,
-) -> _LMOutcome:
-    """One multistart point; staged families fit twice (k frozen, then free)."""
+) -> list:
+    """Every start (row) of ``group`` through every stage, in lockstep.
+
+    Staged families fit twice, k frozen and then free; a stage starts once
+    every row has finished the one before.  Returns an ``_LMOutcome`` per
+    row, or ``_StartFailed`` for a row whose stage start was non-finite.
+    """
     log_mask = np.array(spec.log_scaled)
     # floor only the log-scaled coordinates; zero bounds on linear ones
     # (e_irreducible, k1, k2) must survive exactly
@@ -690,43 +801,80 @@ def _run_start(
     lo_int = _to_internal(lo_guard, log_mask)
     hi_int = _to_internal(hi, log_mask)
 
-    stages: list[np.ndarray]
+    stages = [np.ones(len(spec.names), dtype=bool)]
     if spec.staged_k:
-        k_idx = [spec.names.index("k1"), spec.names.index("k2")]
-        first = np.ones(len(spec.names), dtype=bool)
-        first[k_idx] = False
-        stages = [first, np.ones(len(spec.names), dtype=bool)]
-    else:
-        stages = [np.ones(len(spec.names), dtype=bool)]
+        stages.insert(0, np.array([name not in ("k1", "k2") for name in spec.names]))
 
-    vec = start.copy()
-    outcome: _LMOutcome | None = None
-    total_iters = 0
+    vec = np.array(group, dtype=float)
+    results: list = [None] * len(vec)
+    total_iters = [0] * len(vec)
+    live = list(range(len(vec)))
     for free in stages:
-        fn = _internal_residual_jac(
-            spec, prepared, obs, config.residual_space, free, vec, log_mask
+        evaluate = _stage_residuals(
+            spec, prepared, obs, config.residual_space, free, vec[live], log_mask
         )
-        theta0 = _to_internal(vec, log_mask)[free]
-        outcome = _levenberg_marquardt(
-            fn,
-            theta0,
+        outcomes = _lockstep_lm(
+            evaluate,
+            _to_internal(vec[live], log_mask)[:, free],
             lo_int[free],
             hi_int[free],
             config.max_iters,
             config.tolerance,
             config.robust_delta,
         )
-        total_iters += outcome.n_iters
-        vec = vec.copy()
-        vec[free] = np.where(log_mask[free], np.exp(outcome.x), outcome.x)
-    assert outcome is not None
-    return _LMOutcome(
-        x=vec,
-        objective=outcome.objective,
-        converged=outcome.converged,
-        n_iters=total_iters,
-        trace=outcome.trace,
-    )
+        for i, outcome in zip(live, outcomes):
+            results[i] = outcome
+        live = [i for i, o in zip(live, outcomes) if isinstance(o, _LMOutcome)]
+        if not live:
+            break
+        theta = np.array([results[i].x for i in live])
+        vec[np.ix_(live, free)] = np.where(log_mask[free], np.exp(theta), theta)
+        for i in live:
+            total_iters[i] += results[i].n_iters
+    for i in live:
+        results[i] = _LMOutcome(
+            x=vec[i].copy(),
+            objective=results[i].objective,
+            converged=results[i].converged,
+            n_iters=total_iters[i],
+            trace=results[i].trace,
+        )
+    return results
+
+
+def _run_starts(
+    spec: _FamilySpec,
+    prepared: tuple[np.ndarray, ...],
+    obs: np.ndarray,
+    starts: list[np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    config: FitConfig,
+):
+    """Yield, in start order, each start's ``_LMOutcome`` or what it raised.
+
+    Starts run in groups of consecutive starts.  Each start's arithmetic is
+    that of a start run alone, so when a group raises, running its starts
+    one at a time finds which start raised what.
+    """
+    per_group = max(1, _GROUP_FLOATS // (len(spec.names) * len(obs)))
+    for first in range(0, len(starts), per_group):
+        group = np.array(starts[first : first + per_group])
+        try:
+            outcomes = _run_group(spec, prepared, obs, group, lo, hi, config)
+        except Exception:
+            # running each start alone finds which start raised what
+            outcomes = [_run_alone(spec, prepared, obs, start, lo, hi, config)
+                        for start in group]
+        yield from outcomes
+
+
+def _run_alone(spec, prepared, obs, start, lo, hi, config):
+    """One start as a group of one: its ``_LMOutcome``, or what it raised."""
+    try:
+        return _run_group(spec, prepared, obs, start[None], lo, hi, config)[0]
+    except Exception as exc:
+        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +914,13 @@ def fit_law(
 
     prepared = spec.prepare(*inputs)
     best: _LMOutcome | None = None
-    for start in starts:  # ties resolve to the earliest grid point
-        try:
-            outcome = _run_start(spec, prepared, obs, start, lo, hi, config)
-        except (_StartFailed, FloatingPointError):
+    # in start order, as a serial loop over the starts: ties resolve to the
+    # earliest grid point, and the earliest start that raised raises
+    for outcome in _run_starts(spec, prepared, obs, starts, lo, hi, config):
+        if isinstance(outcome, (_StartFailed, FloatingPointError)):
             continue
+        if isinstance(outcome, Exception):
+            raise outcome
         if best is None or outcome.objective < best.objective:
             best = outcome
     if best is None:

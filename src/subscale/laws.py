@@ -12,10 +12,11 @@ Families:
 
 All evaluators accept scalars or numpy arrays and are smooth in their
 parameters.  The fitter calls a fused ``*_value_and_jacobian`` once per
-step, over inputs that ``prepare_power`` or ``prepare_nd`` log-transform and
-check once per fit; its Jacobian holds the exact partials in the params
-class's field order.  The ``*_gradient`` functions return those partials
-for raw inputs.
+step for a whole stack of parameter vectors, over inputs that
+``prepare_power`` or ``prepare_nd`` log-transform and check once per fit;
+its Jacobians hold the exact partials in the params class's field order.
+The ``*_gradient`` functions return those partials for one law and raw
+inputs.
 
 ``params_from_dict`` reads a law file; it and the other JSON readers check
 each value with ``json_number``/``json_integer``, which name the bad key.
@@ -194,11 +195,22 @@ def eval_power(params: PowerLawParams, x: ArrayLike) -> ArrayLike:
     xa, scalar = _as_array(x)
     if np.any(xa <= 0):
         raise ValueError("x must be > 0")
-    return _ret(_power_value(params, np.log(xa)), scalar)
+    return _ret(_power_value(math.log(params.lam), params.alpha, np.log(xa)), scalar)
 
 
-def _power_value(params: PowerLawParams, ln_x: np.ndarray) -> np.ndarray:
-    return np.exp(math.log(params.lam) - params.alpha * ln_x)
+# The value formulas take scalars for one law, or (starts, 1) columns for a
+# stack of laws; the coefficients come in as their logs.
+
+
+def _power_value(ln_lam, alpha, ln_x) -> np.ndarray:
+    return np.exp(ln_lam - alpha * ln_x)
+
+
+def _nd_value(e, ln_lam_n, alpha_n, ln_lam_d, alpha_d, ln_n, ln_d, r_n=1.0, r_d=1.0):
+    """E + r_n lam_n/N**alpha_n + r_d lam_d/D**alpha_d; the factors are 1 for chinchilla."""
+    term_n = r_n * np.exp(ln_lam_n - alpha_n * ln_n)
+    term_d = r_d * np.exp(ln_lam_d - alpha_d * ln_d)
+    return e + term_n + term_d
 
 
 def repetition_factor(otr: ArrayLike, k: float) -> ArrayLike:
@@ -218,19 +230,25 @@ def repetition_factor(otr: ArrayLike, k: float) -> ArrayLike:
     return _ret(1.0 + sig, scalar)
 
 
+def _nd_args(params, ln_n, ln_d) -> tuple:
+    return (
+        params.e_irreducible,
+        math.log(params.lambda_n),
+        params.alpha_n,
+        math.log(params.lambda_d),
+        params.alpha_d,
+        ln_n,
+        ln_d,
+    )
+
+
 def eval_chinchilla(params: ChinchillaParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
     """E + lam_n/N**alpha_n + lam_d/D**alpha_d for N, D > 0."""
     na, s1 = _as_array(n)
     da, s2 = _as_array(d)
     if np.any(na <= 0) or np.any(da <= 0):
         raise ValueError("n and d must be > 0")
-    return _ret(_chinchilla_value(params, np.log(na), np.log(da)), s1 and s2)
-
-
-def _chinchilla_value(params: ChinchillaParams, ln_n, ln_d) -> np.ndarray:
-    term_n = np.exp(math.log(params.lambda_n) - params.alpha_n * ln_n)
-    term_d = np.exp(math.log(params.lambda_d) - params.alpha_d * ln_d)
-    return params.e_irreducible + term_n + term_d
+    return _ret(_nd_value(*_nd_args(params, np.log(na), np.log(da))), s1 and s2)
 
 
 def eval_suboptimal(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
@@ -242,14 +260,8 @@ def eval_suboptimal(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> Arr
     r = da / na
     r_d = 1.0 + _sigmoid(params.k1 * r)
     r_n = 1.0 + _sigmoid(params.k2 * r)
-    return _ret(_suboptimal_value(params, np.log(na), np.log(da), r_n, r_d), s1 and s2)
-
-
-def _suboptimal_value(params: SubOptimalParams, ln_n, ln_d, r_n, r_d) -> np.ndarray:
-    """Chinchilla terms scaled by the repetition factors r_n, r_d."""
-    term_n = r_n * np.exp(math.log(params.lambda_n) - params.alpha_n * ln_n)
-    term_d = r_d * np.exp(math.log(params.lambda_d) - params.alpha_d * ln_d)
-    return params.e_irreducible + term_n + term_d
+    value = _nd_value(*_nd_args(params, np.log(na), np.log(da)), r_n, r_d)
+    return _ret(value, s1 and s2)
 
 
 def finite_loss(value: ArrayLike, family: str) -> ArrayLike:
@@ -278,10 +290,15 @@ def loss_at(params: LawParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
 # Fused value and Jacobian over prepared inputs (the fitter's inner call)
 # ---------------------------------------------------------------------------
 #
-# Each Jacobian column keeps the operand order of the evaluator it
-# differentiates, and the value keeps exp(log lam - alpha ln x) while the
-# Jacobian uses exp(-alpha ln x): the two round differently, so only the
-# inputs and the sigmoids are shared.
+# ``theta`` stacks one parameter vector per row, in field order, and the
+# Jacobians come back as (starts, params, rows): each law's Jacobian is the
+# F-ordered transpose of its block.  Row i of every result is bit for bit
+# what the same formulas give for row i alone.  Each Jacobian column keeps
+# the operand order of the evaluator it differentiates, and the value keeps
+# exp(log lam - alpha ln x) while the Jacobian uses exp(-alpha ln x): the two
+# round differently, so only the inputs and the sigmoids are shared.  The
+# logs of the coefficients are taken per law with ``math.log``, as the
+# evaluators take them: numpy's vectorized log rounds some inputs otherwise.
 
 
 def prepare_power(x: ArrayLike) -> tuple[np.ndarray]:
@@ -301,58 +318,74 @@ def prepare_nd(n: ArrayLike, d: ArrayLike) -> tuple[np.ndarray, np.ndarray, np.n
     return np.log(na), np.log(da), da / na
 
 
+def _columns(theta: np.ndarray) -> np.ndarray:
+    """One (starts, 1) column per parameter."""
+    return np.asarray(theta, dtype=float).T[:, :, None]
+
+
+def _logs(column: np.ndarray) -> np.ndarray:
+    return np.array([math.log(v) for v in column[:, 0].tolist()])[:, None]
+
+
 def power_value_and_jacobian(
-    params: PowerLawParams, prepared: tuple[np.ndarray]
+    theta: np.ndarray, prepared: tuple[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eval_power and its partials wrt (lam, alpha); Jacobian (len(x), 2)."""
+    """eval_power for each row (lam, alpha) of theta, and its partials wrt (lam, alpha)."""
     (ln_x,) = prepared
-    base = np.exp(-params.alpha * ln_x)
-    jac = np.empty((len(ln_x), 2))
+    lam, alpha = _columns(theta)
+    base = np.exp(-alpha * ln_x)
+    jac = np.empty((len(lam), 2, len(ln_x)))
     jac[:, 0] = base
-    jac[:, 1] = -params.lam * ln_x * base
-    return _power_value(params, ln_x), jac
+    jac[:, 1] = -lam * ln_x * base
+    return _power_value(_logs(lam), alpha, ln_x), jac
 
 
 def chinchilla_value_and_jacobian(
-    params: ChinchillaParams, prepared: tuple[np.ndarray, ...]
+    theta: np.ndarray, prepared: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eval_chinchilla and its partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d)."""
+    """eval_chinchilla for each row of theta, and its partials wrt
+    (e, lambda_n, alpha_n, lambda_d, alpha_d)."""
     ln_n, ln_d, otr = prepared
-    t_n = np.exp(-params.alpha_n * ln_n)
-    t_d = np.exp(-params.alpha_d * ln_d)
-    jac = np.empty((len(otr), 5))
+    e, lam_n, alpha_n, lam_d, alpha_d = _columns(theta)
+    t_n = np.exp(-alpha_n * ln_n)
+    t_d = np.exp(-alpha_d * ln_d)
+    jac = np.empty((len(e), 5, len(otr)))
     jac[:, 0] = 1.0
     jac[:, 1] = t_n
-    jac[:, 2] = -params.lambda_n * ln_n * t_n
+    jac[:, 2] = -lam_n * ln_n * t_n
     jac[:, 3] = t_d
-    jac[:, 4] = -params.lambda_d * ln_d * t_d
-    return _chinchilla_value(params, ln_n, ln_d), jac
+    jac[:, 4] = -lam_d * ln_d * t_d
+    value = _nd_value(e, _logs(lam_n), alpha_n, _logs(lam_d), alpha_d, ln_n, ln_d)
+    return value, jac
 
 
 def suboptimal_value_and_jacobian(
-    params: SubOptimalParams, prepared: tuple[np.ndarray, ...]
+    theta: np.ndarray, prepared: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eval_suboptimal and its partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2).
+    """eval_suboptimal for each row of theta, and its partials wrt
+    (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2).
 
     The k-columns chain through the logistic: d/dk sigmoid(k*r) =
     sigmoid*(1-sigmoid)*r.
     """
     ln_n, ln_d, otr = prepared
-    s_d = _sigmoid(params.k1 * otr)
-    s_n = _sigmoid(params.k2 * otr)
+    e, lam_n, alpha_n, lam_d, alpha_d, k1, k2 = _columns(theta)
+    s_d = _sigmoid(k1 * otr)
+    s_n = _sigmoid(k2 * otr)
     r_d = 1.0 + s_d
     r_n = 1.0 + s_n
-    t_n = np.exp(-params.alpha_n * ln_n)
-    t_d = np.exp(-params.alpha_d * ln_d)
-    jac = np.empty((len(otr), 7))
+    t_n = np.exp(-alpha_n * ln_n)
+    t_d = np.exp(-alpha_d * ln_d)
+    jac = np.empty((len(e), 7, len(otr)))
     jac[:, 0] = 1.0
     jac[:, 1] = r_n * t_n
-    jac[:, 2] = -params.lambda_n * r_n * ln_n * t_n
+    jac[:, 2] = -lam_n * r_n * ln_n * t_n
     jac[:, 3] = r_d * t_d
-    jac[:, 4] = -params.lambda_d * r_d * ln_d * t_d
-    jac[:, 5] = params.lambda_d * t_d * s_d * (1.0 - s_d) * otr
-    jac[:, 6] = params.lambda_n * t_n * s_n * (1.0 - s_n) * otr
-    return _suboptimal_value(params, ln_n, ln_d, r_n, r_d), jac
+    jac[:, 4] = -lam_d * r_d * ln_d * t_d
+    jac[:, 5] = lam_d * t_d * s_d * (1.0 - s_d) * otr
+    jac[:, 6] = lam_n * t_n * s_n * (1.0 - s_n) * otr
+    value = _nd_value(e, _logs(lam_n), alpha_n, _logs(lam_d), alpha_d, ln_n, ln_d, r_n, r_d)
+    return value, jac
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +393,20 @@ def suboptimal_value_and_jacobian(
 # ---------------------------------------------------------------------------
 
 
+def _one_law(params: LawParams) -> np.ndarray:
+    return np.array([[getattr(params, f.name) for f in fields(params)]], dtype=float)
+
+
 def power_gradient(params: PowerLawParams, x: ArrayLike) -> np.ndarray:
     """Partials of eval_power wrt (lam, alpha); shape (len(x), 2)."""
-    return power_value_and_jacobian(params, prepare_power(x))[1]
+    return power_value_and_jacobian(_one_law(params), prepare_power(x))[1][0].T
 
 
 def chinchilla_gradient(params: ChinchillaParams, n: ArrayLike, d: ArrayLike) -> np.ndarray:
     """Partials wrt (e_irreducible, lambda_n, alpha_n, lambda_d, alpha_d)."""
-    return chinchilla_value_and_jacobian(params, prepare_nd(n, d))[1]
+    return chinchilla_value_and_jacobian(_one_law(params), prepare_nd(n, d))[1][0].T
 
 
 def suboptimal_gradient(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> np.ndarray:
     """Partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2)."""
-    return suboptimal_value_and_jacobian(params, prepare_nd(n, d))[1]
+    return suboptimal_value_and_jacobian(_one_law(params), prepare_nd(n, d))[1][0].T

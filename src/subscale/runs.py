@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -47,6 +48,9 @@ CSV_COLUMNS = (
 _REQUIRED_COLUMNS = ("run_id", "model_size", "tokens", "loss")
 _COUNT_FIELDS = ("model_size", "tokens", "step", "batch_size")
 _MAX_COUNT = 2**53
+# C0 controls and DEL: a table cell holding one (a bare carriage return, say)
+# can split its row for a CSV reader
+_CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f]")
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,14 @@ def _record_from_mapping(raw: dict, row: int) -> TrainingRun:
         if key not in raw or raw[key] in (None, ""):
             raise MissingColumn(key)
     tag = raw.get("dataset_tag")
+    run_id = str(raw["run_id"])
+    control = _CONTROL_CHARACTER.search(run_id)
+    if control:
+        raise MalformedRecord(
+            row, f"run_id {run_id!r} holds the control character {control.group()!r}"
+        )
     return TrainingRun(
-        run_id=str(raw["run_id"]),
+        run_id=run_id,
         model_size=_parse_count(raw["model_size"], row, "model_size"),
         tokens=_parse_count(raw["tokens"], row, "tokens"),
         loss=_parse_float(raw["loss"], row, "loss"),

@@ -937,6 +937,35 @@ def test_text_cells_are_quoted(tmp_path):
         assert all(row[0].startswith(run_id) for row in rows)
 
 
+@pytest.mark.parametrize(
+    "control", ["\r", "\n", "\t", "\x00", "\x1f", "\x7f"],
+    ids=["CR", "LF", "TAB", "NUL", "US", "DEL"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("command", [["ingest"], ["fit", "--family", "power"]])
+def test_control_character_in_run_id_is_exit_one(tmp_path, power_fixture, command, fmt, control):
+    # csv.writer leaves a bare carriage return unquoted, so residuals.csv
+    # would split each row of such a run in two
+    records = [
+        dataclasses.replace(r, run_id=f"a{control}b") for r in runs.ingest(power_fixture).records
+    ]
+    path = tmp_path / f"runs.{fmt}"
+    write = runs.write_csv if fmt == "csv" else runs.write_jsonl
+    write(runs.RunSeries.from_records(records), path)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "subscale.cli", command[0], str(path), *command[1:],
+         "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"subscale {command[0]}: row 1: run_id {f'a{control}b'!r} holds the control "
+        f"character {control!r}\n"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_ingest_underflowing_sigma_is_exit_one(tmp_path, power_fixture):
     out = tmp_path / "out"
     proc = subprocess.run(

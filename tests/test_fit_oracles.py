@@ -1,10 +1,12 @@
-"""The fused fitting engine against the unfused code it replaced.
+"""The lockstep fitting engine against the serial, unfused code it replaced.
 
-The fitter calls one ``*_value_and_jacobian`` per LM step over inputs
-prepared once per fit, and fills the augmented LM system in place.  The
-references below are the earlier implementations, kept here only as
-oracles: separate evaluator and gradient formulas over raw (N, D) inputs,
-a residual closure that calls both, and the LM loop that stacks
+The fitter runs every start of a fit together: one fused
+``*_value_and_jacobian`` call per LM round for all running starts, over
+inputs prepared once per fit, with the stacked arithmetic of each start
+kept bit for bit that of a start run alone.  The references below are the
+earlier implementations, kept here only as oracles: separate evaluator and
+gradient formulas over raw (N, D) inputs, a residual closure that calls
+both, and the serial LM loop that runs one start at a time and stacks
 ``[J; sqrt(mu) I]`` afresh on every step.  The engine must agree with them
 bit for bit, start by start.  The bounds and the multistart points, now
 built by name from each family row, are pinned the same way against the
@@ -145,12 +147,19 @@ def _ref_residual_jac(spec, inputs, obs, residual_space, free, fixed_vec, log_ma
     return fn
 
 
+def _ref_huber_objective(r, delta):
+    if delta is None:
+        return 0.5 * float(r @ r)
+    a = np.abs(r)
+    return float(np.sum(np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))))
+
+
 def _ref_levenberg_marquardt(residual_jac, x0, lo, hi, max_iters, tol, huber_delta=None):
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r, jac = residual_jac(x)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
         raise fit._StartFailed("non-finite residuals at the start point")
-    objective = fit._huber_objective(r, huber_delta)
+    objective = _ref_huber_objective(r, huber_delta)
     trace = [objective]
 
     def _weighted(r_, jac_):
@@ -190,7 +199,7 @@ def _ref_levenberg_marquardt(residual_jac, x0, lo, hi, max_iters, tol, huber_del
 
         r_new, jac_new = residual_jac(x_new)
         finite = np.all(np.isfinite(r_new)) and np.all(np.isfinite(jac_new))
-        obj_new = fit._huber_objective(r_new, huber_delta) if finite else math.inf
+        obj_new = _ref_huber_objective(r_new, huber_delta) if finite else math.inf
 
         if finite and obj_new < objective:
             predicted = -float(actual @ g) - 0.5 * float(actual @ (a_mat @ actual))
@@ -228,7 +237,7 @@ def _ref_levenberg_marquardt(residual_jac, x0, lo, hi, max_iters, tol, huber_del
         r_try, jac_try = residual_jac(x_try)
         if not (np.all(np.isfinite(r_try)) and np.all(np.isfinite(jac_try))):
             break
-        obj_try = fit._huber_objective(r_try, huber_delta)
+        obj_try = _ref_huber_objective(r_try, huber_delta)
         if obj_try >= objective:
             break
         x, r, jac, objective = x_try, r_try, jac_try, obj_try
@@ -303,6 +312,29 @@ def _outcome_or_error(run):
         return type(exc), str(exc)
 
 
+def _assert_each_start_matches_reference(spec, inputs, obs, starts, lo, hi, config):
+    """One engine call for all starts; each start against the serial reference."""
+    got = list(fit._run_starts(spec, spec.prepare(*inputs), obs, starts, lo, hi, config))
+    assert len(got) == len(starts)
+    n_compared = 0
+    for start, outcome in zip(starts, got):
+        want = _outcome_or_error(
+            lambda: _ref_run_start(spec, inputs, obs, start, lo, hi, config)
+        )
+        if isinstance(want, tuple) and len(want) == 2:
+            assert isinstance(outcome, Exception)
+            assert (type(outcome), str(outcome)) == want
+            continue
+        x, objective, converged, n_iters, trace = want
+        assert np.array_equal(outcome.x, x)
+        assert outcome.objective == objective
+        assert outcome.trace == trace
+        assert outcome.n_iters == n_iters
+        assert outcome.converged == converged
+        n_compared += 1
+    return n_compared
+
+
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("family", ["power", "chinchilla", "suboptimal"])
 def test_every_start_matches_unfused_engine(family, config_name):
@@ -314,28 +346,64 @@ def test_every_start_matches_unfused_engine(family, config_name):
     obs = fit._losses(series)
     lo, hi = fit._bounds(spec, obs, config.bounds)
     starts = fit._build_starts(spec, inputs, obs, config, lo, hi)
-    prepared = spec.prepare(*inputs)
-    n_compared = 0
-    # every start of the power grid; a spread of the 5 x 5 (N, D) grid
-    for start in starts[:: 1 if family == "power" else 3]:
-        want = _outcome_or_error(
-            lambda: _ref_run_start(spec, inputs, obs, start, lo, hi, config)
-        )
-        got = _outcome_or_error(
-            lambda: fit._run_start(spec, prepared, obs, start, lo, hi, config)
-        )
-        if isinstance(want, tuple) and len(want) == 2:
-            assert got == want
-            continue
-        x, objective, converged, n_iters, trace = want
-        assert np.array_equal(got.x, x)
-        assert got.objective == objective
-        assert got.trace == trace
-        assert got.n_iters == n_iters
-        assert got.converged == converged
-        n_compared += 1
+    n_compared = _assert_each_start_matches_reference(spec, inputs, obs, starts, lo, hi, config)
     if config_name != "negative_e":
         assert n_compared > 0
+
+
+def test_random_fits_match_unfused_engine_start_by_start():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    alphas = st.floats(0.02, 1.0)
+
+    def box(lowest, highest):
+        return st.tuples(st.floats(lowest, highest), st.floats(0.01, 1.0)).map(
+            lambda t: (t[0], t[0] + t[1])
+        )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        family=st.sampled_from(["power", "chinchilla", "suboptimal"]),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+        n_sizes=st.integers(3, 5),
+        n_checkpoints=st.integers(3, 7),
+        residual_space=st.sampled_from(["log", "linear"]),
+        robust_delta=st.none() | st.floats(1e-4, 0.1),
+        grid=st.fixed_dictionaries(
+            {"alpha": st.lists(alphas, min_size=1, max_size=3),
+             "alpha_n": st.lists(alphas, min_size=1, max_size=3),
+             "alpha_d": st.lists(alphas, min_size=1, max_size=2)},
+            optional={"k1": st.lists(st.floats(0.0, 0.05), min_size=1, max_size=2)},
+        ),
+        # an e box reaching below zero lets e leave the law's domain
+        bounds=st.fixed_dictionaries({}, optional={
+            "alpha": box(1e-3, 0.5), "alpha_n": box(1e-3, 0.5), "alpha_d": box(1e-3, 0.5),
+            "k2": box(0.0, 0.01), "e_irreducible": box(-1.5, 0.5),
+        }),
+        max_iters=st.integers(1, 60),
+    )
+    def check(family, seed, noise, n_sizes, n_checkpoints, residual_space, robust_delta,
+              grid, bounds, max_iters):
+        sizes = synth.LADDER_MODEL_SIZES[:: 11 // n_sizes][:n_sizes]
+        series = synth.gen_curves(synth.CurveSpec(
+            law=REF,
+            model_sizes=sizes,
+            token_checkpoints=synth.otr_checkpoints(
+                sizes, np.geomspace(2.0, 1700.0, n_checkpoints)),
+            noise_sigma=noise,
+            seed=seed,
+        ))
+        config = fit.FitConfig(residual_space=residual_space, robust_delta=robust_delta,
+                               multistart_grid=grid, bounds=bounds, max_iters=max_iters)
+        spec = fit.FAMILIES[family]
+        inputs = spec.extract(series)
+        obs = fit._losses(series)
+        lo, hi = fit._bounds(spec, obs, config.bounds)
+        starts = fit._build_starts(spec, inputs, obs, config, lo, hi)
+        _assert_each_start_matches_reference(spec, inputs, obs, starts, lo, hi, config)
+
+    check()
 
 
 def test_fit_law_matches_best_reference_start():
@@ -358,6 +426,146 @@ def test_fit_law_matches_best_reference_start():
         assert result.best_objective == best[1]
         assert result.objective_trace == tuple(best[4])
         assert result.n_iterations == best[3]
+
+
+def _ladder_fit_split(n_checkpoints, smooth_window=None):
+    # the leading quarter of the 11-size ladder, as compare and fit take it
+    sizes = synth.LADDER_MODEL_SIZES
+    series = synth.gen_curves(synth.CurveSpec(
+        law=REF,
+        model_sizes=sizes,
+        token_checkpoints=synth.otr_checkpoints(
+            sizes, np.geomspace(2.0, 1700.0, n_checkpoints)),
+        noise_sigma=0.01,
+        seed=5,
+    ))
+    if smooth_window is not None:
+        series = runs.gaussian_smooth(series, smooth_window)
+    return runs.split_fit_holdout(series, 0.25)[0]
+
+
+def _best_reference_start(spec, series, config):
+    inputs = spec.extract(series)
+    obs = fit._losses(series)
+    lo, hi = fit._bounds(spec, obs, config.bounds)
+    best = None
+    for start in fit._build_starts(spec, inputs, obs, config, lo, hi):
+        outcome = _outcome_or_error(
+            lambda: _ref_run_start(spec, inputs, obs, start, lo, hi, config)
+        )
+        if len(outcome) == 5 and (best is None or outcome[1] < best[1]):
+            best = outcome
+    return best
+
+
+@pytest.mark.parametrize("family", ["power", "chinchilla", "suboptimal"])
+@pytest.mark.parametrize("data", ["ladder", "smoothed_log"])
+def test_fit_law_matches_best_reference_start_at_full_size(family, data):
+    # 88 records of the 11 x 30 ladder, and 550 of an 11 x 200 smoothed log
+    series = _ladder_fit_split(30) if data == "ladder" else _ladder_fit_split(200, 10)
+    spec = fit.FAMILIES[family]
+    per_group = fit._GROUP_FLOATS // (len(spec.names) * len(series.records))
+    n_starts = 5 ** sum(name.startswith("alpha") for name in spec.names)
+    if data == "smoothed_log":
+        assert len(series.records) == 550
+        if family != "power":
+            assert per_group < n_starts  # more than one group
+    elif family != "power":
+        assert per_group >= n_starts  # the ladder's 25 starts run as one group
+    x, objective, converged, n_iters, trace = _best_reference_start(
+        spec, series, fit.FitConfig()
+    )
+    result = fit.fit_law(series, family)
+    assert result.params == spec.make_params(x)
+    assert result.best_objective == objective
+    assert result.objective_trace == tuple(trace)
+    assert result.n_iterations == n_iters
+    assert result.converged == converged
+
+
+# ---------------------------------------------------------------------------
+# Starts that fail or raise, in and across groups
+# ---------------------------------------------------------------------------
+
+
+def _with_evaluator(monkeypatch, family, wrap):
+    """Install a family row whose evaluator is ``wrap(original)``."""
+    spec = fit.FAMILIES[family]
+    faulty = dataclasses.replace(spec, value_and_jacobian=wrap(spec.value_and_jacobian))
+    monkeypatch.setitem(fit.FAMILIES, family, faulty)
+    return faulty
+
+
+def _raise_past(error, threshold):
+    def wrap(value_and_jacobian):
+        def evaluate(theta, prepared):
+            for vec in theta:
+                if vec[2] > threshold:
+                    raise error(f"alpha_n reached {float(vec[2])!r}")
+            return value_and_jacobian(theta, prepared)
+
+        return evaluate
+
+    return wrap
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("per_group", [1, 2, 3, 4, 25])
+def test_earliest_start_that_raises_is_raised(monkeypatch, per_group, error):
+    series = _series(1, 0.05)
+    spec = _with_evaluator(monkeypatch, "chinchilla", _raise_past(error, 0.34))
+    monkeypatch.setattr(fit, "_GROUP_FLOATS", per_group * 5 * len(series.records))
+    inputs = spec.extract(series)
+    obs = fit._losses(series)
+    lo, hi = fit._bounds(spec, obs, None)
+    starts = fit._build_starts(spec, inputs, obs, fit.FitConfig(), lo, hi)
+    prepared = spec.prepare(*inputs)
+    alone = [fit._run_alone(spec, prepared, obs, s, lo, hi, fit.FitConfig()) for s in starts]
+    raised = [i for i, outcome in enumerate(alone) if isinstance(outcome, error)]
+    # run alone, start 15 raises on its 17th evaluation, starts 16 and 17 on
+    # their 3rd and 2nd, starts 20-24 on their first: in lockstep, later
+    # starts raise first, in its group and in the groups after it
+    assert raised[:3] == [15, 16, 17]
+    with pytest.raises(error) as info:
+        fit.fit_law(series, "chinchilla")
+    assert str(info.value) == str(alone[15])
+
+
+@pytest.mark.parametrize("per_group", [1, 3, 25])
+def test_failed_starts_are_skipped(monkeypatch, per_group):
+    series = _series(2, 0.05)
+    spec = fit.FAMILIES["chinchilla"]
+    config = fit.FitConfig()
+    inputs = spec.extract(series)
+    obs = fit._losses(series)
+    lo, hi = fit._bounds(spec, obs, None)
+    starts = fit._build_starts(spec, inputs, obs, config, lo, hi)
+    ref = [_ref_run_start(spec, inputs, obs, s, lo, hi, config) for s in starts]
+    ranked = sorted(range(len(ref)), key=lambda i: (ref[i][1], i))
+    # the best start raises FloatingPointError at its start point, and the
+    # second best gets non-finite residuals there
+    raising, non_finite = starts[ranked[0]], starts[ranked[1]]
+
+    def wrap(value_and_jacobian):
+        def evaluate(theta, prepared):
+            value, jac = value_and_jacobian(theta, prepared)
+            for i, vec in enumerate(theta):
+                if vec[2] == raising[2] and vec[4] == raising[4]:
+                    raise FloatingPointError("overflow")
+                if vec[2] == non_finite[2] and vec[4] == non_finite[4]:
+                    value[i, 0] = math.nan
+            return value, jac
+
+        return evaluate
+
+    _with_evaluator(monkeypatch, "chinchilla", wrap)
+    monkeypatch.setattr(fit, "_GROUP_FLOATS", per_group * 5 * len(series.records))
+    result = fit.fit_law(series, "chinchilla")
+    x, objective, converged, n_iters, trace = ref[ranked[2]]
+    assert result.params == spec.make_params(x)
+    assert result.best_objective == objective
+    assert result.objective_trace == tuple(trace)
+    assert result.n_starts_tried == len(starts)
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +786,16 @@ def test_fused_value_and_jacobian_match_unfused_formulas(seed):
         (SubOptimalParams, laws.suboptimal_value_and_jacobian, laws.prepare_nd(n, d), (n, d)),
     ]
     for law, fused, prepared, raw in cases:
-        params = _random_params(rng, law)
+        # a stack of laws; each row against its law alone
+        stack = [_random_params(rng, law) for _ in range(int(rng.integers(1, 6)))]
+        theta = np.array([dataclasses.astuple(params) for params in stack])
         evaluate, gradient = _REF_LAWS[law]
-        value, jac = fused(params, prepared)
-        assert np.array_equal(value, evaluate(params, *raw))
-        assert np.array_equal(jac, gradient(params, *raw))
-        assert jac.flags.c_contiguous
+        value, jac = fused(theta, prepared)
+        assert value.shape == (len(stack), m)
+        assert jac.shape == (len(stack), theta.shape[1], m) and jac.flags.c_contiguous
+        for i, params in enumerate(stack):
+            assert np.array_equal(value[i], evaluate(params, *raw))
+            assert np.array_equal(jac[i].T, gradient(params, *raw))
     # the public evaluators and gradients share the fused formulas
     params = _random_params(rng, SubOptimalParams)
     assert np.array_equal(laws.eval_suboptimal(params, n, d), _ref_eval_suboptimal(params, n, d))
@@ -628,18 +840,16 @@ def test_fused_jacobian_matches_central_differences():
                             rng.uniform(0.05, 0.6), np.exp(rng.uniform(0.0, 6.0)),
                             rng.uniform(0.05, 0.6), rng.uniform(0.0, 0.02),
                             rng.uniform(0.0, 0.02)])[: len(laws.param_keys(law))]
-        value, jac = fused(law(*vec), prepared)
+        # one stack: the point, then each coordinate stepped up and down
+        eps = 1e-6 * np.maximum(1.0, np.abs(vec))
+        up = vec + np.diag(eps)
+        dn = np.maximum(vec - np.diag(eps), 0.0)  # e and k stay >= 0
+        value, jac = fused(np.vstack([vec, up, dn]), prepared)
         # differencing noise: about 1e-16 of the value over a 1e-6 step
-        atol = 1e-8 * float(np.abs(value).max())
+        atol = 1e-8 * float(np.abs(value[0]).max())
         for i in range(len(vec)):
-            eps = 1e-6 * max(1.0, abs(vec[i]))
-            up, dn = vec.copy(), vec.copy()
-            up[i] += eps
-            dn[i] = max(dn[i] - eps, 0.0)  # e and k stay >= 0
-            numeric = (fused(law(*up), prepared)[0] - fused(law(*dn), prepared)[0]) / (
-                up[i] - dn[i]
-            )
-            assert np.all(np.abs(jac[:, i] - numeric) <= 1e-4 * np.abs(numeric) + atol)
+            numeric = (value[1 + i] - value[1 + len(vec) + i]) / (up[i, i] - dn[i, i])
+            assert np.all(np.abs(jac[0, i] - numeric) <= 1e-4 * np.abs(numeric) + atol)
 
     check()
 
