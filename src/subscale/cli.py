@@ -404,7 +404,8 @@ def cmd_density(args) -> int:
         embeddings, args.k, seed=args.seed, max_iters=args.max_iters
     )
     report = density.dataset_density(embeddings, clustering)
-    _write_json(out / "density_report.json", report.to_dict())
+    # plain fields: a dataclass would send _json_default to import laws
+    _write_json(out / "density_report.json", dataclasses.asdict(report))
     _write_manifest(args, out, ["density_report.json"], seed=args.seed)
     print(
         f"k={report.k} n={report.n_total} dim={report.dim} "
@@ -424,22 +425,20 @@ def cmd_select(args) -> int:
         embeddings, args.k, seed=args.seed, max_iters=args.max_iters
     )
     before = density.dataset_density(embeddings, clustering)
-    retained = density.select_low_density(
+    rows = density.select_low_density(
         embeddings,
         clustering,
         keep_fraction=args.keep_fraction,
         target_log_density=args.target_log_density,
     )
-    kept_emb, kept_clustering = density.apply_selection(embeddings, clustering, retained)
-    after = density.dataset_density(kept_emb, kept_clustering)
-    (out / "retained_ids.txt").write_text(
-        "\n".join(retained) + "\n", encoding="utf-8"
-    )
+    kept, kept_clustering = density.apply_selection(embeddings, clustering, rows)
+    after = density.dataset_density(kept, kept_clustering)
+    (out / "retained_ids.txt").write_text("\n".join(kept.ids) + "\n", encoding="utf-8")
     _write_json(
         out / "selection.json",
         {
             "n_before": embeddings.n_samples,
-            "n_after": len(retained),
+            "n_after": kept.n_samples,
             "log_density_before": before.log_density,
             "log_density_after": after.log_density,
             "k_before": before.k,
@@ -448,7 +447,7 @@ def cmd_select(args) -> int:
     )
     _write_manifest(args, out, ["retained_ids.txt", "selection.json"], seed=args.seed)
     print(
-        f"kept {len(retained)}/{embeddings.n_samples}; "
+        f"kept {kept.n_samples}/{embeddings.n_samples}; "
         f"log density {before.log_density:.6g} -> {after.log_density:.6g}"
     )
     return 0

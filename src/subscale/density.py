@@ -12,7 +12,7 @@ redundant, low-diversity data.
 
 Everything is computed in log space: the ball-volume constant overflows
 64-bit floats for n of a few hundred, routine for text embeddings.  Raw
-densities are materialized on request and flagged when they overflow.
+densities are fields too: None, and flagged, where they overflow.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import bisect
 import heapq
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    CONTROL_CHARACTER,
     DegenerateGeometry,
     EmbeddingFormatError,
     KTooLarge,
@@ -108,6 +109,16 @@ class Clustering:
         )
 
 
+def _fill_raw_density(summary) -> None:
+    """Set ``density`` to exp(log_density), None where it overflows a double."""
+    try:
+        raw = math.exp(summary.log_density)
+    except OverflowError:
+        raw = None
+    object.__setattr__(summary, "density", raw)
+    object.__setattr__(summary, "density_overflowed", raw is None)
+
+
 @dataclass(frozen=True)
 class ClusterDensity:
     """Per-cluster density summary; radius is floored when degenerate."""
@@ -117,54 +128,27 @@ class ClusterDensity:
     radius: float
     log_density: float
     radius_floored: bool = False
+    density: float | None = field(init=False)
+    density_overflowed: bool = field(init=False)
 
-    @property
-    def density(self) -> float:
-        try:
-            return math.exp(self.log_density)
-        except OverflowError:
-            return math.inf
-
-    def to_dict(self) -> dict:
-        raw = self.density
-        return {
-            "cluster_id": self.cluster_id,
-            "n_samples": self.n_samples,
-            "radius": self.radius,
-            "log_density": self.log_density,
-            "density": None if math.isinf(raw) else raw,
-            "density_overflowed": math.isinf(raw),
-            "radius_floored": self.radius_floored,
-        }
+    def __post_init__(self) -> None:
+        _fill_raw_density(self)
 
 
 @dataclass(frozen=True)
 class DatasetDensityReport:
     weighted_radius: float
     log_density: float
-    density: float
     normalized_density: float
     per_cluster: tuple[ClusterDensity, ...]
     k: int
     dim: int
     n_total: int
+    density: float | None = field(init=False)
+    density_overflowed: bool = field(init=False)
 
-    @property
-    def density_overflowed(self) -> bool:
-        return math.isinf(self.density)
-
-    def to_dict(self) -> dict:
-        return {
-            "weighted_radius": self.weighted_radius,
-            "log_density": self.log_density,
-            "density": None if self.density_overflowed else self.density,
-            "density_overflowed": self.density_overflowed,
-            "normalized_density": self.normalized_density,
-            "k": self.k,
-            "dim": self.dim,
-            "n_total": self.n_total,
-            "per_cluster": [c.to_dict() for c in self.per_cluster],
-        }
+    def __post_init__(self) -> None:
+        _fill_raw_density(self)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +253,35 @@ def _log1p_density(log_rho: float) -> float:
     return max(value, 1e-12)
 
 
+# The per-cluster terms that the report and the selection both read.
+
+
+def _members(
+    embeddings: EmbeddingSet, clustering: Clustering, cluster_id: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A cluster's rows, ascending, and their distances to its centroid."""
+    rows = np.flatnonzero(clustering.assignment == cluster_id)
+    dists = np.linalg.norm(
+        embeddings.vectors[rows] - clustering.centroids[cluster_id], axis=1
+    )
+    return rows, dists
+
+
+def _floored_log_density(
+    count: int, dim: int, dist_sum: float, radius_floor: float
+) -> tuple[float, float]:
+    """Mean member distance floored at ``radius_floor``, and its log density."""
+    radius = max(dist_sum / count, radius_floor)
+    return radius, log_density_from_radius(count, dim, radius)
+
+
+def _centroid_offsets(clustering: Clustering) -> np.ndarray:
+    """Each centroid's distance to the grand centroid, in cluster id order."""
+    return np.linalg.norm(
+        clustering.centroids - clustering.grand_centroid[None, :], axis=1
+    )
+
+
 def cluster_density(
     embeddings: EmbeddingSet,
     clustering: Clustering,
@@ -276,20 +289,19 @@ def cluster_density(
     radius_floor: float = DEFAULT_RADIUS_FLOOR,
 ) -> ClusterDensity:
     """Density of one cluster from its mean member-to-centroid distance."""
-    members = np.flatnonzero(clustering.assignment == cluster_id)
-    if members.size == 0:
+    rows, dists = _members(embeddings, clustering, cluster_id)
+    if rows.size == 0:
         raise ValueError(f"cluster {cluster_id} is empty")
-    centroid = clustering.centroids[cluster_id]
-    dists = np.linalg.norm(embeddings.vectors[members] - centroid, axis=1)
-    raw_radius = float(dists.mean())
-    floored = raw_radius < radius_floor
-    radius = max(raw_radius, radius_floor)
+    dist_sum = float(dists.sum())
+    radius, log_density = _floored_log_density(
+        rows.size, embeddings.dim, dist_sum, radius_floor
+    )
     return ClusterDensity(
         cluster_id=int(cluster_id),
-        n_samples=int(members.size),
+        n_samples=int(rows.size),
         radius=radius,
-        log_density=log_density_from_radius(members.size, embeddings.dim, radius),
-        radius_floored=floored,
+        log_density=log_density,
+        radius_floored=dist_sum / rows.size < radius_floor,
     )
 
 
@@ -304,13 +316,10 @@ def dataset_radius(
     by_id = {c.cluster_id: c for c in per_cluster}
     if sorted(by_id) != list(range(clustering.k)):
         raise ValueError("per_cluster must cover every cluster exactly once")
-    dists = np.linalg.norm(
-        clustering.centroids - clustering.grand_centroid[None, :], axis=1
-    )
     denoms = np.array(
         [_log1p_density(by_id[cid].log_density) for cid in range(clustering.k)]
     )
-    return _weighted_radius(dists, denoms)
+    return _weighted_radius(_centroid_offsets(clustering), denoms)
 
 
 def _weighted_radius(offsets: np.ndarray, denoms: np.ndarray) -> float:
@@ -332,14 +341,9 @@ def dataset_density(
     )
     radius = dataset_radius(clustering, per_cluster)
     log_rho = log_density_from_radius(embeddings.n_samples, embeddings.dim, radius)
-    try:
-        raw = math.exp(log_rho)
-    except OverflowError:
-        raw = math.inf
     return DatasetDensityReport(
         weighted_radius=radius,
         log_density=log_rho,
-        density=raw,
         normalized_density=math.exp(log_rho / embeddings.dim),
         per_cluster=per_cluster,
         k=clustering.k,
@@ -359,8 +363,8 @@ def select_low_density(
     keep_fraction: float | None = None,
     target_log_density: float | None = None,
     radius_floor: float = DEFAULT_RADIUS_FLOOR,
-) -> list[str]:
-    """Greedily prune dense clusters; return the retained sample ids.
+) -> list[int]:
+    """Greedily prune dense clusters; return the retained rows, ascending.
 
     Each step removes, from the cluster with the highest current log
     density, the member closest to that cluster's centroid (the most
@@ -383,7 +387,7 @@ def select_low_density(
             raise TargetUnreachable(f"keep_fraction {keep_fraction!r} not in (0, 1]")
         keep_target = max(1, math.ceil(keep_fraction * n))
         if keep_target == n:
-            return list(embeddings.ids)
+            return list(range(n))
 
     # Per cluster: rows closest first (distance, then row id), and the
     # member-distance sum after each removal.  The sum starts from the
@@ -392,10 +396,7 @@ def select_low_density(
     order: list[list[int]] = []
     dist_sums: list[list[float]] = []
     for cid in range(clustering.k):
-        rows = np.flatnonzero(clustering.assignment == cid)
-        dists = np.linalg.norm(
-            embeddings.vectors[rows] - clustering.centroids[cid], axis=1
-        )
+        rows, dists = _members(embeddings, clustering, cid)
         by_dist = np.lexsort((rows, dists))
         order.append(rows[by_dist].tolist())
         steps = np.concatenate(([float(dists.sum())], dists[by_dist]))
@@ -404,8 +405,8 @@ def select_low_density(
 
     def cluster_log_density(cid: int) -> float:
         count = len(order[cid]) - taken[cid]
-        radius = max(dist_sums[cid][taken[cid]] / count, radius_floor)
-        return log_density_from_radius(count, dim, radius)
+        dist_sum = dist_sums[cid][taken[cid]]
+        return _floored_log_density(count, dim, dist_sum, radius_floor)[1]
 
     live = [cid for cid in range(clustering.k) if order[cid]]
     live_log_density = [cluster_log_density(cid) for cid in live]
@@ -413,9 +414,7 @@ def select_low_density(
     heapq.heapify(heap)
     if target_log_density is not None:
         # the dataset density's terms for the live clusters, in id order
-        live_offsets = np.linalg.norm(
-            clustering.centroids - clustering.grand_centroid[None, :], axis=1
-        )[live]
+        live_offsets = _centroid_offsets(clustering)[live]
         live_denoms = np.array([_log1p_density(ld) for ld in live_log_density])
 
     removed = np.zeros(n, dtype=bool)
@@ -453,40 +452,24 @@ def select_low_density(
             else:
                 live_denoms[pos] = _log1p_density(ld)
 
-    return [sid for sid, gone in zip(embeddings.ids, removed) if not gone]
+    return np.flatnonzero(~removed).tolist()
 
 
-def subset_embeddings(embeddings: EmbeddingSet, ids: list[str]) -> np.ndarray:
-    """Boolean row mask for the given ids (order-independent)."""
-    wanted = set(ids)
-    return np.array([i in wanted for i in embeddings.ids], dtype=bool)
-
-
-def restrict_clustering(clustering: Clustering, keep_mask: np.ndarray) -> Clustering:
-    """Clustering over the kept rows with the original centroids.
+def apply_selection(
+    embeddings: EmbeddingSet, clustering: Clustering, rows: list[int]
+) -> tuple[EmbeddingSet, Clustering]:
+    """The given rows, and their clustering over the original centroids.
 
     Centroids are deliberately not recomputed: selection reasons about the
     fixed geometry, and density comparisons before/after pruning must use
     the same centroids to be meaningful.  Emptied clusters are dropped and
-    the remaining ones renumbered.
+    the remaining ones renumbered in id order.
     """
-    assignment = clustering.assignment[keep_mask]
-    live = np.unique(assignment)
-    remap = {int(old): new for new, old in enumerate(live)}
-    new_assignment = np.array([remap[int(a)] for a in assignment], dtype=int)
-    return Clustering.from_parts(new_assignment, clustering.centroids[live])
-
-
-def apply_selection(
-    embeddings: EmbeddingSet, clustering: Clustering, ids: list[str]
-) -> tuple[EmbeddingSet, Clustering]:
-    """Embedding subset plus the restricted clustering for the kept ids."""
-    mask = subset_embeddings(embeddings, ids)
+    live, assignment = np.unique(clustering.assignment[rows], return_inverse=True)
     kept = EmbeddingSet(
-        vectors=embeddings.vectors[mask],
-        ids=tuple(i for i, m in zip(embeddings.ids, mask) if m),
+        vectors=embeddings.vectors[rows], ids=tuple(embeddings.ids[i] for i in rows)
     )
-    return kept, restrict_clustering(clustering, mask)
+    return kept, Clustering.from_parts(assignment, clustering.centroids[live])
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +520,13 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
                 if len(row) != len(header):
                     raise EmbeddingFormatError(
                         str(path), f"line {line_no}: expected {len(header)} columns"
+                    )
+                control = CONTROL_CHARACTER.search(row[0])
+                if control:
+                    raise EmbeddingFormatError(
+                        str(path),
+                        f"line {line_no}: id {row[0]!r} holds the control "
+                        f"character {control.group()!r}",
                     )
                 ids.append(row[0])
                 try:

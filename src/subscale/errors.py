@@ -7,6 +7,13 @@ Every error carries enough context to name the offending row, run, or bin.
 
 from __future__ import annotations
 
+import re
+
+# C0 controls and DEL, rejected in run ids and embedding ids: a text cell or
+# line of ids holding one (a bare carriage return, say) splits its row for a
+# CSV reader
+CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f]")
+
 
 class SubscaleError(Exception):
     """Base class for all toolkit errors."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -26,6 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
+    CONTROL_CHARACTER,
     MalformedRecord,
     MissingColumn,
     MissingField,
@@ -48,9 +48,6 @@ CSV_COLUMNS = (
 _REQUIRED_COLUMNS = ("run_id", "model_size", "tokens", "loss")
 _COUNT_FIELDS = ("model_size", "tokens", "step", "batch_size")
 _MAX_COUNT = 2**53
-# C0 controls and DEL: a table cell holding one (a bare carriage return, say)
-# can split its row for a CSV reader
-_CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f]")
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def _record_from_mapping(raw: dict, row: int) -> TrainingRun:
             raise MissingColumn(key)
     tag = raw.get("dataset_tag")
     run_id = str(raw["run_id"])
-    control = _CONTROL_CHARACTER.search(run_id)
+    control = CONTROL_CHARACTER.search(run_id)
     if control:
         raise MalformedRecord(
             row, f"run_id {run_id!r} holds the control character {control.group()!r}"

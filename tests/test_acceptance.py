@@ -278,7 +278,7 @@ def test_c07_selection_monotonicity():
     emb, labels = synth.gen_blobs(spec)
     clustering = density.kmeans(emb, 2, seed=0)
     retained = density.select_low_density(emb, clustering, keep_fraction=0.8)
-    removed = set(emb.ids) - set(retained)
+    removed = set(emb.ids) - {emb.ids[i] for i in retained}
     id_to_label = dict(zip(emb.ids, labels))
     assert removed and all(id_to_label[i] == 0 for i in removed)
     _ok(7, "selection monotonicity")

@@ -323,6 +323,66 @@ def test_select_lowers_density(tmp_path, blob_fixture):
     assert sel["log_density_after"] <= sel["log_density_before"]
 
 
+def test_select_with_duplicate_ids_reports_the_kept_rows(tmp_path):
+    # 40 rows share 10 ids: the selection keeps rows, so an id can be kept
+    # for one of its rows and dropped for another.  The same vectors with
+    # unique ids name the rows that are kept.
+    rng = np.random.default_rng(8)
+    x = np.vstack([rng.normal(size=(25, 3)) * 0.3, rng.normal(size=(15, 3)) + 4.0])
+    shared = [f"d{i % 10}" for i in range(40)]
+    results = {}
+    for name, ids in (("unique", [str(i) for i in range(40)]), ("shared", shared)):
+        path = tmp_path / f"{name}.csv"
+        density.save_embeddings(path, density.EmbeddingSet.from_array(x, ids))
+        out = tmp_path / name
+        argv = ["select", str(path), "--k", "2", "--keep-fraction", "0.5", "-o", str(out)]
+        assert main(argv) == 0
+        lines = (out / "retained_ids.txt").read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == ""
+        results[name] = (lines[:-1], json.loads((out / "selection.json").read_text()))
+    rows = [int(i) for i in results["unique"][0]]
+    kept_ids, sel = results["shared"]
+    assert len(kept_ids) == sel["n_after"] == len(rows) == 20
+    assert kept_ids == [shared[r] for r in rows]
+
+    # the dataset density of the kept rows, their clusters renumbered, over
+    # the fixed centroids
+    clustering = density.kmeans(density.EmbeddingSet.from_array(x), 2, seed=0)
+    labels = clustering.assignment[rows].tolist()
+    live = sorted(set(labels))
+    after = density.dataset_density(
+        density.EmbeddingSet.from_array(x[rows]),
+        density.Clustering.from_parts(
+            [live.index(c) for c in labels], clustering.centroids[live]
+        ),
+    )
+    assert sel["log_density_after"] == after.log_density
+    assert sel["k_after"] == after.k
+
+
+@pytest.mark.parametrize(
+    "control", ["\r", "\n", "\t", "\x00", "\x1f", "\x7f"],
+    ids=["CR", "LF", "TAB", "NUL", "US", "DEL"],
+)
+@pytest.mark.parametrize(
+    "command", [["density"], ["select", "--keep-fraction", "0.95"]], ids=["density", "select"]
+)
+def test_control_character_in_embedding_id_is_exit_one(tmp_path, capsys, command, control):
+    # a line feed in an id would split its line of retained_ids.txt
+    x = np.random.default_rng(2).normal(size=(40, 3))
+    ids = [f"r{i}" for i in range(40)]
+    ids[1] = f"a{control}b"
+    path = tmp_path / "vectors.csv"
+    density.save_embeddings(path, density.EmbeddingSet.from_array(x, ids))
+    out = tmp_path / "out"
+    assert main(command + [str(path), "--k", "2", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"subscale {command[0]}: {path}: line 3: id {ids[1]!r} holds the control "
+        f"character {control!r}\n"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------

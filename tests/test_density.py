@@ -225,7 +225,7 @@ def test_high_dimensional_log_density_finite_raw_overflows():
     report = density.dataset_density(emb, clustering)
     assert math.isfinite(report.log_density)
     assert report.density_overflowed
-    assert report.to_dict()["density"] is None
+    assert report.density is None
 
     # full scalar recomputation of the analytic log expression
     expected = (
@@ -282,7 +282,7 @@ def test_select_full_fraction_is_noop():
     emb, _ = synth.gen_blobs(_two_blob_spec())
     clustering = density.kmeans(emb, 2, seed=0)
     retained = density.select_low_density(emb, clustering, keep_fraction=1.0)
-    assert retained == list(emb.ids)
+    assert [emb.ids[i] for i in retained] == list(emb.ids)
 
 
 def test_select_prunes_populous_blob_first():
@@ -290,7 +290,7 @@ def test_select_prunes_populous_blob_first():
     emb, labels = synth.gen_blobs(spec)
     clustering = density.kmeans(emb, 2, seed=0)
     retained = density.select_low_density(emb, clustering, keep_fraction=0.7)
-    removed = set(emb.ids) - set(retained)
+    removed = set(emb.ids) - {emb.ids[i] for i in retained}
     assert len(removed) == emb.n_samples - math.ceil(0.7 * emb.n_samples)
     id_to_label = dict(zip(emb.ids, labels))
     # all removals must come from the 10x more populous blob
@@ -303,7 +303,7 @@ def test_select_oracle_densest_cluster_each_step():
     emb, _ = synth.gen_blobs(spec)
     clustering = density.kmeans(emb, 2, seed=0)
     retained = density.select_low_density(emb, clustering, keep_fraction=0.6)
-    removed_rows = [i for i, sid in enumerate(emb.ids) if sid not in set(retained)]
+    removed_rows = sorted(set(range(emb.n_samples)) - set(retained))
 
     # oracle: greedy with full recomputation
     alive = np.ones(emb.n_samples, dtype=bool)

@@ -75,7 +75,7 @@ def reference_select(
             raise TargetUnreachable(f"keep_fraction {keep_fraction!r} not in (0, 1]")
         keep_target = max(1, math.ceil(keep_fraction * n))
         if keep_target == n:
-            return list(embeddings.ids)
+            return list(range(n))
 
     centroid_offsets = np.linalg.norm(
         clustering.centroids - clustering.grand_centroid[None, :], axis=1
@@ -116,7 +116,7 @@ def reference_select(
         removed.add(states[densest].pop_closest())
         retained -= 1
 
-    return [embeddings.ids[i] for i in range(n) if i not in removed]
+    return [i for i in range(n) if i not in removed]
 
 
 # ---------------------------------------------------------------------------

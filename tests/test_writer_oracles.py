@@ -1,22 +1,25 @@
 """The one result-table writer of ``cli`` against the serializers it replaced.
 
-``FitResult``, ``ComparisonRow``, ``ComparisonTable`` and ``AllocationPlan``
-each used to carry their own ``to_dict`` (and the first and third a
-``to_csv_text``), and the CLI joined residual, prediction, sweep and label
-rows with bare commas through ``_csv_line``.  Frozen copies of that code are
-kept below only as oracles: on real results, every file the new writer
-gives must equal theirs byte for byte.  The one intended difference, a text
-cell that needs CSV quoting, is pinned in ``test_cli.py``.
+``FitResult``, ``ComparisonRow``, ``ComparisonTable``, ``AllocationPlan``,
+``ClusterDensity`` and ``DatasetDensityReport`` each used to carry their own
+``to_dict`` (and the first and third a ``to_csv_text``), and the CLI joined
+residual, prediction, sweep and label rows with bare commas through
+``_csv_line``.  Frozen copies of that code are kept below only as oracles:
+on real results, every file the new writer gives must equal theirs byte for
+byte.  The one intended difference, a text cell that needs CSV quoting, is
+pinned in ``test_cli.py``.
 """
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from subscale import alloc, cli, fit, laws, runs, synth
+from subscale import alloc, cli, density, fit, laws, runs, synth
 from subscale.laws import params_to_dict
+from subscale.rng import SplitMix64
 
 REF = laws.SubOptimalParams(1.372, 61.929, 0.272, 455.345, 0.289, 0.00810, 0.00114)
 
@@ -106,6 +109,42 @@ def _ref_allocation_dict(plan) -> dict:
         "otr_star": plan.otr_star,
         "predicted_loss": plan.predicted_loss,
         "law": params_to_dict(plan.law),
+    }
+
+
+def _ref_raw_density(log_density) -> float:
+    # the deleted ``density`` properties, and dataset_density's raw value
+    try:
+        return math.exp(log_density)
+    except OverflowError:
+        return math.inf
+
+
+def _ref_cluster_density_dict(c) -> dict:
+    raw = _ref_raw_density(c.log_density)
+    return {
+        "cluster_id": c.cluster_id,
+        "n_samples": c.n_samples,
+        "radius": c.radius,
+        "log_density": c.log_density,
+        "density": None if math.isinf(raw) else raw,
+        "density_overflowed": math.isinf(raw),
+        "radius_floored": c.radius_floored,
+    }
+
+
+def _ref_density_report_dict(report) -> dict:
+    raw = _ref_raw_density(report.log_density)
+    return {
+        "weighted_radius": report.weighted_radius,
+        "log_density": report.log_density,
+        "density": None if math.isinf(raw) else raw,
+        "density_overflowed": math.isinf(raw),
+        "normalized_density": report.normalized_density,
+        "k": report.k,
+        "dim": report.dim,
+        "n_total": report.n_total,
+        "per_cluster": [_ref_cluster_density_dict(c) for c in report.per_cluster],
     }
 
 
@@ -263,6 +302,39 @@ def test_synth_labels_match_reference(tmp_path):
     embeddings, labels = synth.gen_blobs(spec)
     lines = ["id,label"] + [f"{i},{lab}" for i, lab in zip(embeddings.ids, labels)]
     assert _read(out / "labels.csv") == "\n".join(lines) + "\n"
+
+
+def _blobs():
+    return synth.gen_blobs(synth.BlobSpec(
+        k=3, dim=4, seed=5,
+        per_cluster=(synth.BlobCluster(30, (0.0, 0.0, 0.0, 0.0), 0.4),
+                     synth.BlobCluster(20, (6.0, 0.0, 6.0, 0.0), 1.1),
+                     synth.BlobCluster(12, (0.0, -5.0, 0.0, 5.0), 0.7)),
+    ))[0]
+
+
+def _wide():
+    # 768 dimensions: the dataset density and both cluster densities overflow
+    vectors = 0.05 * SplitMix64(6).normals(768 * 40).reshape(40, 768)
+    vectors[20:] += 1.0
+    return density.EmbeddingSet.from_array(vectors)
+
+
+@pytest.mark.parametrize(
+    "make, k, overflowed", [(_blobs, 3, False), (_wide, 2, True)], ids=["finite", "wide"]
+)
+def test_density_report_matches_reference(tmp_path, make, k, overflowed):
+    path = tmp_path / "vectors.csv"
+    density.save_embeddings(path, make())
+    out = tmp_path / "out"
+    assert cli.main(["density", str(path), "--k", str(k), "-o", str(out)]) == 0
+
+    emb = density.load_embeddings(path)
+    report = density.dataset_density(emb, density.kmeans(emb, k, seed=0))
+    assert report.density_overflowed is overflowed
+    want = _ref_density_report_dict(report)
+    assert [c["density_overflowed"] for c in want["per_cluster"]] == [overflowed] * k
+    assert _read(out / "density_report.json") == _ref_json_text(want)
 
 
 @pytest.mark.parametrize(
