@@ -79,6 +79,14 @@ class EmbeddingSet:
             ids = tuple(str(i) for i in ids)
             if len(ids) != arr.shape[0]:
                 raise ValueError("ids length must match number of rows")
+            # a saved CSV of such an id would not load again
+            for row, sample_id in enumerate(ids):
+                control = CONTROL_CHARACTER.search(sample_id)
+                if control:
+                    raise ValueError(
+                        f"row {row}: id {sample_id!r} holds the control "
+                        f"character {control.group()!r}"
+                    )
         return EmbeddingSet(vectors=arr, ids=ids)
 
 

@@ -23,19 +23,22 @@ This keeps the logistic in its informative regime and removes most of the
 multimodality.
 
 The starts of a fit run in lockstep, in groups of consecutive starts sized
-so that one stack of Jacobians stays small (a whole 25-start grid on 88
+so that one stack of Jacobians stays small (a whole 25-start grid on 550
 records is one group).  Each LM round makes one fused
 ``*_value_and_jacobian`` call for every running start of the group, and
 does the pinned masks, clipping, stop tests, objectives and the normal
-matrices as stacked numpy operations; only ``np.linalg.lstsq`` on each
-damped system and each start's damping update stay per start.  Every start
-keeps the arithmetic of a start run alone, so its iterate, objective,
-trace, iteration count and outcome are bit for bit those of the serial
-loop this engine replaced (``tests/test_fit_oracles.py`` keeps that loop
-as the oracle).  Keeping them so takes care; see the README's "Fitting
-engine" for the rules.  When a group raises, its starts run again one at a
-time, so the error belongs to the start that raised it and ``fit_law``
-raises for the earliest such start, as a loop over the starts would.
+matrices as stacked numpy operations.  The round's least-squares systems
+are solved in classes of one shape (damped or polishing, and the number of
+free coordinates), each with one call of the LAPACK routine that
+``np.linalg.lstsq`` calls once per system; only each start's damping update
+stays per start.  Every start keeps the arithmetic of a start run alone,
+so its iterate, objective, trace, iteration count and outcome are bit for
+bit those of the serial loop this engine replaced
+(``tests/test_fit_oracles.py`` keeps that loop as the oracle).  Keeping
+them so takes care; see the README's "Fitting engine" for the rules.  When
+a group raises, its starts run again one at a time, so the error belongs to
+the start that raised it and ``fit_law`` raises for the earliest such
+start, as a loop over the starts would.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     FamilyMismatch,
@@ -495,8 +499,10 @@ def _build_starts(
 # ---------------------------------------------------------------------------
 
 # Starts per group: as many as keep one stack of Jacobians (starts x
-# parameters x records) within this many floats, and at least one.
-_GROUP_FLOATS = 20_000
+# parameters x records) within this many floats, and at least one.  A
+# 25-start suboptimal grid on 550 records is one group; 25k records run one
+# start at a time.
+_GROUP_FLOATS = 96_250
 
 
 class _StartFailed(Exception):
@@ -583,6 +589,52 @@ class _Stack:
             setattr(self, name, list(itertools.compress(getattr(self, name), mask)))
 
 
+def _lstsq(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(lhs[i], rhs[i], rcond=None)[0]`` for every i, in one call.
+
+    ``lhs`` is (systems, rows, cols) and ``rhs`` (systems, rows).  This is
+    the LAPACK ``gelsd`` gufunc that ``np.linalg.lstsq`` calls once per
+    system, with the same signature and cutoff, so every solution keeps its
+    bits; what it skips is the wrapper's Python, once per system.
+    """
+    rows, cols = lhs.shape[1:]
+    rcond = np.finfo(float).eps * max(rows, cols)
+    # the gufunc flags a failed SVD as an invalid operation, and only that
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            x = _umath_linalg.lstsq(lhs, rhs[:, :, None], rcond, signature="ddd->ddid")[0]
+        except FloatingPointError:
+            # what np.linalg.lstsq raises; fit_law skips a FloatingPointError
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares") from None
+    return x[:, :, 0]
+
+
+def _class_steps(st: _Stack, free: np.ndarray, idx: np.ndarray, k: int, damped: bool,
+                 step: np.ndarray) -> None:
+    """Fill ``step`` for the rows ``idx``, all damped or all polishing, k free each."""
+    n, m = st.jw.shape[1:]
+    rows = idx if len(idx) < len(st.rows) else slice(None)  # a view when every row
+    if k == n:
+        at = rows
+        jw = st.jw[rows]
+    else:
+        # each row's free coordinates, in ascending order
+        pos, col = np.nonzero(free[idx])
+        at = (idx[pos], col)
+        jw = st.jw[at].reshape(len(idx), k, m)
+    if damped:
+        lhs = np.zeros((len(idx), m + k, k))
+        lhs[:, :m] = jw.transpose(0, 2, 1)
+        diag = np.arange(k)
+        lhs[:, m + diag, diag] = np.sqrt([st.mu[i] for i in idx.tolist()])[:, None]
+        rhs = np.zeros((len(idx), m + k))
+        np.negative(st.rw[rows], out=rhs[:, :m])
+    else:
+        lhs, rhs = jw.transpose(0, 2, 1), np.negative(st.rw[rows])
+    solution = _lstsq(lhs, rhs)
+    step[at] = solution if k == n else solution.reshape(-1)
+
+
 def _lockstep_lm(
     evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
@@ -616,8 +668,7 @@ def _lockstep_lm(
         outcomes[i] = _StartFailed("non-finite residuals at the start point")
     rows = np.flatnonzero(finite)
     st = _Stack(rows, x[rows], r[rows], jac[rows], huber_delta)
-    m, n = r.shape[1], x.shape[1]
-    diag = np.arange(n)
+    del r, jac  # the stack holds copies of its rows
 
     def finish(done: list[bool]) -> None:
         for i in itertools.compress(range(len(done)), done):
@@ -653,23 +704,14 @@ def _lockstep_lm(
         # damped steps solve the augmented system [J; sqrt(mu) I] d = [-r; 0]:
         # the normal equations would square the conditioning and visibly
         # degrade the flat direction of log-log power fits.  Polishing rows
-        # solve J d = -r.
-        aug = np.zeros((len(st.rows), m + n, n))
-        aug[:, :m] = st.jw.transpose(0, 2, 1)
-        aug[:, m + diag, diag] = np.sqrt(st.mu)[:, None]
-        rhs = np.zeros((len(st.rows), m + n))
-        np.negative(st.rw, out=rhs[:, :m])
+        # solve J d = -r.  Rows of one shape share one LAPACK call.
         damped = [p is None for p in st.polish]
+        classes: dict[tuple[bool, int], list[int]] = {}
+        for i, key in enumerate(zip(damped, n_free)):
+            classes.setdefault(key, []).append(i)
         step = np.zeros_like(st.x)
-        for i, k in enumerate(n_free):
-            cols = slice(None) if k == n else free[i]
-            if damped[i]:
-                lhs, b = aug[i, : m + k, :k], rhs[i, : m + k]
-                if k < n:
-                    lhs[:m] = st.jw[i, cols].T
-            else:
-                lhs, b = st.jw[i, cols].T, rhs[i, :m]
-            step[i, cols] = np.linalg.lstsq(lhs, b, rcond=None)[0]
+        for (damp, k), idx in classes.items():
+            _class_steps(st, free, np.array(idx), k, damp, step)
 
         x_new = np.clip(st.x + step, lo, hi)
         r_new, jac_new = evaluate(x_new, st.rows)
@@ -729,6 +771,7 @@ def _lockstep_lm(
             elif st.n_iters[i] == max_iters:
                 st.polish[i] = 0
         st.accept(better, x_new, r_new, jac_new, obj_new)
+        del r_new, jac_new  # the stack holds copies of the accepted rows
         if any(done):
             finish(done)
     return outcomes
@@ -769,12 +812,14 @@ def _stage_residuals(
         for vec in ext[~(ext > 0).all(axis=1)]:
             spec.make_params(vec)  # the params class rejects a point outside its domain
         pred, jac_ext = spec.value_and_jacobian(ext, prepared)
-        # d ext / d theta = ext for log-scaled coordinates, 1 otherwise
-        scale = np.where(log_free, ext_free, 1.0)
-        jac_int = (jac_ext if all_free else jac_ext[:, free]) * scale[:, :, None]
+        # d ext / d theta = ext for log-scaled coordinates, 1 otherwise; the
+        # evaluator's Jacobian is fresh, so it is scaled in place
+        jac = jac_ext if all_free else jac_ext[:, free]
+        jac *= np.where(log_free, ext_free, 1.0)[:, :, None]
         if residual_space == "log":
-            return np.log(pred) - ln_obs, jac_int / pred[:, None, :]
-        return pred - obs, jac_int
+            jac /= pred[:, None, :]
+            return np.log(pred) - ln_obs, jac
+        return pred - obs, jac
 
     return evaluate
 

@@ -408,6 +408,26 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(loaded.vectors, emb.vectors)
 
 
+@pytest.mark.parametrize("char", ["\n", "\r", "\t", "\x00", "\x1f", "\x7f"])
+def test_from_array_rejects_control_character_in_id(char):
+    # a CSV saved with such an id would not load again
+    bad = f"a{char}b"
+    with pytest.raises(ValueError) as info:
+        EmbeddingSet.from_array(np.eye(3), ["x", "y", bad])
+    assert str(info.value) == f"row 2: id {bad!r} holds the control character {char!r}"
+
+
+def test_valid_ids_round_trip_through_csv(tmp_path):
+    ids = ["plain", "comma,inside", 'quote"inside', " padded ", "\u00fcn\u00efc\u00f8d\u00e9", "",
+           "7", "7"]
+    vectors = np.random.default_rng(0).standard_normal((len(ids), 3))
+    path = tmp_path / "vectors.csv"
+    density.save_embeddings(path, EmbeddingSet.from_array(vectors, ids))
+    loaded = density.load_embeddings(path)
+    assert loaded.ids == tuple(ids)
+    assert np.array_equal(loaded.vectors, vectors)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "vectors.emb"
     path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -16,6 +16,7 @@ positional code they replaced.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +459,19 @@ def _best_reference_start(spec, series, config):
     return best
 
 
+def _assert_fit_law_matches_best_reference_start(series, family):
+    spec = fit.FAMILIES[family]
+    x, objective, converged, n_iters, trace = _best_reference_start(
+        spec, series, fit.FitConfig()
+    )
+    result = fit.fit_law(series, family)
+    assert result.params == spec.make_params(x)
+    assert result.best_objective == objective
+    assert result.objective_trace == tuple(trace)
+    assert result.n_iterations == n_iters
+    assert result.converged == converged
+
+
 @pytest.mark.parametrize("family", ["power", "chinchilla", "suboptimal"])
 @pytest.mark.parametrize("data", ["ladder", "smoothed_log"])
 def test_fit_law_matches_best_reference_start_at_full_size(family, data):
@@ -468,19 +482,85 @@ def test_fit_law_matches_best_reference_start_at_full_size(family, data):
     n_starts = 5 ** sum(name.startswith("alpha") for name in spec.names)
     if data == "smoothed_log":
         assert len(series.records) == 550
-        if family != "power":
-            assert per_group < n_starts  # more than one group
-    elif family != "power":
-        assert per_group >= n_starts  # the ladder's 25 starts run as one group
-    x, objective, converged, n_iters, trace = _best_reference_start(
-        spec, series, fit.FitConfig()
-    )
-    result = fit.fit_law(series, family)
-    assert result.params == spec.make_params(x)
-    assert result.best_objective == objective
-    assert result.objective_trace == tuple(trace)
-    assert result.n_iterations == n_iters
-    assert result.converged == converged
+    assert per_group >= n_starts  # every start of the grid runs in one group
+    _assert_fit_law_matches_best_reference_start(series, family)
+
+
+@pytest.mark.parametrize("family", ["chinchilla", "suboptimal"])
+def test_fit_law_matches_best_reference_start_across_groups(monkeypatch, family):
+    # the 550-record smoothed log again, its 25 starts in 5 groups of 5
+    series = _ladder_fit_split(200, 10)
+    spec = fit.FAMILIES[family]
+    monkeypatch.setattr(fit, "_GROUP_FLOATS", 5 * len(spec.names) * len(series.records))
+    _assert_fit_law_matches_best_reference_start(series, family)
+
+
+def test_fit_peak_memory_in_jacobian_stacks():
+    # one group runs the 25-start grid on 550 records; the round keeps about
+    # four (starts, params, records) Jacobian stacks alive at its peak
+    series = _ladder_fit_split(200, 10)
+    stack = 25 * 7 * len(series.records) * 8  # bytes, 0.77 MB
+    tracemalloc.start()
+    try:
+        fit.fit_law(series, "suboptimal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * stack
+
+
+# ---------------------------------------------------------------------------
+# The stacked least-squares solver against np.linalg.lstsq
+# ---------------------------------------------------------------------------
+
+
+def _lstsq_systems(seed, count, records, cols, damped):
+    """Jacobian-like systems with columns over six decades.
+
+    The last column leaves the first by 1e-16 to 1e-12 of the largest
+    column's norm, so that some singular values fall near the rank cutoff.
+    """
+    rng = np.random.default_rng(seed)
+    jac = rng.standard_normal((count, records, cols))
+    jac *= 10.0 ** rng.uniform(-4.0, 2.0, (count, 1, cols))
+    offset = rng.standard_normal((count, records))
+    offset *= (10.0 ** rng.uniform(-16.0, -12.0, count)
+               * np.linalg.norm(jac, axis=1).max(axis=1)
+               / np.linalg.norm(offset, axis=1))[:, None]
+    jac[:, :, -1] = jac[:, :, 0] + offset
+    rhs = rng.standard_normal((count, records))
+    if not damped:
+        return jac, rhs
+    mu = 10.0 ** rng.uniform(-8.0, 4.0, count)
+    lhs = np.concatenate([jac, np.sqrt(mu)[:, None, None] * np.eye(cols)], axis=1)
+    return lhs, np.concatenate([rhs, np.zeros((count, cols))], axis=1)
+
+
+@pytest.mark.parametrize("count", [1, 2, 25])
+@pytest.mark.parametrize(
+    "records, cols, damped",
+    [(88, 7, True), (88, 5, True), (550, 7, True), (88, 7, False), (550, 7, False)],
+    ids=["damped-95x7", "damped-93x5", "damped-557x7", "undamped-88x7", "undamped-550x7"],
+)
+def test_stacked_lstsq_matches_numpy_system_by_system(count, records, cols, damped):
+    lhs, rhs = _lstsq_systems(count * records + cols, count, records, cols, damped)
+    assert lhs.shape == (count, records + cols * damped, cols)
+    got = fit._lstsq(lhs, rhs)
+    assert got.shape == (count, cols)
+    for i in range(count):
+        assert np.array_equal(got[i], np.linalg.lstsq(lhs[i], rhs[i], rcond=None)[0])
+
+
+def test_stacked_lstsq_raises_numpys_error_for_a_nan_system(capfd):
+    lhs, rhs = _lstsq_systems(0, 3, 88, 7, True)
+    lhs[1, 4, 2] = math.nan
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(lhs[1], rhs[1], rcond=None)
+    # not a FloatingPointError, which fit_law would take for a failed start
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        fit._lstsq(lhs, rhs)
+    assert str(got.value) == str(want.value) == "SVD did not converge in Linear Least Squares"
+    capfd.readouterr()  # LAPACK reports the NaN on stderr
 
 
 # ---------------------------------------------------------------------------
