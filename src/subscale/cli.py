@@ -167,13 +167,6 @@ def _load_law(path: Path) -> laws.LawParams:
     return laws.params_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
-def _runs_by_id(series: runs.RunSeries) -> dict[str, list[runs.TrainingRun]]:
-    grouped: dict[str, list[runs.TrainingRun]] = {}
-    for rec in series.records:
-        grouped.setdefault(rec.run_id, []).append(rec)
-    return grouped
-
-
 # ---------------------------------------------------------------------------
 # Plots
 # ---------------------------------------------------------------------------
@@ -189,15 +182,14 @@ def _fit_plot(
     plot = SvgPlot(
         title=title, x_label="training tokens", y_label="loss", x_log=True, y_log=True
     )
-    for i, (run_id, records) in enumerate(sorted(_runs_by_id(series).items())):
-        records = sorted(records, key=lambda r: r.tokens)
-        xs = [r.tokens for r in records]
-        ys = [r.loss for r in records]
-        sub = runs.RunSeries.from_records(records)
-        preds, _ = fit.predict(params, sub, family=family)
+    preds, _ = fit.predict(params, series, family=family)
+    # a validated series holds each run's records in token order
+    for i, (run_id, idx) in enumerate(sorted(runs.indices_by_run(series).items())):
+        xs = [series.records[j].tokens for j in idx]
+        ys = [series.records[j].loss for j in idx]
         color = None if i < 6 else "#999999"
         plot.add_series(f"{run_id} observed", xs, ys, markers=True, color=color)
-        plot.add_series(f"{run_id} fitted", xs, list(preds), dashed=True, color=color)
+        plot.add_series(f"{run_id} fitted", xs, list(preds[idx]), dashed=True, color=color)
     return plot
 
 
@@ -249,7 +241,7 @@ def cmd_ingest(args) -> int:
         series = runs.gaussian_smooth(series, args.smooth_window, args.smooth_sigma)
     runs.write_csv(series, out / "runs.csv")
     _write_manifest(args, out, ["runs.csv"])
-    n_runs = len(runs.run_ids(series))
+    n_runs = len(runs.indices_by_run(series))
     print(f"ingested {len(series)} records across {n_runs} runs -> {out / 'runs.csv'}")
     return 0
 
@@ -517,7 +509,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_replay_only(p) -> None:
+def _add_fit_options(p, family_required: bool) -> None:
+    """The options of `fit`, which `compare` shares: it replays as `fit`."""
+    p.add_argument("input", type=_path)
+    p.add_argument(
+        "--family",
+        action="append",
+        required=family_required,
+        choices=_FAMILY_CHOICES,
+        help="repeat for a comparison table",
+    )
+    p.add_argument("--config", type=_path, default=None, help="FitConfig JSON file")
+    p.add_argument("--split-fraction", type=float, default=0.25)
     # no effect: accepted so that manifests recorded with them still replay
     p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
@@ -544,18 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth-window", type=int, default=None)
     p.add_argument("--smooth-sigma", type=float, default=None)
 
-    fit_p = p = command("fit", cmd_fit, "fit one or more law families")
-    p.add_argument("input", type=_path)
-    p.add_argument(
-        "--family",
-        action="append",
-        required=True,
-        choices=_FAMILY_CHOICES,
-        help="repeat for a comparison table",
-    )
-    p.add_argument("--config", type=_path, default=None, help="FitConfig JSON file")
-    p.add_argument("--split-fraction", type=float, default=0.25)
-    _add_replay_only(p)
+    fit_p = command("fit", cmd_fit, "fit one or more law families")
+    _add_fit_options(fit_p, family_required=True)
 
     p = command("predict", cmd_predict, "evaluate a fitted law on a runs file")
     p.add_argument("input", type=_path)
@@ -564,11 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("compare", cmd_compare, "fit and rank several families")
     p.set_defaults(parser=fit_p)  # recorded and replayed as `fit`
-    p.add_argument("input", type=_path)
-    p.add_argument("--family", action="append", choices=_FAMILY_CHOICES)
-    p.add_argument("--config", type=_path, default=None)
-    p.add_argument("--split-fraction", type=float, default=0.25)
-    _add_replay_only(p)
+    _add_fit_options(p, family_required=False)
 
     p = command("alloc", cmd_alloc, "compute-optimal (N, D) for a budget")
     p.add_argument("--law", type=_path, required=True, help="law params JSON")

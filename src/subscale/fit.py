@@ -82,7 +82,7 @@ from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     suboptimal_gradient,
     suboptimal_value_and_jacobian,
 )
-from .runs import RunSeries, require_field, split_fit_holdout
+from .runs import RunSeries, column, split_fit_holdout
 
 EXPONENT_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 # Default steepness inits for the repetition factors; chosen so the
@@ -281,28 +281,16 @@ def fit_power_loglog(x, y) -> tuple[float, float]:
 
 
 def _series_nd(series: RunSeries) -> tuple[np.ndarray, np.ndarray]:
-    n = np.array([r.model_size for r in series.records], dtype=float)
-    d = np.array([r.tokens for r in series.records], dtype=float)
-    return n, d
+    return column(series, "model_size"), column(series, "tokens")
 
 
 def _losses(series: RunSeries) -> np.ndarray:
-    return np.array([r.loss for r in series.records], dtype=float)
+    return column(series, "loss")
 
 
 def _extract_compute(series: RunSeries) -> tuple[np.ndarray, ...]:
     n, d = _series_nd(series)
     return (6.0 * n * d,)
-
-
-def _extract_batch(series: RunSeries) -> tuple[np.ndarray, ...]:
-    require_field(series, "batch_size")
-    return (np.array([r.batch_size for r in series.records], dtype=float),)
-
-
-def _extract_lr(series: RunSeries) -> tuple[np.ndarray, ...]:
-    require_field(series, "learning_rate")
-    return (np.array([r.learning_rate for r in series.records], dtype=float),)
 
 
 @dataclass(frozen=True)
@@ -404,8 +392,8 @@ def _power_family(extract) -> _FamilySpec:
 
 FAMILIES: dict[str, _FamilySpec] = {
     "power": _power_family(_extract_compute),
-    "batch_power": _power_family(_extract_batch),
-    "lr_power": _power_family(_extract_lr),
+    "batch_power": _power_family(lambda s: (column(s, "batch_size"),)),
+    "lr_power": _power_family(lambda s: (column(s, "learning_rate"),)),
     "chinchilla": _FamilySpec(
         ChinchillaParams,
         _series_nd,

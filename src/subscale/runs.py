@@ -2,15 +2,17 @@
 
 A record is one point of a training trajectory: model size N (non-embedding
 parameters), cumulative tokens D, cross-entropy loss, and optional step /
-batch-size / learning-rate fields.  The file schema is fixed:
-
-CSV header (required)::
+batch-size / learning-rate fields.  ``TrainingRun``'s fields are the file
+schema.  The CSV header (required) is their names in field order::
 
     run_id,model_size,tokens,loss,step,batch_size,learning_rate,dataset_tag
 
-JSONL carries one object per record with the same keys.  Counts are parsed
-as integers up to 2**53; everything else as 64-bit floats.  Optional fields
-may be empty (CSV) or null (JSONL).
+JSONL carries one object per record with the same keys.  The fields without
+a default are required; ``_SCHEMA`` gives each field its parser and says
+whether it must be > 0.  Counts are parsed as integers up to 2**53;
+everything else as 64-bit floats.  Optional fields may be empty (CSV) or
+null (JSONL).  The writers write a numpy scalar as a plain Python number,
+so that what they write reads back into equal records.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterator
 
@@ -35,18 +38,6 @@ from .errors import (
     WindowLargerThanRun,
 )
 
-CSV_COLUMNS = (
-    "run_id",
-    "model_size",
-    "tokens",
-    "loss",
-    "step",
-    "batch_size",
-    "learning_rate",
-    "dataset_tag",
-)
-_REQUIRED_COLUMNS = ("run_id", "model_size", "tokens", "loss")
-_COUNT_FIELDS = ("model_size", "tokens", "step", "batch_size")
 _MAX_COUNT = 2**53
 
 
@@ -88,20 +79,31 @@ def _validate_records(records: tuple[TrainingRun, ...]) -> None:
         raise MalformedRecord(0, "series has no records")
     last_tokens: dict[str, int] = {}
     for row, rec in enumerate(records, start=1):
-        for field in ("model_size", "tokens", "loss"):
+        for field in _POSITIVE:
             value = getattr(rec, field)
-            if not value > 0:
+            # only an optional field may be None
+            if (value is not None or field in _REQUIRED_COLUMNS) and not value > 0:
                 raise NonPositiveValue(row, field, value)
-        if rec.batch_size is not None and not rec.batch_size > 0:
-            raise NonPositiveValue(row, "batch_size", rec.batch_size)
-        if rec.learning_rate is not None and not rec.learning_rate > 0:
-            raise NonPositiveValue(row, "learning_rate", rec.learning_rate)
         if not math.isfinite(rec.loss):
             raise MalformedRecord(row, f"loss is not finite: {rec.loss!r}")
         prev = last_tokens.get(rec.run_id)
         if prev is not None and rec.tokens <= prev:
             raise NonMonotoneTokens(rec.run_id, row)
         last_tokens[rec.run_id] = rec.tokens
+
+
+def _parse_id(text, row: int, field: str) -> str:
+    value = str(text)
+    control = CONTROL_CHARACTER.search(value)
+    if control:
+        raise MalformedRecord(
+            row, f"{field} {value!r} holds the control character {control.group()!r}"
+        )
+    return value
+
+
+def _parse_text(text, row: int, field: str) -> str | None:
+    return None if text is None or text == "" else str(text)
 
 
 def _parse_count(text, row: int, field: str) -> int | None:
@@ -141,27 +143,31 @@ def _parse_float(text, row: int, field: str) -> float | None:
         raise MalformedRecord(row, f"{field}={text!r} is not numeric") from None
 
 
+# per field of TrainingRun: its parser, and whether it must be > 0
+_SCHEMA = {
+    "run_id": (_parse_id, False),
+    "model_size": (_parse_count, True),
+    "tokens": (_parse_count, True),
+    "loss": (_parse_float, True),
+    "step": (_parse_count, False),
+    "batch_size": (_parse_count, True),
+    "learning_rate": (_parse_float, True),
+    "dataset_tag": (_parse_text, False),
+}
+CSV_COLUMNS = tuple(f.name for f in fields(TrainingRun))
+_REQUIRED_COLUMNS = tuple(f.name for f in fields(TrainingRun) if f.default is MISSING)
+_PARSERS = tuple((name, _SCHEMA[name][0]) for name in CSV_COLUMNS)
+_POSITIVE = tuple(name for name in CSV_COLUMNS if _SCHEMA[name][1])
+_FLOAT_AT = tuple(i for i, (_, parse) in enumerate(_PARSERS) if parse is _parse_float)
+_values = attrgetter(*CSV_COLUMNS)
+
+
 def _record_from_mapping(raw: dict, row: int) -> TrainingRun:
+    get = raw.get
     for key in _REQUIRED_COLUMNS:
-        if key not in raw or raw[key] in (None, ""):
+        if get(key) in (None, ""):
             raise MissingColumn(key)
-    tag = raw.get("dataset_tag")
-    run_id = str(raw["run_id"])
-    control = CONTROL_CHARACTER.search(run_id)
-    if control:
-        raise MalformedRecord(
-            row, f"run_id {run_id!r} holds the control character {control.group()!r}"
-        )
-    return TrainingRun(
-        run_id=run_id,
-        model_size=_parse_count(raw["model_size"], row, "model_size"),
-        tokens=_parse_count(raw["tokens"], row, "tokens"),
-        loss=_parse_float(raw["loss"], row, "loss"),
-        step=_parse_count(raw.get("step"), row, "step"),
-        batch_size=_parse_count(raw.get("batch_size"), row, "batch_size"),
-        learning_rate=_parse_float(raw.get("learning_rate"), row, "learning_rate"),
-        dataset_tag=str(tag) if tag not in (None, "") else None,
-    )
+    return TrainingRun(*[parse(get(name), row, name) for name, parse in _PARSERS])
 
 
 def ingest(path, format: str | None = None) -> RunSeries:
@@ -207,58 +213,53 @@ def ingest(path, format: str | None = None) -> RunSeries:
     return RunSeries.from_records(records)
 
 
+def _plain_row(rec: TrainingRun) -> list:
+    row = list(_values(rec))
+    # csv writes str(value); a numpy float's str follows numpy's print options
+    for i in _FLOAT_AT:
+        if isinstance(row[i], (float, np.floating)):
+            row[i] = float(row[i])
+    return row
+
+
+# json refuses a numpy integer, which index() turns into an int
+_encode_jsonl = json.JSONEncoder(default=index).encode
+
+
 def write_csv(series: RunSeries, path) -> None:
     """Serialize to the canonical CSV schema (round-trips through ingest)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in series.records:
-            writer.writerow(
-                [
-                    rec.run_id,
-                    rec.model_size,
-                    rec.tokens,
-                    repr(rec.loss),
-                    "" if rec.step is None else rec.step,
-                    "" if rec.batch_size is None else rec.batch_size,
-                    "" if rec.learning_rate is None else repr(rec.learning_rate),
-                    "" if rec.dataset_tag is None else rec.dataset_tag,
-                ]
-            )
+        writer.writerows(_plain_row(rec) for rec in series.records)
 
 
 def write_jsonl(series: RunSeries, path) -> None:
     """Serialize to JSONL, one object per record with all schema keys."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for rec in series.records:
-            obj = {
-                "run_id": rec.run_id,
-                "model_size": rec.model_size,
-                "tokens": rec.tokens,
-                "loss": rec.loss,
-                "step": rec.step,
-                "batch_size": rec.batch_size,
-                "learning_rate": rec.learning_rate,
-                "dataset_tag": rec.dataset_tag,
-            }
-            fh.write(json.dumps(obj) + "\n")
+            fh.write(_encode_jsonl(dict(zip(CSV_COLUMNS, _plain_row(rec)))) + "\n")
 
 
-def run_ids(series: RunSeries) -> list[str]:
-    """Distinct run ids in first-appearance order."""
-    seen: dict[str, None] = {}
-    for rec in series.records:
-        seen.setdefault(rec.run_id, None)
-    return list(seen)
-
-
-def _indices_by_run(series: RunSeries) -> dict[str, list[int]]:
+def indices_by_run(series: RunSeries) -> dict[str, list[int]]:
+    """Record indices of each run id, both in first-appearance order."""
     groups: dict[str, list[int]] = {}
     for i, rec in enumerate(series.records):
         groups.setdefault(rec.run_id, []).append(i)
     return groups
+
+
+def column(series: RunSeries, name: str) -> np.ndarray:
+    """Field ``name`` of every record as floats.
+
+    Raises:
+        MissingField: a record lacks the field; names the first such run.
+    """
+    values = list(map(attrgetter(name), series.records))
+    array = np.array(values, dtype=float)  # a None becomes nan
+    if np.isnan(array).any() and None in values:
+        raise MissingField(name, series.records[values.index(None)].run_id)
+    return array
 
 
 def gaussian_smooth(
@@ -286,7 +287,7 @@ def gaussian_smooth(
         kernel = np.exp(-(offsets.astype(float) ** 2) / two_var)
 
     new_records = list(series.records)
-    for run_id, idx in _indices_by_run(series).items():
+    for run_id, idx in indices_by_run(series).items():
         if len(idx) < window:
             raise WindowLargerThanRun(run_id, len(idx), window)
         losses = np.array([series.records[i].loss for i in idx], dtype=float)
@@ -313,7 +314,7 @@ def split_fit_holdout(
         raise ValueError("fraction must be in (0, 1)")
 
     take_fit: set[int] = set()
-    for run_id, idx in _indices_by_run(series).items():
+    for run_id, idx in indices_by_run(series).items():
         length = len(idx)
         n_fit = math.ceil(fraction * length)
         if length < math.ceil(1.0 / fraction) or n_fit >= length:
@@ -326,10 +327,3 @@ def split_fit_holdout(
         r for i, r in enumerate(series.records) if i not in take_fit
     )
     return RunSeries(records=fit_records), RunSeries(records=holdout_records)
-
-
-def require_field(series: RunSeries, field: str) -> None:
-    """Raise MissingField unless every record carries ``field``."""
-    for rec in series.records:
-        if getattr(rec, field) is None:
-            raise MissingField(field, rec.run_id)

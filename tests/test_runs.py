@@ -7,6 +7,7 @@ from subscale import runs, synth
 from subscale.errors import (
     MalformedRecord,
     MissingColumn,
+    MissingField,
     NonMonotoneTokens,
     NonPositiveValue,
     TooFewRecords,
@@ -155,6 +156,44 @@ def test_roundtrip_identity(tmp_path):
         writer(series, path)
         again = runs.ingest(path)
         assert again.records == series.records
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_numpy_scalars_round_trip_as_plain_numbers(tmp_path, suffix):
+    rows = [
+        runs.TrainingRun("a", np.int64(10**8), np.int64(10**9), np.float64(2.5),
+                         step=np.int64(1), batch_size=np.int64(256),
+                         learning_rate=np.float64(1 / 3)),
+        runs.TrainingRun("a", 10**8, np.int64(2**53), np.float64(2.25)),
+        runs.TrainingRun("b", np.int32(7), np.uint64(10), np.float32(0.1),
+                         learning_rate=np.float16(0.5)),
+    ]
+    series = runs.RunSeries.from_records(rows)
+    path = tmp_path / f"x.{suffix}"
+    writer = runs.write_csv if suffix == "csv" else runs.write_jsonl
+    writer(series, path)
+    text = path.read_text()
+    assert "np." not in text and "0.3333333333333333" in text
+    with np.printoptions(legacy="1.13"):  # str(np.float64(1/3)) is then "0.333333333333"
+        writer(series, path)
+    assert path.read_text() == text
+    again = runs.ingest(path)
+    assert again.records == series.records
+    first = again.records[0]
+    assert [type(first.tokens), type(first.loss), type(first.learning_rate)] == [int, float, float]
+
+
+def test_column_names_the_first_record_without_the_field():
+    rows = [
+        runs.TrainingRun("a", 10, 100, 3.0, learning_rate=1e-3),
+        runs.TrainingRun("b", 20, 100, 2.9),
+        runs.TrainingRun("c", 30, 100, 2.8),
+    ]
+    series = runs.RunSeries.from_records(rows)
+    assert runs.column(series, "model_size").tolist() == [10.0, 20.0, 30.0]
+    with pytest.raises(MissingField) as err:
+        runs.column(series, "learning_rate")
+    assert (err.value.field, err.value.run_id) == ("learning_rate", "b")
 
 
 # ---------------------------------------------------------------------------
