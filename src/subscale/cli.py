@@ -153,18 +153,17 @@ def _out_dir(args) -> Path:
 
 
 def _load_config(args) -> fit.FitConfig:
-    from . import fit
+    from . import fit, jsondoc
 
     if args.config:
-        data = json.loads(args.config.read_text(encoding="utf-8"))
-        return fit.FitConfig.from_dict(data)
+        return fit.FitConfig.from_dict(jsondoc.load(args.config))
     return fit.FitConfig()
 
 
 def _load_law(path: Path) -> laws.LawParams:
-    from . import laws
+    from . import jsondoc, laws
 
-    return laws.params_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return laws.params_from_dict(jsondoc.load(path))
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +386,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _clustered(args):
+    """The embeddings of a `density` or `select` command, and their k-means."""
+    from . import density
+
+    embeddings = density.load_embeddings(args.embeddings, normalize=args.normalize)
+    return embeddings, density.kmeans(
+        embeddings, args.k, seed=args.seed, max_iters=args.max_iters
+    )
+
+
 def cmd_density(args) -> int:
     from . import density
 
     out = _out_dir(args)
-    embeddings = density.load_embeddings(args.embeddings, normalize=args.normalize)
-    clustering = density.kmeans(
-        embeddings, args.k, seed=args.seed, max_iters=args.max_iters
-    )
+    embeddings, clustering = _clustered(args)
     report = density.dataset_density(embeddings, clustering)
     # plain fields: a dataclass would send _json_default to import laws
     _write_json(out / "density_report.json", dataclasses.asdict(report))
@@ -412,10 +418,7 @@ def cmd_select(args) -> int:
     out = _out_dir(args)
     if (args.keep_fraction is None) == (args.target_log_density is None):
         raise ValueError("give exactly one of --keep-fraction or --target-log-density")
-    embeddings = density.load_embeddings(args.embeddings, normalize=args.normalize)
-    clustering = density.kmeans(
-        embeddings, args.k, seed=args.seed, max_iters=args.max_iters
-    )
+    embeddings, clustering = _clustered(args)
     before = density.dataset_density(embeddings, clustering)
     rows = density.select_low_density(
         embeddings,
@@ -477,17 +480,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest must be a JSON object, not a {type(manifest).__name__}")
+    from . import jsondoc
+
+    manifest = jsondoc.obj(jsondoc.load(args.manifest), "manifest")
     argv = manifest.get("argv")
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise ValueError("manifest 'argv' must be a non-empty list of strings")
     if argv[0] == "report":  # no command records a report; replaying one would recurse
         raise ValueError("manifest 'argv' cannot replay 'report'")
-    inputs = manifest.get("inputs", {})
-    if not isinstance(inputs, dict):
-        raise ValueError("manifest 'inputs' must be a JSON object")
+    inputs = jsondoc.obj(manifest.get("inputs", {}), "manifest 'inputs'")
     for path_str, digest in inputs.items():
         path = Path(path_str)
         if not path.exists():
@@ -526,6 +527,31 @@ def _add_fit_options(p, family_required: bool) -> None:
     p.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
 
 
+def _add_sweep_options(p, alloc: bool) -> None:
+    """The options of `sweep`; `alloc` adds its bracket and --sweep before the grid."""
+    p.add_argument("--law", type=_path, required=True, help="law params JSON")
+    p.add_argument("--budget", type=float, required=True)
+    if alloc:
+        p.add_argument("--n-min", type=float, default=_DEFAULT_N_BRACKET[0])
+        p.add_argument("--n-max", type=float, default=_DEFAULT_N_BRACKET[1])
+        p.add_argument("--sweep", action="store_true")
+    p.add_argument("--otr-min", type=float, default=1.0)
+    p.add_argument("--otr-max", type=float, default=2000.0)
+    p.add_argument("--otr-points", type=int, default=25)
+
+
+def _add_density_options(p, select: bool) -> None:
+    """The options of `density`; `select` adds its targets before --normalize."""
+    p.add_argument("embeddings", type=_path)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="k-means seed")
+    p.add_argument("--max-iters", type=int, default=100)
+    if select:
+        p.add_argument("--keep-fraction", type=float, default=None)
+        p.add_argument("--target-log-density", type=float, default=None)
+    p.add_argument("--normalize", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser; each command's parser is also its manifest's argv schema."""
     parser = _Parser(
@@ -560,37 +586,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_options(p, family_required=False)
 
     p = command("alloc", cmd_alloc, "compute-optimal (N, D) for a budget")
-    p.add_argument("--law", type=_path, required=True, help="law params JSON")
-    p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--n-min", type=float, default=_DEFAULT_N_BRACKET[0])
-    p.add_argument("--n-max", type=float, default=_DEFAULT_N_BRACKET[1])
-    p.add_argument("--sweep", action="store_true")
-    p.add_argument("--otr-min", type=float, default=1.0)
-    p.add_argument("--otr-max", type=float, default=2000.0)
-    p.add_argument("--otr-points", type=int, default=25)
+    _add_sweep_options(p, alloc=True)
 
     p = command("sweep", cmd_sweep, "loss along a fixed budget vs OTR")
-    p.add_argument("--law", type=_path, required=True)
-    p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--otr-min", type=float, default=1.0)
-    p.add_argument("--otr-max", type=float, default=2000.0)
-    p.add_argument("--otr-points", type=int, default=25)
+    _add_sweep_options(p, alloc=False)
 
     p = command("density", cmd_density, "cluster embeddings and report density")
-    p.add_argument("embeddings", type=_path)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="k-means seed")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--normalize", action="store_true")
+    _add_density_options(p, select=False)
 
     p = command("select", cmd_select, "density-based subset selection")
-    p.add_argument("embeddings", type=_path)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="k-means seed")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--keep-fraction", type=float, default=None)
-    p.add_argument("--target-log-density", type=float, default=None)
-    p.add_argument("--normalize", action="store_true")
+    _add_density_options(p, select=True)
 
     p = command("synth", cmd_synth, "generate fixtures from a spec JSON")
     p.add_argument("--spec", type=_path, required=True)

@@ -52,6 +52,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from . import jsondoc
 from .errors import (
     FamilyMismatch,
     InsufficientData,
@@ -73,7 +74,6 @@ from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     eval_suboptimal,
     family_of,
     finite_loss,
-    json_integer,
     param_keys,
     power_gradient,
     power_value_and_jacobian,
@@ -137,7 +137,7 @@ class FitConfig:
         for key, values in numbers.items():
             for value in values:
                 if not math.isfinite(value):
-                    raise _not_a_number(key, value)
+                    jsondoc.number(value, _where(key))  # raises, naming the key
         if self.robust_delta is not None and not self.robust_delta > 0:
             raise ValueError("robust_delta must be > 0 when set")
         if not self.tolerance > 0:
@@ -156,68 +156,48 @@ class FitConfig:
     @staticmethod
     def from_dict(data: dict) -> "FitConfig":
         """Config from its JSON object; absent keys keep the field defaults."""
-        if not isinstance(data, dict):
-            kind = type(data).__name__
-            raise ValueError(f"fit config must be a JSON object, not a {kind}")
-        names = {f.name for f in fields(FitConfig)}
+        data = jsondoc.obj(data, "fit config")
+        defaults = {f.name: f.default for f in fields(FitConfig)}
         # "seed" was a field of older versions: accepted, without effect
-        unknown = sorted(set(data) - names - {"seed"})
+        unknown = sorted(set(data) - set(defaults) - {"seed"})
         if unknown:
             raise ValueError(f"unknown fit config key(s): {', '.join(unknown)}")
-        kwargs = {k: v for k, v in data.items() if k in names}
-        for key, convert in _CONFIG_CONVERTERS.items():
-            if key in kwargs:
+        kwargs = {k: v for k, v in data.items() if k in defaults}
+        for key, convert in _CONFIG_FIELDS.items():
+            # null is accepted where it is the field's default
+            if key in kwargs and not (kwargs[key] is None and defaults[key] is None):
                 kwargs[key] = convert(key, kwargs[key])
         return FitConfig(**kwargs)
 
 
-def _not_a_number(key: str, value) -> ValueError:
-    return ValueError(f"fit config {key!r} must be a number, got {value!r}")
+def _where(key: str) -> str:
+    return f"fit config {key!r}"
 
 
-def _config_number(key: str, value) -> float:
-    # FitConfig itself rejects NaN and infinities
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise _not_a_number(key, value)
+def _grid(key: str, values) -> tuple[float, ...]:
+    return tuple(jsondoc.number(v, _where(key)) for v in jsondoc.array(values, _where(key)))
 
 
-def _config_count(key: str, value) -> int:
-    return json_integer(value, f"fit config {key!r}")
+def _box(key: str, pair) -> tuple[float, float]:
+    if len(jsondoc.array(pair, _where(key))) != 2:
+        raise ValueError(f"{_where(key)} must be a [lo, hi] pair, got {pair!r}")
+    return _grid(key, pair)
 
 
-def _config_mapping(key: str, value, convert) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"fit config {key!r} must be an object, got {value!r}")
-    return {name: convert(f"{key}.{name}", v) for name, v in value.items()}
-
-
-def _config_values(key: str, value) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"fit config {key!r} must be a list of numbers, got {value!r}")
-    return tuple(_config_number(key, v) for v in value)
-
-
-def _config_pair(key: str, value) -> tuple[float, float]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"fit config {key!r} must be a [lo, hi] pair, got {value!r}")
-    return _config_number(key, value[0]), _config_number(key, value[1])
-
-
-def _or_null(convert):
-    return lambda key, value: None if value is None else convert(key, value)
+def _by_name(convert):
+    """An object of parameter names, each value converted under its 'key.name'."""
+    return lambda key, value: {
+        name: convert(f"{key}.{name}", v) for name, v in jsondoc.obj(value, _where(key)).items()
+    }
 
 
 # JSON value -> field value, each naming its key when the shape is wrong
-_CONFIG_CONVERTERS = {
-    "robust_delta": _or_null(_config_number),
-    "multistart_grid": _or_null(lambda key, v: _config_mapping(key, v, _config_values)),
-    "bounds": _or_null(lambda key, v: _config_mapping(key, v, _config_pair)),
-    "max_iters": _config_count,
-    "tolerance": _config_number,
+_CONFIG_FIELDS = {
+    "robust_delta": lambda key, value: jsondoc.number(value, _where(key)),
+    "multistart_grid": _by_name(_grid),
+    "bounds": _by_name(_box),
+    "max_iters": lambda key, value: jsondoc.integer(value, _where(key)),
+    "tolerance": lambda key, value: jsondoc.number(value, _where(key)),
 }
 
 
@@ -515,7 +495,8 @@ def _huber_objectives(r: np.ndarray, delta: float | None) -> np.ndarray:
     if delta is None:
         return 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
     a = np.abs(r)
-    return np.sum(np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta)), axis=1)
+    m = np.minimum(a, delta)  # 0.5 r^2 within delta, delta (|r| - delta/2) beyond
+    return np.sum(m * (a - 0.5 * m), axis=1)
 
 
 def _weighted(r: np.ndarray, jac: np.ndarray, delta: float | None):
@@ -524,7 +505,7 @@ def _weighted(r: np.ndarray, jac: np.ndarray, delta: float | None):
     if delta is None:
         return r, jac
     a = np.abs(r)
-    w = np.where(a <= delta, 1.0, np.sqrt(delta / np.maximum(a, 1e-300)))
+    w = np.sqrt(delta / np.maximum(a, delta))  # 1 where |r| <= delta
     return w * r, w[:, None, :] * jac
 
 

@@ -1,0 +1,59 @@
+"""The one reader of the CLI's JSON documents: law files, fit configs, synth
+specs and manifests.
+
+Each check takes a value and ``where``, the document and key it came from
+(such as ``"spec 'seed'"``), and returns the value or raises ValueError
+naming ``where``.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+
+def load(path):
+    """The JSON value of the UTF-8 file at ``path``."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def obj(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, not a {type(value).__name__}")
+    return value
+
+
+def get(data, key: str, where: str):
+    """``data[key]``, where ``data`` must be a JSON object that holds ``key``."""
+    if key not in obj(data, where):
+        raise ValueError(f"{where}: missing field {key!r}")
+    return data[key]
+
+
+def array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, not a {type(value).__name__}")
+    return value
+
+
+def number(value, where: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{where} must be a finite number, got {value!r}")
+
+
+def integer(value, where: str, limit: int | None = None) -> int:
+    """A JSON integer, or an integral float such as 50.0, below ``limit`` in magnitude."""
+    if (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and value.is_integer()
+    ):
+        if limit is None or abs(value) < limit:
+            return int(value)
+        raise ValueError(f"{where} must be an integer below {limit} in magnitude, got {value!r}")
+    raise ValueError(f"{where} must be an integer, got {value!r}")

@@ -18,8 +18,8 @@ its Jacobians hold the exact partials in the params class's field order.
 The ``*_gradient`` functions return those partials for one law and raw
 inputs.
 
-``params_from_dict`` reads a law file; it and the other JSON readers check
-each value with ``json_number``/``json_integer``, which name the bad key.
+``params_from_dict`` reads a law file through the checks of ``jsondoc``,
+which name the bad key.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Union
 
 import numpy as np
 
+from . import jsondoc
 from .errors import NonFiniteLoss, UnknownFamily
 
 ArrayLike = Union[float, np.ndarray]
@@ -147,42 +148,17 @@ def params_to_dict(params: LawParams) -> dict:
     return out
 
 
-def json_number(value, name: str) -> float:
-    """A finite JSON number (not a boolean) as a float; else ValueError naming ``name``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def json_integer(value, name: str) -> int:
-    """A JSON integer, or an integral float such as 50.0; else ValueError naming ``name``."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def params_from_dict(data: dict) -> LawParams:
     """Inverse of :func:`params_to_dict`; a bad shape raises ValueError naming the key."""
-    if not isinstance(data, dict):
-        raise ValueError(f"law params must be a JSON object, not a {type(data).__name__}")
-    if "family" not in data:
-        raise ValueError("law params: missing field 'family'")
-    tag = data["family"]
+    tag = jsondoc.get(data, "family", "law params")
     if not isinstance(tag, str) or tag not in _FAMILIES:
         raise UnknownFamily(str(tag))
     cls = _FAMILIES[tag]
-    values = []
-    for key in param_keys(cls):
-        if key not in data:
-            raise ValueError(f"{tag} law params: missing field {key!r}")
-        values.append(json_number(data[key], f"{tag} law params: {key!r}"))
-    return cls(*values)
+    where = f"{tag} law params"
+    return cls(*[
+        jsondoc.number(jsondoc.get(data, key, where), f"{where}: {key!r}")
+        for key in param_keys(cls)
+    ])
 
 
 # ---------------------------------------------------------------------------

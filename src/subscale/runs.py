@@ -9,10 +9,10 @@ schema.  The CSV header (required) is their names in field order::
 
 JSONL carries one object per record with the same keys.  The fields without
 a default are required; ``_SCHEMA`` gives each field its parser and says
-whether it must be > 0.  Counts are parsed as integers up to 2**53;
-everything else as 64-bit floats.  Optional fields may be empty (CSV) or
-null (JSONL).  The writers write a numpy scalar as a plain Python number,
-so that what they write reads back into equal records.
+whether it must be > 0.  Counts are parsed as integers up to 2**53, the
+other numbers as finite 64-bit floats.  Optional fields may be empty (CSV)
+or null (JSONL).  The writers write a numpy scalar as a plain Python
+number, so that what they write reads back into equal records.
 """
 
 from __future__ import annotations
@@ -84,8 +84,10 @@ def _validate_records(records: tuple[TrainingRun, ...]) -> None:
             # only an optional field may be None
             if (value is not None or field in _REQUIRED_COLUMNS) and not value > 0:
                 raise NonPositiveValue(row, field, value)
-        if not math.isfinite(rec.loss):
-            raise MalformedRecord(row, f"loss is not finite: {rec.loss!r}")
+        for field in _FLOATS:
+            value = getattr(rec, field)
+            if value is not None and not math.isfinite(value):
+                raise MalformedRecord(row, f"{field} is not finite: {value!r}")
         prev = last_tokens.get(rec.run_id)
         if prev is not None and rec.tokens <= prev:
             raise NonMonotoneTokens(rec.run_id, row)
@@ -159,6 +161,7 @@ _REQUIRED_COLUMNS = tuple(f.name for f in fields(TrainingRun) if f.default is MI
 _PARSERS = tuple((name, _SCHEMA[name][0]) for name in CSV_COLUMNS)
 _POSITIVE = tuple(name for name in CSV_COLUMNS if _SCHEMA[name][1])
 _FLOAT_AT = tuple(i for i, (_, parse) in enumerate(_PARSERS) if parse is _parse_float)
+_FLOATS = tuple(CSV_COLUMNS[i] for i in _FLOAT_AT)
 _values = attrgetter(*CSV_COLUMNS)
 
 

@@ -9,24 +9,16 @@ components), so a spec plus seed pins every byte of a fixture.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .laws import (
-    LawParams,
-    json_integer,
-    json_number,
-    loss_at,
-    params_from_dict,
-    params_to_dict,
-)
+from . import jsondoc
+from .laws import LawParams, loss_at, params_from_dict, params_to_dict
 from .rng import SplitMix64
-from .runs import RunSeries, TrainingRun
+from .runs import _MAX_COUNT, RunSeries, TrainingRun
 
 if TYPE_CHECKING:
     from .density import EmbeddingSet
@@ -78,15 +70,24 @@ class CurveSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "CurveSpec":
+        """The spec from its JSON object; its counts must be below 2^53, as in a runs file."""
+        law = params_from_dict(jsondoc.get(data, "law", "spec"))
+        where = "spec 'model_sizes'"
+        sizes = tuple(
+            jsondoc.integer(n, where, _MAX_COUNT)
+            for n in jsondoc.array(jsondoc.get(data, "model_sizes", "spec"), where)
+        )
+        where = "spec 'token_checkpoints'"
+        grids = tuple(
+            tuple(jsondoc.integer(t, where, _MAX_COUNT) for t in jsondoc.array(row, where))
+            for row in jsondoc.array(jsondoc.get(data, "token_checkpoints", "spec"), where)
+        )
         return CurveSpec(
-            law=params_from_dict(_get(data, "law")),
-            model_sizes=tuple(_integers(_get(data, "model_sizes"), "model_sizes")),
-            token_checkpoints=tuple(
-                tuple(_integers(row, "token_checkpoints"))
-                for row in _list(_get(data, "token_checkpoints"), "token_checkpoints")
-            ),
-            noise_sigma=_number(data.get("noise_sigma", 0.0), "noise_sigma"),
-            seed=_integer(data.get("seed", 0), "seed"),
+            law=law,
+            model_sizes=sizes,
+            token_checkpoints=grids,
+            noise_sigma=jsondoc.number(data.get("noise_sigma", 0.0), "spec 'noise_sigma'"),
+            seed=jsondoc.integer(data.get("seed", 0), "spec 'seed'"),
         )
 
 
@@ -142,59 +143,30 @@ class BlobSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "BlobSpec":
+        k = jsondoc.integer(jsondoc.get(data, "k", "spec"), "spec 'k'")
+        dim = jsondoc.integer(jsondoc.get(data, "dim", "spec"), "spec 'dim'")
+        clusters = []
+        where = "spec 'per_cluster' entry"
+        for b in jsondoc.array(jsondoc.get(data, "per_cluster", "spec"), "spec 'per_cluster'"):
+            n_samples = jsondoc.integer(jsondoc.get(b, "n_samples", where), "spec 'n_samples'")
+            centroid = jsondoc.array(jsondoc.get(b, "centroid", where), "spec 'centroid'")
+            clusters.append(BlobCluster(
+                n_samples=n_samples,
+                centroid=tuple(jsondoc.number(c, "spec 'centroid'") for c in centroid),
+                spread=jsondoc.number(jsondoc.get(b, "spread", where), "spec 'spread'"),
+            ))
         return BlobSpec(
-            k=_integer(_get(data, "k"), "k"),
-            dim=_integer(_get(data, "dim"), "dim"),
-            per_cluster=tuple(
-                BlobCluster(
-                    n_samples=_integer(_get(b, "n_samples", _CLUSTER), "n_samples"),
-                    centroid=tuple(
-                        _number(c, "centroid")
-                        for c in _list(_get(b, "centroid", _CLUSTER), "centroid")
-                    ),
-                    spread=_number(_get(b, "spread", _CLUSTER), "spread"),
-                )
-                for b in _list(_get(data, "per_cluster"), "per_cluster")
-            ),
-            seed=_integer(data.get("seed", 0), "seed"),
+            k=k,
+            dim=dim,
+            per_cluster=tuple(clusters),
+            seed=jsondoc.integer(data.get("seed", 0), "spec 'seed'"),
         )
-
-
-# Spec JSON readers: a wrong shape raises ValueError naming the key.
-
-_CLUSTER = "spec 'per_cluster' entry"
-
-
-def _get(obj, key: str, where: str = "spec"):
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
-    if key not in obj:
-        raise ValueError(f"{where}: missing field {key!r}")
-    return obj[key]
-
-
-def _list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"spec {key!r} must be a list, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    return json_number(value, f"spec {key!r}")
-
-
-def _integer(value, key: str) -> int:
-    return json_integer(value, f"spec {key!r}")
-
-
-def _integers(values, key: str) -> list[int]:
-    return [_integer(v, key) for v in _list(values, key)]
 
 
 def load_spec(path) -> CurveSpec | BlobSpec:
     """Load a generator spec from JSON; ``kind`` picks the type."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = _get(data, "kind")
+    data = jsondoc.load(path)
+    kind = jsondoc.get(data, "kind", "spec")
     if kind == "curves":
         return CurveSpec.from_dict(data)
     if kind == "blobs":
@@ -220,7 +192,10 @@ def gen_curves(spec: CurveSpec) -> RunSeries:
         losses = loss_at(spec.law, size, np.asarray(checkpoints, dtype=float)).tolist()
         for step, (tokens, loss) in enumerate(zip(checkpoints, losses), start=1):
             if spec.noise_sigma > 0:
-                loss *= math.exp(spec.noise_sigma * rng.normal())
+                try:
+                    loss *= math.exp(spec.noise_sigma * rng.normal())
+                except OverflowError:  # the validator names the record
+                    loss = math.inf
             records.append(
                 TrainingRun(
                     run_id=run_id,

@@ -570,14 +570,15 @@ def test_predict_family_mismatch_is_exit_one(tmp_path, power_fixture, capsys, pa
         ({"max_iters": None}, "'max_iters' must be an integer"),
         ({"bounds": {"alpha": [1]}}, "'bounds.alpha' must be a [lo, hi] pair"),
         ({"multistart_grid": {"alpha": 3}}, "'multistart_grid.alpha' must be a list"),
-        ({"bounds": [0, 1]}, "'bounds' must be an object"),
-        ({"tolerance": None}, "'tolerance' must be a number"),
-        ({"robust_delta": "big"}, "'robust_delta' must be a number"),
+        ({"bounds": [0, 1]}, "fit config 'bounds' must be a JSON object, not a list"),
+        ({"tolerance": None}, "fit config 'tolerance' must be a finite number, got None"),
+        ({"robust_delta": "big"}, "fit config 'robust_delta' must be a finite number, got 'big'"),
         ({"max_iters": 2.5}, "'max_iters' must be an integer"),
         ({"multistart_grid": {"alpha": [0.1, "x"]}}, "'multistart_grid.alpha' must be a"),
-        ({"tolerance": math.inf}, "'tolerance' must be a number"),
-        ({"robust_delta": math.nan}, "'robust_delta' must be a number"),
-        ({"bounds": {"alpha": [0.01, math.inf]}}, "'bounds.alpha' must be a number"),
+        ({"tolerance": math.inf}, "fit config 'tolerance' must be a finite number, got inf"),
+        ({"robust_delta": math.nan}, "fit config 'robust_delta' must be a finite number, got nan"),
+        ({"bounds": {"alpha": [0.01, math.inf]}},
+         "fit config 'bounds.alpha' must be a finite number, got inf"),
         ({"multistart_grid": {"alpha": [0.1, math.nan]}}, "'multistart_grid.alpha' must be a"),
         ({"bounds": {"alpah": [0.1, 0.2]}}, "'bounds.alpah' names no parameter of any law"),
         ({"multistart_grid": {"alpah": [0.1]}}, "'multistart_grid.alpah' names no parameter"),
@@ -730,7 +731,7 @@ _BLOBS = {"kind": "blobs", "k": 1, "dim": 2, "seed": 1,
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ([1], "spec must be a JSON object, got [1]"),
+        ([1], "spec must be a JSON object, not a list"),
         ({"kind": "curves"}, "spec: missing field 'law'"),
         ({k: v for k, v in _BLOBS.items() if k != "per_cluster"},
          "spec: missing field 'per_cluster'"),
@@ -757,6 +758,33 @@ def test_bad_synth_spec_is_exit_one(tmp_path, capsys, spec, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("key", ["model_sizes", "token_checkpoints"])
+@pytest.mark.parametrize("count", [2**60, 1e300, 10**300], ids=["2^60", "1e300", "301-digit"])
+def test_synth_spec_count_beyond_the_run_file_bound_is_exit_one(tmp_path, capsys, key, count):
+    # above 2^53 ingest rejects the written runs file; beyond the float range
+    # the loss cannot be evaluated
+    spec = dict(_CURVES, **{key: [count] if key == "model_sizes" else [[10, 20, count]]})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code = main(["synth", "--spec", str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"spec '{key}' must be an integer below 9007199254740992 in magnitude" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_synth_spec_counts_below_2_53_ingest(tmp_path):
+    spec = dict(_CURVES, model_sizes=[2**53 - 1], token_checkpoints=[[10, 2**53 - 1]])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(path), "-o", str(tmp_path / "synth")]) == 0
+    runs_csv = tmp_path / "synth" / "runs.csv"
+    assert main(["ingest", str(runs_csv), "-o", str(tmp_path / "ingest")]) == 0
+    assert runs.ingest(runs_csv).records[1].tokens == 2**53 - 1
 
 
 def test_synth_integral_float_spec_matches_integer_spec(tmp_path):

@@ -219,7 +219,7 @@ def test_fit_deterministic():
     ],
 )
 def test_fit_config_rejects_non_finite_numbers(kwargs, key):
-    with pytest.raises(ValueError, match=f"fit config '{key}' must be a number"):
+    with pytest.raises(ValueError, match=f"fit config '{key}' must be a finite number"):
         fit.FitConfig(**kwargs)
 
 
@@ -367,6 +367,17 @@ def test_huber_robust_fit_still_recovers():
     assert result.params.alpha == pytest.approx(0.3, rel=0.05)
     trace = result.objective_trace
     assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("delta", [2.0**53, 1e300], ids=["2^53", "1e300"])
+def test_huge_robust_delta_fits_as_least_squares(delta):
+    # every residual is inside delta; the outer Huber branch, computed for
+    # every residual, used to overflow (a RuntimeWarning, an error here)
+    series = _power_series(noise=0.02, seed=10)
+    plain = fit.fit_law(series, "power", fit.FitConfig())
+    huber = fit.fit_law(series, "power", fit.FitConfig(robust_delta=delta))
+    assert huber.params.alpha == pytest.approx(plain.params.alpha, rel=1e-9)
+    assert huber.params.lam == pytest.approx(plain.params.lam, rel=1e-9)
 
 
 def test_insufficient_data():

@@ -116,6 +116,27 @@ def test_csv_count_above_2_53_rejected_exactly(tmp_path):
         runs.ingest(path)
 
 
+@pytest.mark.parametrize("suffix, infinity", [("csv", "inf"), ("jsonl", "Infinity")])
+def test_ingest_rejects_non_finite_learning_rate(tmp_path, suffix, infinity):
+    # inf > 0, so only the finiteness check stops it
+    rows = [(100, "0.001"), (200, infinity)]
+    if suffix == "csv":
+        text = "run_id,model_size,tokens,loss,learning_rate\n" + "".join(
+            f"a,10,{tokens},3.0,{lr}\n" for tokens, lr in rows
+        )
+    else:
+        text = "".join(
+            f'{{"run_id": "a", "model_size": 10, "tokens": {tokens}, "loss": 3.0, '
+            f'"learning_rate": {lr}}}\n'
+            for tokens, lr in rows
+        )
+    path = tmp_path / f"runs.{suffix}"
+    path.write_text(text)
+    with pytest.raises(MalformedRecord) as err:
+        runs.ingest(path)
+    assert str(err.value) == "row 2: learning_rate is not finite: inf"
+
+
 @pytest.mark.parametrize(
     "text, count",
     [("9007199254740992", 2**53), (" 7 ", 7), ("1e3", 1000), ("40.0", 40), ("-3", -3)],
