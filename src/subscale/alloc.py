@@ -39,6 +39,10 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 DEFAULT_N_BRACKET = (1e6, 1e13)
 DEFAULT_OTR_THRESHOLD = 50.0
+# the allocation scan's points over the bracket, and the golden sections'
+# tolerance on ln N
+_SCAN_POINTS = 257
+_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +87,6 @@ def optimal_allocation(
     law: LawParams,
     budget: float,
     n_bracket: tuple[float, float] = DEFAULT_N_BRACKET,
-    tol: float = 1e-6,
-    scan_points: int = 257,
 ) -> AllocationPlan:
     """Best (N, D) split of a FLOP budget under a chinchilla-family law.
 
@@ -105,14 +107,12 @@ def optimal_allocation(
     lo, hi = n_bracket
     if not 0 < lo < hi:
         raise ValueError("n_bracket must satisfy 0 < lo < hi")
-    if scan_points < 3:
-        raise ValueError("scan_points must be >= 3")
 
-    ln_scan = np.linspace(math.log(lo), math.log(hi), scan_points)
+    ln_scan = np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS)
     n_scan = np.exp(ln_scan)
     scan_losses = np.asarray(loss_at(law, n_scan, budget / (6.0 * n_scan)))
     j = int(np.argmin(scan_losses))
-    if j == 0 or j == scan_points - 1:
+    if j == 0 or j == _SCAN_POINTS - 1:
         raise NoInteriorMinimum(
             f"loss is monotone over N in [{lo:g}, {hi:g}] at budget {budget:g}"
         )
@@ -121,7 +121,7 @@ def optimal_allocation(
         n = math.exp(ln_n)
         return float(loss_at(law, n, budget / (6.0 * n)))
 
-    ln_star = _golden_section(loss_of_ln_n, ln_scan[j - 1], ln_scan[j + 1], tol)
+    ln_star = _golden_section(loss_of_ln_n, ln_scan[j - 1], ln_scan[j + 1], _TOL)
     n_star = math.exp(ln_star)
     d_star = budget / (6.0 * n_star)
     return AllocationPlan(

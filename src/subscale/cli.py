@@ -156,14 +156,14 @@ def _load_config(args) -> fit.FitConfig:
     from . import fit, jsondoc
 
     if args.config:
-        return fit.FitConfig.from_dict(jsondoc.load(args.config))
+        return fit.FitConfig.from_dict(jsondoc.load(args.config, "fit config"))
     return fit.FitConfig()
 
 
 def _load_law(path: Path) -> laws.LawParams:
     from . import jsondoc, laws
 
-    return laws.params_from_dict(jsondoc.load(path))
+    return laws.params_from_dict(jsondoc.load(path, "law file"))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +178,7 @@ def _fit_plot(
     from . import fit, runs
     from .svg import SvgPlot
 
-    plot = SvgPlot(
-        title=title, x_label="training tokens", y_label="loss", x_log=True, y_log=True
-    )
+    plot = SvgPlot(title=title, x_label="training tokens", y_label="loss")
     preds, _ = fit.predict(params, series, family=family)
     # a validated series holds each run's records in token order
     for i, (run_id, idx) in enumerate(sorted(runs.indices_by_run(series).items())):
@@ -201,8 +199,6 @@ def _sweep_plot(law: laws.LawParams, budget: float, otr_values) -> SvgPlot:
         title="loss vs model size at fixed compute",
         x_label="model size (parameters)",
         y_label="predicted loss",
-        x_log=True,
-        y_log=True,
     )
     locus_x, locus_y = [], []
     for factor in (0.1, 1.0, 10.0):
@@ -482,12 +478,23 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     from . import jsondoc
 
-    manifest = jsondoc.obj(jsondoc.load(args.manifest), "manifest")
+    manifest = jsondoc.obj(jsondoc.load(args.manifest, "manifest"), "manifest")
     argv = manifest.get("argv")
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise ValueError("manifest 'argv' must be a non-empty list of strings")
-    if argv[0] == "report":  # no command records a report; replaying one would recurse
-        raise ValueError("manifest 'argv' cannot replay 'report'")
+    # only what a command records replays: a report would recurse, and
+    # --version or --help would print and write nothing
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    if argv[0] not in set(sub.choices) - {"report"}:
+        raise ValueError(
+            f"manifest 'argv' cannot replay {argv[0]!r}: it does not start with a command "
+            "that writes a manifest"
+        )
+    for arg in argv:
+        option = arg.split("=", 1)[0]
+        # argparse reads -h with flags after it, and any prefix of --help, as help
+        if arg.startswith("-h") or (len(option) > 2 and "--help".startswith(option)):
+            raise ValueError(f"manifest 'argv' cannot replay {arg!r}: help writes no outputs")
     inputs = jsondoc.obj(manifest.get("inputs", {}), "manifest 'inputs'")
     for path_str, digest in inputs.items():
         path = Path(path_str)
@@ -616,7 +623,7 @@ def main(argv=None) -> int:
     except SubscaleError as exc:
         print(f"subscale {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"subscale {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,9 @@ from .rng import SplitMix64
 
 _EMB_MAGIC = b"EMB1"
 _LOG_OVERFLOW = 700.0  # exp() overflows IEEE doubles just above 709
-DEFAULT_RADIUS_FLOOR = 1e-12
+# a cluster's radius is floored here, so that one of coincident points has a
+# finite density
+RADIUS_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +277,9 @@ def _members(
     return rows, dists
 
 
-def _floored_log_density(
-    count: int, dim: int, dist_sum: float, radius_floor: float
-) -> tuple[float, float]:
-    """Mean member distance floored at ``radius_floor``, and its log density."""
-    radius = max(dist_sum / count, radius_floor)
+def _floored_log_density(count: int, dim: int, dist_sum: float) -> tuple[float, float]:
+    """Mean member distance floored at ``RADIUS_FLOOR``, and its log density."""
+    radius = max(dist_sum / count, RADIUS_FLOOR)
     return radius, log_density_from_radius(count, dim, radius)
 
 
@@ -294,22 +294,19 @@ def cluster_density(
     embeddings: EmbeddingSet,
     clustering: Clustering,
     cluster_id: int,
-    radius_floor: float = DEFAULT_RADIUS_FLOOR,
 ) -> ClusterDensity:
     """Density of one cluster from its mean member-to-centroid distance."""
     rows, dists = _members(embeddings, clustering, cluster_id)
     if rows.size == 0:
         raise ValueError(f"cluster {cluster_id} is empty")
     dist_sum = float(dists.sum())
-    radius, log_density = _floored_log_density(
-        rows.size, embeddings.dim, dist_sum, radius_floor
-    )
+    radius, log_density = _floored_log_density(rows.size, embeddings.dim, dist_sum)
     return ClusterDensity(
         cluster_id=int(cluster_id),
         n_samples=int(rows.size),
         radius=radius,
         log_density=log_density,
-        radius_floored=dist_sum / rows.size < radius_floor,
+        radius_floored=dist_sum / rows.size < RADIUS_FLOOR,
     )
 
 
@@ -337,15 +334,10 @@ def _weighted_radius(offsets: np.ndarray, denoms: np.ndarray) -> float:
     return float(np.mean(offsets / denoms))
 
 
-def dataset_density(
-    embeddings: EmbeddingSet,
-    clustering: Clustering,
-    radius_floor: float = DEFAULT_RADIUS_FLOOR,
-) -> DatasetDensityReport:
+def dataset_density(embeddings: EmbeddingSet, clustering: Clustering) -> DatasetDensityReport:
     """Full density report: per-cluster densities plus the dataset metric."""
     per_cluster = tuple(
-        cluster_density(embeddings, clustering, cid, radius_floor)
-        for cid in range(clustering.k)
+        cluster_density(embeddings, clustering, cid) for cid in range(clustering.k)
     )
     radius = dataset_radius(clustering, per_cluster)
     log_rho = log_density_from_radius(embeddings.n_samples, embeddings.dim, radius)
@@ -370,7 +362,6 @@ def select_low_density(
     clustering: Clustering,
     keep_fraction: float | None = None,
     target_log_density: float | None = None,
-    radius_floor: float = DEFAULT_RADIUS_FLOOR,
 ) -> list[int]:
     """Greedily prune dense clusters; return the retained rows, ascending.
 
@@ -414,7 +405,7 @@ def select_low_density(
     def cluster_log_density(cid: int) -> float:
         count = len(order[cid]) - taken[cid]
         dist_sum = dist_sums[cid][taken[cid]]
-        return _floored_log_density(count, dim, dist_sum, radius_floor)[1]
+        return _floored_log_density(count, dim, dist_sum)[1]
 
     live = [cid for cid in range(clustering.k) if order[cid]]
     live_log_density = [cluster_log_density(cid) for cid in live]
@@ -509,14 +500,23 @@ def save_embeddings(path, embeddings: EmbeddingSet) -> None:
         fh.write(data)
 
 
+def _csv_rows(path: Path, fh):
+    """The rows of an embedding CSV; a row ``csv`` cannot read is an EmbeddingFormatError."""
+    import csv
+
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # such as a field beyond csv's size limit
+        raise EmbeddingFormatError(str(path), f"line {reader.line_num}: {exc}") from None
+
+
 def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
     """Read either embedding format; see :func:`save_embeddings`."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        import csv
-
         with path.open("r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            reader = _csv_rows(path, fh)
             header = next(reader, None)
             if not header or header[0] != "id":
                 raise EmbeddingFormatError(str(path), "expected header id,v0,v1,...")
@@ -545,7 +545,18 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
                     ) from None
             if not rows:
                 raise EmbeddingFormatError(str(path), "no rows")
-        return EmbeddingSet.from_array(np.array(rows), ids, normalize=normalize)
+        vectors = np.array(rows)
+        # beyond the binary format's float32 range squared distances can
+        # overflow; a non-finite component is from_array's to reject
+        huge = np.argwhere(np.isfinite(vectors) & (np.abs(vectors) > np.finfo(np.float32).max))
+        if huge.size:
+            row, col = huge[0].tolist()
+            raise EmbeddingFormatError(
+                str(path),
+                f"id {ids[row]!r}: {header[col + 1]} = {rows[row][col]!r} is beyond the "
+                "float32 range",
+            )
+        return EmbeddingSet.from_array(vectors, ids, normalize=normalize)
 
     raw = path.read_bytes()
     if len(raw) < 20 or raw[:4] != _EMB_MAGIC:
@@ -556,6 +567,7 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
         raise EmbeddingFormatError(
             str(path), f"expected {expected} bytes for {count}x{dim}, got {len(raw)}"
         )
-    vectors = np.frombuffer(raw, dtype="<f4", offset=20).astype(float)
+    with np.errstate(invalid="ignore"):  # a signalling NaN, which from_array rejects
+        vectors = np.frombuffer(raw, dtype="<f4", offset=20).astype(float)
     vectors = vectors.reshape(count, dim)
     return EmbeddingSet.from_array(vectors, normalize=normalize)

@@ -148,10 +148,25 @@ class FitConfig:
             for name, values in self.multistart_grid.items():
                 if len(tuple(values)) == 0:
                     raise ValueError(f"multistart grid for {name!r} is empty")
-        if self.bounds is not None:
-            for name, (lo, hi) in self.bounds.items():
-                if not lo < hi:
-                    raise ValueError(f"bounds for {name!r} must satisfy lo < hi")
+        for name, (lo, hi) in (self.bounds or {}).items():
+            if not lo < hi:
+                raise ValueError(f"bounds for {name!r} must satisfy lo < hi")
+            # each end must give valid params of every family with the name
+            # when every other parameter is 1, a point inside every domain;
+            # log-scaled coordinates are floored as the fitter floors them, so
+            # a coefficient box may start at 0
+            for spec in FAMILIES.values():
+                if name not in spec.names:
+                    continue
+                log_scaled = spec.log_scaled[spec.names.index(name)]
+                for end in (max(lo, _LOG_FLOOR), max(hi, _LOG_FLOOR)) if log_scaled else (lo, hi):
+                    try:
+                        spec.make_params([end if k == name else 1.0 for k in spec.names])
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{_where('bounds.' + name)} = [{lo!r}, {hi!r}] leaves the "
+                            f"domain of {name}: {exc}"
+                        ) from None
 
     @staticmethod
     def from_dict(data: dict) -> "FitConfig":
@@ -397,30 +412,6 @@ def _family(tag: str) -> _FamilySpec:
     if tag not in FAMILIES:
         raise UnknownFamily(tag)
     return FAMILIES[tag]
-
-
-def _check_bounds(family: str, overrides: dict | None) -> None:
-    """Reject a ``FitConfig.bounds`` box that leaves the family's parameter domain.
-
-    Each end of a box must give valid params when every other parameter is
-    1, a point inside every family's domain.  Log-scaled coordinates are
-    floored as the fitter floors them, so a coefficient box may start at 0.
-    """
-    spec = _family(family)
-    reference = dict.fromkeys(spec.names, 1.0)
-    for name, log_scaled in zip(spec.names, spec.log_scaled):
-        if name not in (overrides or {}):
-            continue
-        lo, hi = overrides[name]
-        for end in (lo, hi):
-            point = {**reference, name: max(end, _LOG_FLOOR) if log_scaled else end}
-            try:
-                spec.make_params(list(point.values()))
-            except ValueError as exc:
-                raise ValueError(
-                    f"fit config 'bounds.{name}' = [{lo!r}, {hi!r}] leaves the domain "
-                    f"of the {family} law: {exc}"
-                ) from None
 
 
 def _bounds(
@@ -778,8 +769,6 @@ def _stage_residuals(
         else:
             ext = fixed[rows]
             ext[:, free] = ext_free
-        for vec in ext[~(ext > 0).all(axis=1)]:
-            spec.make_params(vec)  # the params class rejects a point outside its domain
         pred, jac_ext = spec.value_and_jacobian(ext, prepared)
         # d ext / d theta = ext for log-scaled coordinates, 1 otherwise; the
         # evaluator's Jacobian is fresh, so it is scaled in place
@@ -910,11 +899,9 @@ def fit_law(
         InsufficientData: fewer records than free parameters + 1.
         MissingField: the family needs an absent optional field.
         NoConvergence: every start point failed outright.
-        ValueError: a ``config.bounds`` box leaves the family's domain.
     """
     config = config or FitConfig()
     spec = _family(family)
-    _check_bounds(family, config.bounds)
     inputs = spec.extract(fit_split)
     obs = _losses(fit_split)
     if len(obs) < len(spec.names) + 1:
@@ -1018,12 +1005,6 @@ def compare_laws(
     parameters; rows whose fit failed are kept at the bottom with the error
     message instead of aborting the comparison.
     """
-    # a box outside a family's domain is bad input, not a failed fit; an
-    # unknown family becomes its row's error below
-    if config is not None:
-        for tag in families:
-            if tag in FAMILIES:
-                _check_bounds(tag, config.bounds)
     fit_split, holdout = split_fit_holdout(series, split_fraction)
     rows: list[ComparisonRow] = []
     for tag in families:

@@ -13,9 +13,16 @@ import math
 from pathlib import Path
 
 
-def load(path):
-    """The JSON value of the UTF-8 file at ``path``."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def load(path, kind: str):
+    """The JSON value of the UTF-8 file at ``path``; errors name ``kind`` and the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind} {path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # the decoder's error, or an integer too long to convert
+        raise ValueError(f"{kind} {path} is not valid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError(f"{kind} {path} is nested too deeply to read") from None
 
 
 def obj(value, where: str) -> dict:

@@ -193,12 +193,16 @@ def ingest(path, format: str | None = None) -> RunSeries:
     if format == "csv":
         with path.open("r", newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            for col in _REQUIRED_COLUMNS:
-                if col not in header:
-                    raise MissingColumn(col)
-            for row, raw in enumerate(reader, start=1):
-                records.append(_record_from_mapping(raw, row))
+            try:
+                header = reader.fieldnames or []
+                for col in _REQUIRED_COLUMNS:
+                    if col not in header:
+                        raise MissingColumn(col)
+                for row, raw in enumerate(reader, start=1):
+                    records.append(_record_from_mapping(raw, row))
+            except csv.Error as exc:  # such as a field beyond csv's size limit
+                # DictReader counts only the lines of the rows it returned
+                raise ValueError(f"{path}: CSV line {reader.reader.line_num}: {exc}") from None
     else:
         with path.open("r", encoding="utf-8") as fh:
             for row, line in enumerate(fh, start=1):
@@ -207,8 +211,10 @@ def ingest(path, format: str | None = None) -> RunSeries:
                     continue
                 try:
                     raw = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # the decoder's error, or an integer too long
                     raise MalformedRecord(row, f"invalid JSON: {exc}") from None
+                except RecursionError:  # the decoder recurses once per level of nesting
+                    raise MalformedRecord(row, "invalid JSON: nested too deeply") from None
                 if not isinstance(raw, dict):
                     raise MalformedRecord(row, "record is not a JSON object")
                 records.append(_record_from_mapping(raw, row))
@@ -285,7 +291,8 @@ def gaussian_smooth(
     if two_var == 0.0:  # the centre weight would be 0/0
         raise ValueError(f"sigma {sigma!r} is too small: 2*sigma**2 underflows to 0")
 
-    offsets = np.arange(-(window // 2), (window - 1) // 2 + 1)
+    left = window // 2
+    offsets = np.arange(-left, window - left)
     with np.errstate(over="ignore"):  # a far offset of a tiny sigma weighs exp(-inf) = 0
         kernel = np.exp(-(offsets.astype(float) ** 2) / two_var)
 
@@ -296,10 +303,10 @@ def gaussian_smooth(
         losses = np.array([series.records[i].loss for i in idx], dtype=float)
         n = len(losses)
         for pos in range(n):
-            j = pos + offsets
-            valid = (j >= 0) & (j < n)
-            w = kernel[valid]
-            smoothed = float(np.dot(w, losses[j[valid]]) / w.sum())
+            # the window's records lo..hi-1, clipped at the run's ends
+            lo, hi = max(pos - left, 0), min(pos - left + window, n)
+            w = kernel[lo - pos + left : hi - pos + left]
+            smoothed = float(np.dot(w, losses[lo:hi]) / w.sum())
             new_records[idx[pos]] = replace(new_records[idx[pos]], loss=smoothed)
 
     return RunSeries(records=tuple(new_records))

@@ -1,4 +1,4 @@
-"""Tiny static SVG line plots with linear or log axes.
+"""Tiny static SVG line plots on log-log axes.
 
 Plots are written as plain XML with no scripts, stylesheets, or external
 references, so a report directory stays self-contained and byte-stable.
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 16.0, 30.0, 46.0
+_WIDTH, _HEIGHT = 640.0, 420.0
 
 
 def escape(text: str) -> str:
@@ -27,24 +28,6 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / n
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        ticks.append(t)
-        t += step
-    return ticks
-
-
 def _log_ticks(lo: float, hi: float) -> list[float]:
     ticks = []
     for e in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1):
@@ -54,14 +37,12 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return ticks or [lo, hi]
 
 
-def _tick_label(value: float, log: bool) -> str:
-    if log:
-        exp = math.log10(value)
-        if abs(exp - round(exp)) < 1e-9:
-            return f"1e{int(round(exp))}"
-    if value == 0:
-        return "0"
-    if abs(value) >= 1e4 or abs(value) < 1e-3:
+def _tick_label(value: float) -> str:
+    """A decade as 1eN; the ends of an axis that spans no decade as numbers."""
+    exp = math.log10(value)
+    if abs(exp - round(exp)) < 1e-9:
+        return f"1e{int(round(exp))}"
+    if value >= 1e4 or value < 1e-3:
         return f"{value:.1e}"
     return f"{value:g}"
 
@@ -83,10 +64,6 @@ class SvgPlot:
     title: str
     x_label: str
     y_label: str
-    x_log: bool = False
-    y_log: bool = False
-    width: float = 640.0
-    height: float = 420.0
     _series: list[_Series] = field(default_factory=list)
 
     def add_series(
@@ -102,9 +79,9 @@ class SvgPlot:
         ys = [float(y) for y in ys]
         if len(xs) != len(ys) or not xs:
             raise ValueError("series must be non-empty with matching lengths")
-        if self.x_log and any(x <= 0 for x in xs):
+        if any(x <= 0 for x in xs):
             raise ValueError("log x-axis needs positive x values")
-        if self.y_log and any(y <= 0 for y in ys):
+        if any(y <= 0 for y in ys):
             raise ValueError("log y-axis needs positive y values")
         chosen = color or _PALETTE[len(self._series) % len(_PALETTE)]
         self._series.append(_Series(name, xs, ys, chosen, markers, dashed))
@@ -114,10 +91,8 @@ class SvgPlot:
     def _scales(self):
         xs = [x for s in self._series for x in s.xs]
         ys = [y for s in self._series for y in s.ys]
-        tx = (lambda v: math.log10(v)) if self.x_log else (lambda v: v)
-        ty = (lambda v: math.log10(v)) if self.y_log else (lambda v: v)
-        x_lo, x_hi = min(map(tx, xs)), max(map(tx, xs))
-        y_lo, y_hi = min(map(ty, ys)), max(map(ty, ys))
+        x_lo, x_hi = min(map(math.log10, xs)), max(map(math.log10, xs))
+        y_lo, y_hi = min(map(math.log10, ys)), max(map(math.log10, ys))
         if x_hi == x_lo:
             x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
         if y_hi == y_lo:
@@ -126,14 +101,14 @@ class SvgPlot:
         pad_y = 0.06 * (y_hi - y_lo)
         x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
         y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-        plot_w = self.width - _MARGIN_L - _MARGIN_R
-        plot_h = self.height - _MARGIN_T - _MARGIN_B
+        plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+        plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
         def sx(v: float) -> float:
-            return _MARGIN_L + (tx(v) - x_lo) / (x_hi - x_lo) * plot_w
+            return _MARGIN_L + (math.log10(v) - x_lo) / (x_hi - x_lo) * plot_w
 
         def sy(v: float) -> float:
-            return _MARGIN_T + (y_hi - ty(v)) / (y_hi - y_lo) * plot_h
+            return _MARGIN_T + (y_hi - math.log10(v)) / (y_hi - y_lo) * plot_h
 
         return sx, sy, (x_lo, x_hi), (y_lo, y_hi)
 
@@ -141,7 +116,7 @@ class SvgPlot:
         if not self._series:
             raise ValueError("no series to plot")
         sx, sy, (x_lo, x_hi), (y_lo, y_hi) = self._scales()
-        w, h = self.width, self.height
+        w, h = _WIDTH, _HEIGHT
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:g}" height="{h:g}" '
@@ -159,16 +134,7 @@ class SvgPlot:
             'fill="none" stroke="#333" stroke-width="1"/>'
         )
 
-        if self.x_log:
-            x_ticks = _log_ticks(10.0**x_lo, 10.0**x_hi)
-        else:
-            x_ticks = _nice_ticks(x_lo, x_hi)
-        if self.y_log:
-            y_ticks = _log_ticks(10.0**y_lo, 10.0**y_hi)
-        else:
-            y_ticks = _nice_ticks(y_lo, y_hi)
-
-        for t in x_ticks:
+        for t in _log_ticks(10.0**x_lo, 10.0**x_hi):
             px = sx(t)
             out.append(
                 f'<line x1="{_fmt(px)}" y1="{h - _MARGIN_B:.1f}" '
@@ -177,9 +143,9 @@ class SvgPlot:
             out.append(
                 f'<text x="{_fmt(px)}" y="{h - _MARGIN_B + 18:.1f}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="10">'
-                f"{escape(_tick_label(t, self.x_log))}</text>"
+                f"{escape(_tick_label(t))}</text>"
             )
-        for t in y_ticks:
+        for t in _log_ticks(10.0**y_lo, 10.0**y_hi):
             py = sy(t)
             out.append(
                 f'<line x1="{_MARGIN_L - 5:.1f}" y1="{_fmt(py)}" '
@@ -188,7 +154,7 @@ class SvgPlot:
             out.append(
                 f'<text x="{_MARGIN_L - 8:.1f}" y="{_fmt(py + 3)}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="10">'
-                f"{escape(_tick_label(t, self.y_log))}</text>"
+                f"{escape(_tick_label(t))}</text>"
             )
 
         out.append(

@@ -165,7 +165,7 @@ class BlobSpec:
 
 def load_spec(path) -> CurveSpec | BlobSpec:
     """Load a generator spec from JSON; ``kind`` picks the type."""
-    data = jsondoc.load(path)
+    data = jsondoc.load(path, "synth spec")
     kind = jsondoc.get(data, "kind", "spec")
     if kind == "curves":
         return CurveSpec.from_dict(data)

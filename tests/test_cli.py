@@ -471,6 +471,12 @@ def test_report_rejects_changed_input(tmp_path, blob_fixture):
         ({"argv": []}, "manifest 'argv' must be a non-empty list of strings"),
         ({"argv": ["report", "m.json"]}, "cannot replay 'report'"),
         ({"argv": ["fit"], "inputs": [1]}, "manifest 'inputs' must be a JSON object"),
+        # no command records these, which print and write nothing
+        ({"argv": ["--version"]}, "cannot replay '--version': it does not start with a command"),
+        ({"argv": ["alloc", "--help"]}, "cannot replay '--help': help writes no outputs"),
+        ({"argv": ["alloc", "--he"]}, "cannot replay '--he': help writes no outputs"),
+        ({"argv": ["density", "e.emb", "-h"]}, "cannot replay '-h': help writes no outputs"),
+        ({"argv": ["sweep", "-ho", "out"]}, "cannot replay '-ho': help writes no outputs"),
     ],
 )
 def test_report_bad_manifest_is_exit_one(tmp_path, capsys, manifest, message):
@@ -479,6 +485,30 @@ def test_report_bad_manifest_is_exit_one(tmp_path, capsys, manifest, message):
     assert main(["report", str(path), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content, fault",
+    [(b"{", "is not valid JSON: Expecting property name enclosed in double quotes"),
+     (b"\xff", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+     (b"[" * 100_000, "is nested too deeply to read")],
+    ids=["invalid", "not-utf8", "deep"],
+)
+@pytest.mark.parametrize("kind", ["law file", "fit config", "synth spec", "manifest"])
+def test_unreadable_json_document_names_its_kind_and_file(
+    tmp_path, capsys, power_fixture, kind, content, fault
+):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
+    argv = {
+        "law file": ["alloc", "--law", str(doc), "--budget", "1e20"],
+        "fit config": ["fit", str(power_fixture), "--family", "power", "--config", str(doc)],
+        "synth spec": ["synth", "--spec", str(doc)],
+        "manifest": ["report", str(doc)],
+    }[kind]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"subscale {argv[0]}: {kind} {doc} {fault}")
 
 
 def test_thread_count_does_not_change_tables(tmp_path, suboptimal_fixture):
@@ -602,8 +632,11 @@ def test_fit_bad_config_is_exit_one(tmp_path, power_fixture, capsys, config, mes
         (["suboptimal"], {"e_irreducible": [-10, 0.5]}, "e_irreducible must be >= 0"),
         (["suboptimal"], {"k1": [-1, 0.5]}, "k1 and k2 must be >= 0"),
         (["power", "chinchilla"], {"alpha_n": [-1, 0.5]}, "alpha_n must be > 0"),
+        # checked when the config is read, whichever family is fitted
+        (["power"], {"k2": [-1, 0.5]}, "k1 and k2 must be >= 0"),
+        (["chinchilla"], {"alpha": [0, 1]}, "alpha must be > 0, got 0.0"),
     ],
-    ids=["alpha_n", "e_irreducible", "k1", "compare"],
+    ids=["alpha_n", "e_irreducible", "k1", "compare", "k2-power", "alpha-chinchilla"],
 )
 def test_fit_bounds_outside_domain_is_exit_one(
     tmp_path, suboptimal_fixture, capsys, families, bounds, message
@@ -617,10 +650,9 @@ def test_fit_bounds_outside_domain_is_exit_one(
          "-o", str(tmp_path / "fit")]
     )
     assert code == 1
-    law = families[-1]
     assert capsys.readouterr().err == (
         f"subscale fit: fit config 'bounds.{name}' = [{float(lo)!r}, {float(hi)!r}] "
-        f"leaves the domain of the {law} law: {message}\n"
+        f"leaves the domain of {name}: {message}\n"
     )
     assert not (tmp_path / "fit" / "manifest.json").exists()
 

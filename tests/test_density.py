@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_singleton_cluster_flagged():
     clustering = density.kmeans(emb, 1, seed=0)
     cd = density.cluster_density(emb, clustering, 0)
     assert cd.radius_floored
-    assert cd.radius == density.DEFAULT_RADIUS_FLOOR
+    assert cd.radius == density.RADIUS_FLOOR
     assert math.isfinite(cd.log_density)
 
 
@@ -322,7 +323,7 @@ def test_select_oracle_densest_cluster_each_step():
                 float(np.linalg.norm(emb.vectors[i] - clustering.centroids[cid]))
                 for i in rows
             ]
-            radius = max(sum(dists) / len(dists), density.DEFAULT_RADIUS_FLOOR)
+            radius = max(sum(dists) / len(dists), density.RADIUS_FLOOR)
             ld = density.log_density_from_radius(len(rows), emb.dim, radius)
             if ld > best_ld:
                 best_ld, best_cid = ld, cid
@@ -406,6 +407,37 @@ def test_csv_roundtrip_exact(tmp_path):
     loaded = density.load_embeddings(path)
     assert loaded.ids == ("x", "y")
     assert np.array_equal(loaded.vectors, emb.vectors)
+
+
+def test_csv_field_beyond_the_csv_size_limit_is_named(tmp_path):
+    path = tmp_path / "vectors.csv"
+    path.write_text("id,v0\na,1.0\nb," + "9" * 200_000 + "\n")
+    with pytest.raises(EmbeddingFormatError) as err:
+        density.load_embeddings(path)
+    assert str(err.value) == f"{path}: line 3: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("value", ["1e308", "-3.5e38"])
+def test_csv_component_beyond_float32_range_is_named(tmp_path, value):
+    # its square, and so a squared distance, could overflow
+    path = tmp_path / "vectors.csv"
+    path.write_text(f"id,v0,v1\na,1.0,0.0\nb,0.0,{value}\nc,2.0,1.0\n")
+    with pytest.raises(EmbeddingFormatError) as err:
+        density.load_embeddings(path)
+    assert str(err.value) == f"{path}: id 'b': v1 = {float(value)!r} is beyond the float32 range"
+    # the largest float32 still loads
+    path.write_text(f"id,v0\na,{float(np.finfo(np.float32).max)!r}\nb,1.0\n")
+    assert density.load_embeddings(path).n_samples == 2
+
+
+def test_binary_signalling_nan_is_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "vectors.emb"
+    nan = np.array([0x7FA00000], dtype="<u4").tobytes()  # a float32 signalling NaN
+    path.write_bytes(b"EMB1" + struct.pack("<QQ", 1, 2) + nan + np.float32(1.0).tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^vectors must be finite$"):
+            density.load_embeddings(path)
 
 
 @pytest.mark.parametrize("char", ["\n", "\r", "\t", "\x00", "\x1f", "\x7f"])

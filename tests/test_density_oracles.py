@@ -64,10 +64,10 @@ def reference_select(
     clustering,
     keep_fraction=None,
     target_log_density=None,
-    radius_floor=density.DEFAULT_RADIUS_FLOOR,
 ):
     if (keep_fraction is None) == (target_log_density is None):
         raise ValueError("give exactly one of keep_fraction or target_log_density")
+    radius_floor = density.RADIUS_FLOOR
     n = embeddings.n_samples
     dim = embeddings.dim
     if keep_fraction is not None:
@@ -223,9 +223,9 @@ def _assert_same(emb, clustering, **kwargs):
     assert got == expected
 
 
-def _start_log_density(emb, clustering, radius_floor):
+def _start_log_density(emb, clustering):
     try:
-        return density.dataset_density(emb, clustering, radius_floor).log_density
+        return density.dataset_density(emb, clustering).log_density
     except DegenerateGeometry:
         return 0.0  # both selections must then raise the same error
 
@@ -248,17 +248,14 @@ def test_merge_selection_matches_greedy_reference(seed, kind, how):
     emb = EmbeddingSet.from_array(x)
     clustering = _clustering(rng, x, k, how)
     # the large floor makes many radii floored, so cluster densities tie
-    for radius_floor in (density.DEFAULT_RADIUS_FLOOR, 0.75):
-        for keep in KEEP_FRACTIONS:
-            _assert_same(emb, clustering, keep_fraction=keep, radius_floor=radius_floor)
-        start = _start_log_density(emb, clustering, radius_floor)
-        for drop in TARGET_DROPS:
-            _assert_same(
-                emb,
-                clustering,
-                target_log_density=start - drop,
-                radius_floor=radius_floor,
-            )
+    for radius_floor in (density.RADIUS_FLOOR, 0.75):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "RADIUS_FLOOR", radius_floor)
+            for keep in KEEP_FRACTIONS:
+                _assert_same(emb, clustering, keep_fraction=keep)
+            start = _start_log_density(emb, clustering)
+            for drop in TARGET_DROPS:
+                _assert_same(emb, clustering, target_log_density=start - drop)
 
 
 def test_merge_selection_empties_small_clusters():
@@ -325,7 +322,7 @@ def test_merge_selection_hypothesis_matches_greedy_reference():
         perm = draw(st.permutations(range(n)))
         labels = np.array(list(range(k)) + extra)[list(perm)]
         centroids = np.stack([x[labels == c].mean(axis=0) for c in range(k)])
-        floor = draw(st.sampled_from([density.DEFAULT_RADIUS_FLOOR, 0.5, 1.0]))
+        floor = draw(st.sampled_from([density.RADIUS_FLOOR, 0.5, 1.0]))
         if draw(st.booleans()):
             mode = {"keep_fraction": draw(st.floats(1e-9, 1.0))}
         else:
@@ -338,10 +335,12 @@ def test_merge_selection_hypothesis_matches_greedy_reference():
         x, labels, centroids, floor, mode = problem
         emb = EmbeddingSet.from_array(x)
         clustering = Clustering.from_parts(labels, centroids)
-        if "drop" in mode:
-            start = _start_log_density(emb, clustering, floor)
-            mode = {"target_log_density": start - mode["drop"]}
-        _assert_same(emb, clustering, radius_floor=floor, **mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "RADIUS_FLOOR", floor)
+            if "drop" in mode:
+                start = _start_log_density(emb, clustering)
+                mode = {"target_log_density": start - mode["drop"]}
+            _assert_same(emb, clustering, **mode)
 
     check()
 

@@ -229,13 +229,15 @@ def test_fit_config_rejects_non_finite_numbers(kwargs, key):
      ("suboptimal", {"k2": (-1.0, 0.0)}), ("suboptimal", {"e_irreducible": (-1.0, 1.0)})],
 )
 def test_fit_law_rejects_box_outside_domain_before_fitting(family, bounds):
-    series = _suboptimal_series(noise=0.0, seed=1)
+    # the config cannot be built, so neither fit_law nor compare_laws gets it
     (name,) = bounds
-    with pytest.raises(ValueError, match=f"'bounds.{name}' .* the domain of the {family} law"):
-        fit.fit_law(series, family, fit.FitConfig(bounds=bounds))
-    # compare rejects the config instead of failing the family's row
-    with pytest.raises(ValueError, match=f"'bounds.{name}'"):
-        fit.compare_laws(series, ["power", family], fit.FitConfig(bounds=bounds))
+    assert name in fit.FAMILIES[family].names
+    lo, hi = bounds[name]
+    with pytest.raises(
+        ValueError,
+        match=rf"^fit config 'bounds.{name}' = \[{lo!r}, {hi!r}\] leaves the domain of {name}: ",
+    ):
+        fit.FitConfig(bounds=bounds)
 
 
 def test_fit_config_from_dict_keeps_field_defaults():
@@ -243,11 +245,11 @@ def test_fit_config_from_dict_keeps_field_defaults():
     # older configs carry a seed, which has no effect
     assert fit.FitConfig.from_dict({"seed": 7}) == fit.FitConfig()
     config = fit.FitConfig.from_dict(
-        {"multistart_grid": {"alpha": [0.1, 0.2]}, "bounds": {"alpha": [0, 1]},
+        {"multistart_grid": {"alpha": [0.1, 0.2]}, "bounds": {"lambda": [0, 1]},
          "max_iters": 50.0, "tolerance": 1}
     )
     assert config == fit.FitConfig(
-        multistart_grid={"alpha": (0.1, 0.2)}, bounds={"alpha": (0.0, 1.0)},
+        multistart_grid={"alpha": (0.1, 0.2)}, bounds={"lambda": (0.0, 1.0)},
         max_iters=50, tolerance=1.0,
     )
 

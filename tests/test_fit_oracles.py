@@ -301,8 +301,6 @@ CONFIGS = {
                 "e_irreducible": (0.0, 1.0)},
         multistart_grid={"k2": [0.0, 0.5]},
     ),
-    # a negative e is rejected by the params class mid-fit
-    "negative_e": fit.FitConfig(bounds={"e_irreducible": (-10.0, 0.0)}, max_iters=20),
 }
 
 
@@ -347,9 +345,7 @@ def test_every_start_matches_unfused_engine(family, config_name):
     obs = fit._losses(series)
     lo, hi = fit._bounds(spec, obs, config.bounds)
     starts = fit._build_starts(spec, inputs, obs, config, lo, hi)
-    n_compared = _assert_each_start_matches_reference(spec, inputs, obs, starts, lo, hi, config)
-    if config_name != "negative_e":
-        assert n_compared > 0
+    assert _assert_each_start_matches_reference(spec, inputs, obs, starts, lo, hi, config) > 0
 
 
 def test_random_fits_match_unfused_engine_start_by_start():
@@ -377,10 +373,10 @@ def test_random_fits_match_unfused_engine_start_by_start():
              "alpha_d": st.lists(alphas, min_size=1, max_size=2)},
             optional={"k1": st.lists(st.floats(0.0, 0.05), min_size=1, max_size=2)},
         ),
-        # an e box reaching below zero lets e leave the law's domain
+        # every box inside its parameter's domain, as FitConfig requires
         bounds=st.fixed_dictionaries({}, optional={
             "alpha": box(1e-3, 0.5), "alpha_n": box(1e-3, 0.5), "alpha_d": box(1e-3, 0.5),
-            "k2": box(0.0, 0.01), "e_irreducible": box(-1.5, 0.5),
+            "k2": box(0.0, 0.01), "e_irreducible": box(0.0, 0.5),
         }),
         max_iters=st.integers(1, 60),
     )
@@ -775,18 +771,18 @@ START_DATA = {
 
 START_CONFIGS = {
     "default": fit.FitConfig(),
-    # names no family has all of, and an e box reaching below zero (a name no
-    # family has is rejected by FitConfig itself)
+    # names no family has all of (a name no family has, or a box outside its
+    # parameter's domain, is rejected by FitConfig itself)
     "bounds": fit.FitConfig(
         bounds={"alpha": (0.01, 0.2), "lambda": (2.0, 3.0), "alpha_n": (0.25, 0.3),
-                "lambda_d": (1.0, 50.0), "e_irreducible": (-5.0, 0.5), "k1": (0.0, 0.002)},
+                "lambda_d": (1.0, 50.0), "e_irreducible": (0.0, 0.5), "k1": (0.0, 0.002)},
     ),
     "grid": fit.FitConfig(
         multistart_grid={"lambda": [0.5, 3.0], "lambda_n": [10.0, 1e13],
                          "e_irreducible": [-1.0, 1.2], "k1": [0.0, 0.05]},
     ),
     "both": fit.FitConfig(
-        bounds={"lambda_n": (20.0, 30.0), "k1": (0.01, 0.02), "e_irreducible": (-1.0, 3.0)},
+        bounds={"lambda_n": (20.0, 30.0), "k1": (0.01, 0.02), "e_irreducible": (0.0, 3.0)},
         multistart_grid={"alpha_n": [0.3], "lambda": [1e-20], "e_irreducible": [0.0, 2.0],
                          "k1": [0.0, 0.5]},
     ),

@@ -14,6 +14,7 @@ import copy
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -98,10 +99,10 @@ def test_get_names_the_document_and_the_missing_key():
 def test_load_reads_utf8_json(tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(json.dumps({"tag": "模"}, ensure_ascii=False).encode("utf-8"))
-    assert jsondoc.load(path) == {"tag": "模"}
+    assert jsondoc.load(path, "doc") == {"tag": "模"}
     path.write_text("{")
-    with pytest.raises(ValueError):
-        jsondoc.load(path)
+    with pytest.raises(ValueError, match=f"^doc {re.escape(str(path))} is not valid JSON: "):
+        jsondoc.load(path, "doc")
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +197,8 @@ def _replaced(doc, path, value):
 
 # file -> value, as the CLI reads each kind of document
 _READERS = {
-    "law": lambda path: laws.params_from_dict(jsondoc.load(path)),
-    "config": lambda path: fit.FitConfig.from_dict(jsondoc.load(path)),
+    "law": lambda path: laws.params_from_dict(jsondoc.load(path, "law file")),
+    "config": lambda path: fit.FitConfig.from_dict(jsondoc.load(path, "fit config")),
     "spec": synth.load_spec,
 }
 

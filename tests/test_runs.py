@@ -116,6 +116,28 @@ def test_csv_count_above_2_53_rejected_exactly(tmp_path):
         runs.ingest(path)
 
 
+def test_csv_field_beyond_the_csv_size_limit_is_named(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text("run_id,model_size,tokens,loss\na,10,100,3.0\nb,10,100," + "9" * 200_000 + "\n")
+    with pytest.raises(ValueError) as err:
+        runs.ingest(path)
+    assert str(err.value) == f"{path}: CSV line 3: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[" * 100_000, "row 2: invalid JSON: nested too deeply"),
+     ('{"model_size": ' + "1" * 5000 + "}", "row 2: invalid JSON: Exceeds the limit (4300 digits)")],
+    ids=["deep", "long-integer"],
+)
+def test_jsonl_line_the_decoder_cannot_read_is_named(tmp_path, line, message):
+    path = tmp_path / "runs.jsonl"
+    path.write_text('{"run_id": "a", "model_size": 10, "tokens": 100, "loss": 3.0}\n' + line + "\n")
+    with pytest.raises(MalformedRecord) as err:
+        runs.ingest(path)
+    assert str(err.value).startswith(message)
+
+
 @pytest.mark.parametrize("suffix, infinity", [("csv", "inf"), ("jsonl", "Infinity")])
 def test_ingest_rejects_non_finite_learning_rate(tmp_path, suffix, infinity):
     # inf > 0, so only the finiteness check stops it

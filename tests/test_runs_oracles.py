@@ -7,6 +7,10 @@ and on rows with several faults at once ``ingest`` must raise the same error
 first.  The one intended difference, numpy scalars, which the old writers
 wrote as ``np.float64(2.5)`` or could not write at all, is covered by the
 round-trip property test here and by ``test_runs.py``.
+
+``gaussian_smooth`` used to build an index array and a mask for every
+record's window; a frozen copy of that loop is the oracle for the sliced
+windows, which must give every smoothed loss bit for bit.
 """
 
 import csv
@@ -374,3 +378,46 @@ def test_write_ingest_round_trip_property(tmp_path):
                        for r in again.records for v in dataclasses.astuple(r))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Smoothing: the sliced windows against the masked loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_smoothed_losses(series, window, sigma):
+    if sigma is None:
+        sigma = window / 4.0
+    two_var = 2.0 * sigma * sigma
+    offsets = np.arange(-(window // 2), (window - 1) // 2 + 1)
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-(offsets.astype(float) ** 2) / two_var)
+    out = [rec.loss for rec in series.records]
+    for idx in runs.indices_by_run(series).values():
+        losses = np.array([series.records[i].loss for i in idx], dtype=float)
+        n = len(losses)
+        for pos in range(n):
+            j = pos + offsets
+            valid = (j >= 0) & (j < n)
+            w = kernel[valid]
+            out[idx[pos]] = float(np.dot(w, losses[j[valid]]) / w.sum())
+    return out
+
+
+# 16, 17, 32 and 33 sit on either side of the block sizes of BLAS ddot kernels
+@pytest.mark.parametrize("window", [1, 2, 3, 10, 16, 17, 32, 33])
+@pytest.mark.parametrize("sigma", [None, 0.3], ids=["default-sigma", "small-sigma"])
+def test_smoothed_losses_match_reference_loop(window, sigma):
+    rng = np.random.default_rng(window)
+    records = []
+    # runs as long as the window, one longer, and several windows long
+    for run, length in enumerate((window, window + 1, 3 * window + 7, 100)):
+        # losses over six decades, so that a change of summation order shows
+        losses = np.exp(rng.normal(0.0, 3.0, length))
+        records += [
+            runs.TrainingRun(f"r{run}", 10**6 * (run + 1), 1000 * (i + 1), float(loss))
+            for i, loss in enumerate(losses)
+        ]
+    series = runs.RunSeries.from_records(records)
+    got = [rec.loss for rec in runs.gaussian_smooth(series, window, sigma).records]
+    assert got == _ref_smoothed_losses(series, window, sigma)
