@@ -190,8 +190,9 @@ def _fit_plot(
     return plot
 
 
-def _sweep_plot(law: laws.LawParams, budget: float, otr_values) -> SvgPlot:
-    """Loss vs model size at fixed budgets, with the locus of the minima."""
+def _sweep_plot(law: laws.LawParams, budget, otr_values, points, plan, n_bracket) -> SvgPlot:
+    """Loss vs model size at 0.1, 1 and 10 times the budget, with the locus of the
+    minima; ``points`` and ``plan`` (None if not computed) are the budget's own."""
     from . import alloc
     from .svg import SvgPlot
 
@@ -201,20 +202,22 @@ def _sweep_plot(law: laws.LawParams, budget: float, otr_values) -> SvgPlot:
         y_label="predicted loss",
     )
     locus_x, locus_y = [], []
-    for factor in (0.1, 1.0, 10.0):
+    for factor, sweep, best in ((0.1, None, None), (1.0, points, plan), (10.0, None, None)):
         b = budget * factor
-        points = alloc.otr_sweep(law, b, otr_values)
+        if sweep is None:
+            sweep = alloc.otr_sweep(law, b, otr_values)
         plot.add_series(
             f"budget {b:.2e}",
-            [p.n for p in points],
-            [p.predicted_loss for p in points],
+            [p.n for p in sweep],
+            [p.predicted_loss for p in sweep],
         )
-        try:
-            plan = alloc.optimal_allocation(law, b)
-            locus_x.append(plan.n_star)
-            locus_y.append(plan.predicted_loss)
-        except SubscaleError:
-            pass
+        if best is None:
+            try:
+                best = alloc.optimal_allocation(law, b, n_bracket)
+            except SubscaleError:
+                continue
+        locus_x.append(best.n_star)
+        locus_y.append(best.predicted_loss)
     if len(locus_x) >= 2:
         plot.add_series("optimal locus", locus_x, locus_y, markers=True, color="#000000")
     return plot
@@ -340,8 +343,9 @@ def _otr_grid(args) -> np.ndarray:
     return np.geomspace(args.otr_min, args.otr_max, args.otr_points)
 
 
-def _write_sweep(out: Path, law: laws.LawParams, args) -> list[alloc.SweepPoint]:
-    """Write sweep.csv and alloc_sweep.svg for the budget and OTR grid in args."""
+def _write_sweep(out: Path, law: laws.LawParams, args, plan=None, n_bracket=_DEFAULT_N_BRACKET):
+    """Write sweep.csv and alloc_sweep.svg for the budget and OTR grid in args, and
+    return the sweep; ``plan`` is the budget's allocation over ``n_bracket``."""
     from . import alloc
 
     otr_values = _otr_grid(args)
@@ -351,7 +355,9 @@ def _write_sweep(out: Path, law: laws.LawParams, args) -> list[alloc.SweepPoint]
         ["otr", "n", "d", "loss"],
         ([p.otr, p.n, p.d, p.predicted_loss] for p in points),
     )
-    _sweep_plot(law, args.budget, otr_values).write(out / "alloc_sweep.svg")
+    _sweep_plot(law, args.budget, otr_values, points, plan, n_bracket).write(
+        out / "alloc_sweep.svg"
+    )
     return points
 
 
@@ -360,12 +366,13 @@ def cmd_alloc(args) -> int:
 
     out = _out_dir(args)
     law = _load_law(args.law)
-    plan = alloc.optimal_allocation(law, args.budget, (args.n_min, args.n_max))
+    n_bracket = (args.n_min, args.n_max)
+    plan = alloc.optimal_allocation(law, args.budget, n_bracket)
     _write_json(out / "allocation.json", plan)
     tables = ["allocation.json"]
     plots = []
     if args.sweep:
-        _write_sweep(out, law, args)
+        _write_sweep(out, law, args, plan, n_bracket)
         tables.append("sweep.csv")
         plots.append("alloc_sweep.svg")
     _write_manifest(args, out, tables, plots)

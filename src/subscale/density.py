@@ -33,6 +33,7 @@ from .errors import (
     KTooLarge,
     TargetUnreachable,
     UnfilledClusters,
+    utf8_fault,
 )
 from .rng import SplitMix64
 
@@ -501,7 +502,8 @@ def save_embeddings(path, embeddings: EmbeddingSet) -> None:
 
 
 def _csv_rows(path: Path, fh):
-    """The rows of an embedding CSV; a row ``csv`` cannot read is an EmbeddingFormatError."""
+    """The rows of an embedding CSV; a row that ``csv`` cannot read, or that is
+    not UTF-8, is an EmbeddingFormatError."""
     import csv
 
     reader = csv.reader(fh)
@@ -509,6 +511,8 @@ def _csv_rows(path: Path, fh):
         yield from reader
     except csv.Error as exc:  # such as a field beyond csv's size limit
         raise EmbeddingFormatError(str(path), f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(str(path), f"not UTF-8 text: {utf8_fault(path, exc)}") from None
 
 
 def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
@@ -537,7 +541,11 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
                         f"character {control.group()!r}",
                     )
                 ids.append(row[0])
+                text = "".join(row[1:])
                 try:
+                    # float() also reads non-ASCII digits and '_' separators
+                    if not text.isascii() or "_" in text:
+                        raise ValueError(text)
                     rows.append([float(v) for v in row[1:]])
                 except ValueError:
                     raise EmbeddingFormatError(

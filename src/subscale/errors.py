@@ -8,11 +8,24 @@ Every error carries enough context to name the offending row, run, or bin.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 # C0 controls and DEL, rejected in run ids and embedding ids: a text cell or
 # line of ids holding one (a bare carriage return, say) splits its row for a
 # CSV reader
 CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f]")
+
+
+def utf8_fault(path, exc: UnicodeDecodeError) -> str:
+    """'line N: <codec message>' for the first byte of the file at ``path`` that is
+    not UTF-8, read whole: ``exc``, from a reader, counts bytes within one chunk."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = raw.count(b"\n", 0, whole.start) + 1
+        return f"line {line}: {whole}"
+    return str(exc)  # the file has changed since
 
 
 class SubscaleError(Exception):

@@ -121,33 +121,38 @@ class FitConfig:
     def __post_init__(self):
         if self.residual_space not in ("log", "linear"):
             raise ValueError("residual_space must be 'log' or 'linear'")
-        # NaN and infinities, however the config was built
-        numbers = {"tolerance": [self.tolerance]}
-        if self.robust_delta is not None:
-            numbers["robust_delta"] = [self.robust_delta]
         # a name of any family is accepted: compare shares one config
         known = {name for spec in FAMILIES.values() for name in spec.names}
         for key in ("multistart_grid", "bounds"):
-            for name, values in (getattr(self, key) or {}).items():
+            if getattr(self, key) is None:
+                continue
+            by_name = {}
+            for name, values in jsondoc.obj(getattr(self, key), _where(key)).items():
+                where = _where(f"{key}.{name}")
+                values = jsondoc.array(values, where)
+                if key == "bounds" and len(values) != 2:
+                    raise ValueError(f"{where} must be a [lo, hi] pair, got {values!r}")
+                by_name[name] = tuple(jsondoc.number(v, where) for v in values)
                 if name not in known:
-                    raise ValueError(
-                        f"fit config '{key}.{name}' names no parameter of any law family"
-                    )
-                numbers[f"{key}.{name}"] = values
-        for key, values in numbers.items():
-            for value in values:
-                if not math.isfinite(value):
-                    jsondoc.number(value, _where(key))  # raises, naming the key
+                    raise ValueError(f"{where} names no parameter of any law family")
+            jsondoc.store(self, **{key: by_name})
+        jsondoc.store(
+            self,
+            robust_delta=None
+            if self.robust_delta is None
+            else jsondoc.number(self.robust_delta, _where("robust_delta")),
+            max_iters=jsondoc.integer(self.max_iters, _where("max_iters")),
+            tolerance=jsondoc.number(self.tolerance, _where("tolerance")),
+        )
         if self.robust_delta is not None and not self.robust_delta > 0:
             raise ValueError("robust_delta must be > 0 when set")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.multistart_grid is not None:
-            for name, values in self.multistart_grid.items():
-                if len(tuple(values)) == 0:
-                    raise ValueError(f"multistart grid for {name!r} is empty")
+        for name, values in (self.multistart_grid or {}).items():
+            if not values:
+                raise ValueError(f"multistart grid for {name!r} is empty")
         for name, (lo, hi) in (self.bounds or {}).items():
             if not lo < hi:
                 raise ValueError(f"bounds for {name!r} must satisfy lo < hi")
@@ -171,49 +176,16 @@ class FitConfig:
     @staticmethod
     def from_dict(data: dict) -> "FitConfig":
         """Config from its JSON object; absent keys keep the field defaults."""
-        data = jsondoc.obj(data, "fit config")
-        defaults = {f.name: f.default for f in fields(FitConfig)}
+        names = {f.name for f in fields(FitConfig)}
         # "seed" was a field of older versions: accepted, without effect
-        unknown = sorted(set(data) - set(defaults) - {"seed"})
+        unknown = sorted(set(jsondoc.obj(data, "fit config")) - names - {"seed"})
         if unknown:
             raise ValueError(f"unknown fit config key(s): {', '.join(unknown)}")
-        kwargs = {k: v for k, v in data.items() if k in defaults}
-        for key, convert in _CONFIG_FIELDS.items():
-            # null is accepted where it is the field's default
-            if key in kwargs and not (kwargs[key] is None and defaults[key] is None):
-                kwargs[key] = convert(key, kwargs[key])
-        return FitConfig(**kwargs)
+        return FitConfig(**{k: v for k, v in data.items() if k in names})
 
 
 def _where(key: str) -> str:
     return f"fit config {key!r}"
-
-
-def _grid(key: str, values) -> tuple[float, ...]:
-    return tuple(jsondoc.number(v, _where(key)) for v in jsondoc.array(values, _where(key)))
-
-
-def _box(key: str, pair) -> tuple[float, float]:
-    if len(jsondoc.array(pair, _where(key))) != 2:
-        raise ValueError(f"{_where(key)} must be a [lo, hi] pair, got {pair!r}")
-    return _grid(key, pair)
-
-
-def _by_name(convert):
-    """An object of parameter names, each value converted under its 'key.name'."""
-    return lambda key, value: {
-        name: convert(f"{key}.{name}", v) for name, v in jsondoc.obj(value, _where(key)).items()
-    }
-
-
-# JSON value -> field value, each naming its key when the shape is wrong
-_CONFIG_FIELDS = {
-    "robust_delta": lambda key, value: jsondoc.number(value, _where(key)),
-    "multistart_grid": _by_name(_grid),
-    "bounds": _by_name(_box),
-    "max_iters": lambda key, value: jsondoc.integer(value, _where(key)),
-    "tolerance": lambda key, value: jsondoc.number(value, _where(key)),
-}
 
 
 @dataclass(frozen=True)
@@ -443,7 +415,7 @@ def _build_starts(
     if config.multistart_grid:
         for name, values in config.multistart_grid.items():
             if name in spec.names:
-                grid[name] = tuple(float(v) for v in values)
+                grid[name] = values
 
     starts = []
     for combo_values in itertools.product(*grid.values()):

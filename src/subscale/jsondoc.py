@@ -3,13 +3,16 @@ specs and manifests.
 
 Each check takes a value and ``where``, the document and key it came from
 (such as ``"spec 'seed'"``), and returns the value or raises ValueError
-naming ``where``.  Only the standard library is used.
+naming ``where``.  The document types' constructors run these checks on
+their fields, so a value built in Python meets the rules of a file; the
+readers only pick keys.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from pathlib import Path
 
 
@@ -38,15 +41,22 @@ def get(data, key: str, where: str):
     return data[key]
 
 
-def array(value, where: str) -> list:
-    if not isinstance(value, list):
+def store(instance, **values) -> None:
+    """Set checked field values on a frozen dataclass, from its ``__post_init__``."""
+    for name, value in values.items():
+        object.__setattr__(instance, name, value)
+
+
+def array(value, where: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
         raise ValueError(f"{where} must be a list, not a {type(value).__name__}")
     return value
 
 
 def number(value, where: str) -> float:
-    """A finite JSON number (not a boolean) as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A finite number (not a boolean), numpy scalars included, as a float."""
+    # float and int first: they pass without the slower ABC check
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
         try:
             if math.isfinite(value):
                 return float(value)
@@ -56,8 +66,9 @@ def number(value, where: str) -> float:
 
 
 def integer(value, where: str, limit: int | None = None) -> int:
-    """A JSON integer, or an integral float such as 50.0, below ``limit`` in magnitude."""
-    if (isinstance(value, int) and not isinstance(value, bool)) or (
+    """An integer, or an integral float such as 50.0, below ``limit`` in magnitude."""
+    # int first, as in number()
+    if (isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)) or (
         isinstance(value, float) and value.is_integer()
     ):
         if limit is None or abs(value) < limit:

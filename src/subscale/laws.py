@@ -18,8 +18,9 @@ its Jacobians hold the exact partials in the params class's field order.
 The ``*_gradient`` functions return those partials for one law and raw
 inputs.
 
-``params_from_dict`` reads a law file through the checks of ``jsondoc``,
-which name the bad key.
+Each params class checks its fields through ``jsondoc``'s checks, which name
+the bad JSON key, however the law was built; ``params_from_dict`` only picks
+the keys of a law file.
 """
 
 from __future__ import annotations
@@ -55,6 +56,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_numbers(params) -> None:
+    """Store each field of ``params`` as a float; a field that is no finite number
+    raises ValueError naming its JSON key."""
+    where = f"{family_of(params)} law params"
+    jsondoc.store(params, **{
+        f.name: jsondoc.number(getattr(params, f.name), f"{where}: {key!r}")
+        for key, f in zip(param_keys(type(params)), fields(params))
+    })
+
+
 @dataclass(frozen=True)
 class PowerLawParams:
     """lam * x**(-alpha)."""
@@ -63,6 +74,7 @@ class PowerLawParams:
     alpha: float
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if not self.alpha > 0:
@@ -80,6 +92,7 @@ class ChinchillaParams:
     alpha_d: float
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.e_irreducible >= 0:
             raise ValueError("e_irreducible must be >= 0")
         for name in ("lambda_n", "alpha_n", "lambda_d", "alpha_d"):
@@ -103,6 +116,7 @@ class SubOptimalParams:
     k2: float
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.e_irreducible >= 0:
             raise ValueError("e_irreducible must be >= 0")
         for name in ("lambda_n", "alpha_n", "lambda_d", "alpha_d"):
@@ -154,11 +168,7 @@ def params_from_dict(data: dict) -> LawParams:
     if not isinstance(tag, str) or tag not in _FAMILIES:
         raise UnknownFamily(str(tag))
     cls = _FAMILIES[tag]
-    where = f"{tag} law params"
-    return cls(*[
-        jsondoc.number(jsondoc.get(data, key, where), f"{where}: {key!r}")
-        for key in param_keys(cls)
-    ])
+    return cls(*[jsondoc.get(data, key, f"{tag} law params") for key in param_keys(cls)])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .errors import (
     NonPositiveValue,
     TooFewRecords,
     WindowLargerThanRun,
+    utf8_fault,
 )
 
 _MAX_COUNT = 2**53
@@ -108,9 +109,17 @@ def _parse_text(text, row: int, field: str) -> str | None:
     return None if text is None or text == "" else str(text)
 
 
+def _ascii_number(text, row: int, field: str) -> None:
+    """Python's int() and float() also read non-ASCII digits and '_' separators;
+    a file's number must be plain ASCII."""
+    if isinstance(text, str) and not (text.isascii() and "_" not in text):
+        raise MalformedRecord(row, f"{field}={text!r} is not an ASCII number")
+
+
 def _parse_count(text, row: int, field: str) -> int | None:
     if text is None or text == "":
         return None
+    _ascii_number(text, row, field)
     if isinstance(text, bool):  # JSON true/false
         raise MalformedRecord(row, f"{field}={text!r} is not an integer count")
     value = text if isinstance(text, int) else None
@@ -139,6 +148,7 @@ def _parse_count(text, row: int, field: str) -> int | None:
 def _parse_float(text, row: int, field: str) -> float | None:
     if text is None or text == "":
         return None
+    _ascii_number(text, row, field)
     try:
         return float(text)
     except (TypeError, ValueError):
@@ -190,35 +200,37 @@ def ingest(path, format: str | None = None) -> RunSeries:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
 
     records: list[TrainingRun] = []
-    if format == "csv":
-        with path.open("r", newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            try:
-                header = reader.fieldnames or []
-                for col in _REQUIRED_COLUMNS:
-                    if col not in header:
-                        raise MissingColumn(col)
-                for row, raw in enumerate(reader, start=1):
-                    records.append(_record_from_mapping(raw, row))
-            except csv.Error as exc:  # such as a field beyond csv's size limit
-                # DictReader counts only the lines of the rows it returned
-                raise ValueError(f"{path}: CSV line {reader.reader.line_num}: {exc}") from None
-    else:
-        with path.open("r", encoding="utf-8") as fh:
-            for row, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+    try:
+        if format == "csv":
+            with path.open("r", newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
                 try:
-                    raw = json.loads(line)
-                except ValueError as exc:  # the decoder's error, or an integer too long
-                    raise MalformedRecord(row, f"invalid JSON: {exc}") from None
-                except RecursionError:  # the decoder recurses once per level of nesting
-                    raise MalformedRecord(row, "invalid JSON: nested too deeply") from None
-                if not isinstance(raw, dict):
-                    raise MalformedRecord(row, "record is not a JSON object")
-                records.append(_record_from_mapping(raw, row))
-
+                    header = reader.fieldnames or []
+                    for col in _REQUIRED_COLUMNS:
+                        if col not in header:
+                            raise MissingColumn(col)
+                    for row, raw in enumerate(reader, start=1):
+                        records.append(_record_from_mapping(raw, row))
+                except csv.Error as exc:  # such as a field beyond csv's size limit
+                    # DictReader counts only the lines of the rows it returned
+                    line = reader.reader.line_num
+                    raise ValueError(f"{path}: CSV line {line}: {exc}") from None
+        else:
+            with path.open("r", encoding="utf-8") as fh:
+                # rows are numbered by record, as in a CSV file: blank lines are skipped
+                lines = (line.strip() for line in fh)
+                for row, line in enumerate(filter(None, lines), start=1):
+                    try:
+                        raw = json.loads(line)
+                    except ValueError as exc:  # the decoder's error, or an integer too long
+                        raise MalformedRecord(row, f"invalid JSON: {exc}") from None
+                    except RecursionError:  # the decoder recurses once per level of nesting
+                        raise MalformedRecord(row, "invalid JSON: nested too deeply") from None
+                    if not isinstance(raw, dict):
+                        raise MalformedRecord(row, "record is not a JSON object")
+                    records.append(_record_from_mapping(raw, row))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"runs file {path} is not UTF-8 text: {utf8_fault(path, exc)}") from None
     return RunSeries.from_records(records)
 
 

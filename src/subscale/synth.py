@@ -10,7 +10,7 @@ components), so a spec plus seed pins every byte of a fixture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,6 +41,21 @@ class CurveSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.law, LawParams):
+            raise ValueError(f"spec 'law' must be law params, got {self.law!r}")
+        sizes, grids = "spec 'model_sizes'", "spec 'token_checkpoints'"
+        jsondoc.store(
+            self,
+            model_sizes=tuple(
+                jsondoc.integer(n, sizes) for n in jsondoc.array(self.model_sizes, sizes)
+            ),
+            token_checkpoints=tuple(
+                tuple(jsondoc.integer(t, grids) for t in jsondoc.array(row, grids))
+                for row in jsondoc.array(self.token_checkpoints, grids)
+            ),
+            noise_sigma=jsondoc.number(self.noise_sigma, "spec 'noise_sigma'"),
+            seed=jsondoc.integer(self.seed, "spec 'seed'"),
+        )
         if len(self.model_sizes) == 0:
             raise ValueError("model_sizes must be non-empty")
         if len(self.token_checkpoints) != len(self.model_sizes):
@@ -50,45 +65,34 @@ class CurveSpec:
                 raise ValueError("model sizes must be > 0")
         for checkpoints in self.token_checkpoints:
             if len(checkpoints) == 0:
-                raise ValueError("each size needs at least one checkpoint")
+                raise ValueError("each model size needs at least one token checkpoint")
             if any(t <= 0 for t in checkpoints):
                 raise ValueError("token checkpoints must be > 0")
             if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
                 raise ValueError("token checkpoints must strictly increase")
-        if not 0 <= self.noise_sigma < math.inf:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be finite and >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "curves",
-            "law": params_to_dict(self.law),
-            "model_sizes": list(self.model_sizes),
-            "token_checkpoints": [list(c) for c in self.token_checkpoints],
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
+        return {"kind": "curves", **asdict(self), "law": params_to_dict(self.law)}
 
     @staticmethod
     def from_dict(data: dict) -> "CurveSpec":
         """The spec from its JSON object; its counts must be below 2^53, as in a runs file."""
-        law = params_from_dict(jsondoc.get(data, "law", "spec"))
-        where = "spec 'model_sizes'"
-        sizes = tuple(
-            jsondoc.integer(n, where, _MAX_COUNT)
-            for n in jsondoc.array(jsondoc.get(data, "model_sizes", "spec"), where)
+        spec = CurveSpec(
+            law=params_from_dict(jsondoc.get(data, "law", "spec")),
+            model_sizes=jsondoc.get(data, "model_sizes", "spec"),
+            token_checkpoints=jsondoc.get(data, "token_checkpoints", "spec"),
+            noise_sigma=data.get("noise_sigma", 0.0),
+            seed=data.get("seed", 0),
         )
-        where = "spec 'token_checkpoints'"
-        grids = tuple(
-            tuple(jsondoc.integer(t, where, _MAX_COUNT) for t in jsondoc.array(row, where))
-            for row in jsondoc.array(jsondoc.get(data, "token_checkpoints", "spec"), where)
-        )
-        return CurveSpec(
-            law=law,
-            model_sizes=sizes,
-            token_checkpoints=grids,
-            noise_sigma=jsondoc.number(data.get("noise_sigma", 0.0), "spec 'noise_sigma'"),
-            seed=jsondoc.integer(data.get("seed", 0), "spec 'seed'"),
-        )
+        # read back, the runs file that synth writes must hold counts below 2^53
+        for n in data["model_sizes"]:
+            jsondoc.integer(n, "spec 'model_sizes'", _MAX_COUNT)
+        for row in data["token_checkpoints"]:
+            for t in row:
+                jsondoc.integer(t, "spec 'token_checkpoints'", _MAX_COUNT)
+        return spec
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,19 @@ class BlobCluster:
     n_samples: int
     centroid: tuple[float, ...]
     spread: float
+
+    def __post_init__(self):
+        where = "spec 'centroid'"
+        jsondoc.store(
+            self,
+            n_samples=jsondoc.integer(self.n_samples, "spec 'n_samples'"),
+            centroid=tuple(jsondoc.number(c, where) for c in jsondoc.array(self.centroid, where)),
+            spread=jsondoc.number(self.spread, "spec 'spread'"),
+        )
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        if not self.spread > 0:
+            raise ValueError("spreads must be > 0")
 
 
 @dataclass(frozen=True)
@@ -108,58 +125,43 @@ class BlobSpec:
     seed: int = 0
 
     def __post_init__(self):
+        where = "spec 'per_cluster'"
+        jsondoc.store(
+            self,
+            k=jsondoc.integer(self.k, "spec 'k'"),
+            dim=jsondoc.integer(self.dim, "spec 'dim'"),
+            per_cluster=tuple(jsondoc.array(self.per_cluster, where)),
+            seed=jsondoc.integer(self.seed, "spec 'seed'"),
+        )
         if self.k != len(self.per_cluster):
             raise ValueError("k must equal the number of cluster specs")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         centroids = set()
         for blob in self.per_cluster:
-            if blob.n_samples < 1:
-                raise ValueError("each cluster needs at least one sample")
-            if not blob.spread > 0:
-                raise ValueError("spreads must be > 0")
+            if not isinstance(blob, BlobCluster):
+                raise ValueError(f"{where} entries must be BlobCluster, got {blob!r}")
             if len(blob.centroid) != self.dim:
                 raise ValueError("centroid dimensionality mismatch")
-            key = tuple(float(c) for c in blob.centroid)
-            if key in centroids:
+            if blob.centroid in centroids:
                 raise ValueError("centroids must be distinct")
-            centroids.add(key)
+            centroids.add(blob.centroid)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "blobs",
-            "k": self.k,
-            "dim": self.dim,
-            "per_cluster": [
-                {
-                    "n_samples": b.n_samples,
-                    "centroid": list(b.centroid),
-                    "spread": b.spread,
-                }
-                for b in self.per_cluster
-            ],
-            "seed": self.seed,
-        }
+        return {"kind": "blobs", **asdict(self)}
 
     @staticmethod
     def from_dict(data: dict) -> "BlobSpec":
-        k = jsondoc.integer(jsondoc.get(data, "k", "spec"), "spec 'k'")
-        dim = jsondoc.integer(jsondoc.get(data, "dim", "spec"), "spec 'dim'")
-        clusters = []
         where = "spec 'per_cluster' entry"
-        for b in jsondoc.array(jsondoc.get(data, "per_cluster", "spec"), "spec 'per_cluster'"):
-            n_samples = jsondoc.integer(jsondoc.get(b, "n_samples", where), "spec 'n_samples'")
-            centroid = jsondoc.array(jsondoc.get(b, "centroid", where), "spec 'centroid'")
-            clusters.append(BlobCluster(
-                n_samples=n_samples,
-                centroid=tuple(jsondoc.number(c, "spec 'centroid'") for c in centroid),
-                spread=jsondoc.number(jsondoc.get(b, "spread", where), "spec 'spread'"),
-            ))
+        clusters = jsondoc.array(jsondoc.get(data, "per_cluster", "spec"), "spec 'per_cluster'")
         return BlobSpec(
-            k=k,
-            dim=dim,
-            per_cluster=tuple(clusters),
-            seed=jsondoc.integer(data.get("seed", 0), "spec 'seed'"),
+            k=jsondoc.get(data, "k", "spec"),
+            dim=jsondoc.get(data, "dim", "spec"),
+            per_cluster=tuple(
+                BlobCluster(*[jsondoc.get(b, f.name, where) for f in fields(BlobCluster)])
+                for b in clusters
+            ),
+            seed=data.get("seed", 0),
         )
 
 

@@ -91,6 +91,24 @@ def test_ingest_malformed_names_row(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, data",
+    [("runs.csv", b"run_id,model_size,tokens,loss\na,10,100,3.0\n\xff,10,200,2.9\n"),
+     ("runs.jsonl", b'{"run_id": "a", "model_size": 10, "tokens": 100, "loss": 3.0}\n\n\xff\n'),
+     ("vectors.csv", b"id,v0\na,1.0\n\xff,2.0\n")],
+    ids=["ingest-csv", "ingest-jsonl", "density-csv"],
+)
+def test_input_that_is_not_utf8_is_exit_one_naming_file_and_line(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    command = "density" if name == "vectors.csv" else "ingest"
+    argv = [command, str(path), "-o", str(tmp_path / "out")]
+    assert main(argv + (["--k", "1"] if command == "density" else [])) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 3" in err and "not UTF-8 text" in err
+    assert "can't decode byte 0xff in position" in err and "Traceback" not in err
+
+
 def test_missing_input_is_exit_one(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o")]) == 1
 
@@ -227,6 +245,28 @@ def test_alloc_sweep_outputs(tmp_path):
         assert 6.0 * n * d == pytest.approx(1e20, rel=1e-9)
         assert d / n == pytest.approx(otr, rel=1e-9)
     ET.fromstring((out / "alloc_sweep.svg").read_text())
+
+
+def test_alloc_sweep_plot_keeps_the_commands_bracket(tmp_path):
+    law_path = _law_json(tmp_path, REF)
+    budget = ["--law", str(law_path), "--budget", "1e21"]
+    narrow = tmp_path / "narrow"
+    argv = ["alloc", *budget, "--n-min", "1e9", "--n-max", "5e9", "--sweep", "-o", str(narrow)]
+    assert main(argv) == 0
+    # in [1e9, 5e9] the loss at 1e20 and 1e22 has no interior minimum, so
+    # only the command's own allocation is a locus point: too few to draw
+    for b in (1e20, 1e22):
+        with pytest.raises(alloc.NoInteriorMinimum):
+            alloc.optimal_allocation(REF, b, (1e9, 5e9))
+    svg = (narrow / "alloc_sweep.svg").read_text()
+    assert "budget 1.00e+20" in svg and "optimal locus" not in svg
+    # under the default bracket `alloc --sweep` draws what `sweep` draws,
+    # which computes every allocation itself
+    assert main(["alloc", *budget, "--sweep", "-o", str(tmp_path / "a")]) == 0
+    assert main(["sweep", *budget, "-o", str(tmp_path / "s")]) == 0
+    svg = (tmp_path / "a" / "alloc_sweep.svg").read_bytes()
+    assert b"optimal locus" in svg
+    assert svg == (tmp_path / "s" / "alloc_sweep.svg").read_bytes()
 
 
 def test_sweep_command(tmp_path):

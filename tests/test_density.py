@@ -430,6 +430,32 @@ def test_csv_component_beyond_float32_range_is_named(tmp_path, value):
     assert density.load_embeddings(path).n_samples == 2
 
 
+@pytest.mark.parametrize(
+    "value", ["\u0661", "1_0", "\u0661.5", "\uff11"],
+    ids=["arabic-indic", "underscore", "arabic-indic-decimal", "fullwidth"],
+)
+def test_csv_component_must_be_ascii_without_underscores(tmp_path, value):
+    # float() reads each of these as a number
+    path = tmp_path / "e.csv"
+    path.write_text(f"id,v0,v1\n\u6a21,0.5,1\nb,2.0,{value}\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError) as err:
+        density.load_embeddings(path)
+    assert str(err.value) == f"{path}: line 3: non-numeric component"
+
+
+def test_csv_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    path = tmp_path / "e.csv"
+    data = b"id,v0,v1\na,0.5,1\nb\xff,2.0,3.0\n"
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    with pytest.raises(EmbeddingFormatError) as err:
+        density.load_embeddings(path)
+    assert str(err.value) == (
+        f"{path}: not UTF-8 text: line 3: 'utf-8' codec can't decode byte 0xff in position "
+        f"{offset}: invalid start byte"
+    )
+
+
 def test_binary_signalling_nan_is_rejected_without_a_warning(tmp_path):
     path = tmp_path / "vectors.emb"
     nan = np.array([0x7FA00000], dtype="<u4").tobytes()  # a float32 signalling NaN

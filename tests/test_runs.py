@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -157,6 +158,79 @@ def test_ingest_rejects_non_finite_learning_rate(tmp_path, suffix, infinity):
     with pytest.raises(MalformedRecord) as err:
         runs.ingest(path)
     assert str(err.value) == "row 2: learning_rate is not finite: inf"
+
+
+@pytest.mark.parametrize(
+    "field, cell",
+    [("model_size", "\u0661\u0662"), ("tokens", "1_000"), ("loss", "\u0663.0"),
+     ("loss", "3_0.5"), ("tokens", "\uff11\uff10\uff10")],
+    ids=["arabic-indic-count", "underscore-count", "arabic-indic-float", "underscore-float",
+         "fullwidth-count"],
+)
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_number_cell_must_be_ascii_without_underscores(tmp_path, suffix, field, cell):
+    # int() and float() read these as 12, 1000, 3.0, 30.5 and 100
+    record = {"run_id": "\u6a21", "model_size": "10", "tokens": "200", "loss": "2.9", field: cell}
+    path = tmp_path / f"runs.{suffix}"
+    if suffix == "csv":
+        path.write_text(
+            "run_id,model_size,tokens,loss\n\u6a21,10,100,3.0\n" + ",".join(record.values()) + "\n",
+            encoding="utf-8",
+        )
+    else:
+        first = {"run_id": "\u6a21", "model_size": 10, "tokens": 100, "loss": 3.0}
+        path.write_text(
+            "\n".join(json.dumps(r, ensure_ascii=False) for r in (first, record)) + "\n",
+            encoding="utf-8",
+        )
+    with pytest.raises(MalformedRecord) as err:
+        runs.ingest(path)
+    assert str(err.value) == f"row 2: {field}={cell!r} is not an ASCII number"
+
+
+def test_ascii_number_cells_and_unicode_run_ids_still_read(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text(
+        "run_id,model_size,tokens,loss,learning_rate\n\u6a21\u578b,10, 100 ,3e0,1E-3\n",
+        encoding="utf-8",
+    )
+    (rec,) = runs.ingest(path).records
+    assert (rec.run_id, rec.tokens, rec.loss, rec.learning_rate) == ("\u6a21\u578b", 100, 3.0, 1e-3)
+
+
+def test_jsonl_rows_are_numbered_by_record_past_blank_lines(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    good = '{"run_id": "a", "model_size": 10, "tokens": 100, "loss": 3.0}'
+    # the second record sits on line 4: a parse fault and a validation fault
+    # in it both name row 2, as in a CSV file
+    for bad, message in [
+        ('{"run_id": "a", "model_size": 10, "tokens": 200, "loss": "x"}',
+         "row 2: loss='x' is not numeric"),
+        ('{"run_id": "a", "model_size": 10, "tokens": 200, "loss": -1.0}',
+         "row 2: loss must be > 0, got -1.0"),
+    ]:
+        path.write_text(f"\n{good}\n  \n{bad}\n\n")
+        with pytest.raises(MalformedRecord if "numeric" in message else NonPositiveValue) as err:
+            runs.ingest(path)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_runs_file_that_is_not_utf8_names_the_file_and_line(tmp_path, suffix):
+    path = tmp_path / f"runs.{suffix}"
+    if suffix == "csv":
+        data = b"run_id,model_size,tokens,loss\na,10,100,3.0\na,10,200,2.\xff\n"
+    else:
+        data = b'{"run_id": "a", "model_size": 10, "tokens": 100}\n{"run_id": "\xff"}\n'
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    line = data.count(b"\n", 0, offset) + 1
+    with pytest.raises(ValueError) as err:
+        runs.ingest(path)
+    assert str(err.value) == (
+        f"runs file {path} is not UTF-8 text: line {line}: 'utf-8' codec can't decode byte "
+        f"0xff in position {offset}: invalid start byte"
+    )
 
 
 @pytest.mark.parametrize(
