@@ -38,6 +38,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 DEFAULT_N_BRACKET = (1e6, 1e13)
+# the families whose loss depends on N and D apart, so a budget has a best split
+ALLOCATABLE_LAWS = (ChinchillaParams, SubOptimalParams)
 DEFAULT_OTR_THRESHOLD = 50.0
 # the allocation scan's points over the bracket, and the golden sections'
 # tolerance on ln N
@@ -98,7 +100,7 @@ def optimal_allocation(
     the loss is monotone across the bracket, instead of returning a
     boundary guess.
     """
-    if not isinstance(law, (ChinchillaParams, SubOptimalParams)):
+    if not isinstance(law, ALLOCATABLE_LAWS):
         raise ValueError(
             f"allocation needs a chinchilla or suboptimal law, got {family_of(law)!r}"
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -212,6 +213,8 @@ def _sweep_plot(law: laws.LawParams, budget, otr_values, points, plan, n_bracket
             [p.predicted_loss for p in sweep],
         )
         if best is None:
+            if not isinstance(law, alloc.ALLOCATABLE_LAWS):
+                continue  # a power law has no compute-optimal split: no locus
             try:
                 best = alloc.optimal_allocation(law, b, n_bracket)
             except SubscaleError:
@@ -635,5 +638,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry of ``python -m subscale.cli`` and the ``subscale`` script.
+
+    Runs ``main`` on ``sys.argv``, then moves every object left alive into
+    the permanent generation, so the collections at interpreter exit skip the
+    objects that the imports made.  Atexit handlers, stream flushes and
+    module teardown still run, but the collector no longer finalizes a
+    frozen cycle, so every command closes its files before ``main`` returns.
+    Only ``main`` is for calling in process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -167,17 +168,31 @@ class DatasetDensityReport:
 # ---------------------------------------------------------------------------
 
 
-def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(x), len(centers)).
+def _sq_distances(
+    x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Squared Euclidean distances, written into ``out`` of shape (len(x), len(centers)).
 
-    ``x_sq`` is ``np.sum(x * x, axis=1)``, computed once per k-means call.
+    ``x_sq`` is ``np.sum(x * x, axis=1)``, computed once per k-means call.  The
+    steps are those of ``max(x_sq[:, None] - 2.0 * (x @ centers.T) + c_sq, 0)``
+    in that order, so each value is that expression's bit for bit.
     """
-    d2 = (
-        x_sq[:, None]
-        - 2.0 * (x @ centers.T)
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    np.matmul(x, centers.T, out=out)
+    np.multiply(out, 2.0, out=out)
+    np.subtract(x_sq[:, None], out, out=out)
+    np.add(out, np.sum(centers * centers, axis=1), out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _rows_by_cluster(assignment: np.ndarray, counts: list[int]) -> list[np.ndarray]:
+    """Each cluster's rows, ascending, as slices of one stable sort by cluster.
+
+    Each slice holds what ``np.flatnonzero(assignment == cid)`` gives;
+    ``counts`` is the cluster sizes, ``np.bincount(assignment)`` in id order.
+    """
+    order = np.argsort(assignment, kind="stable")
+    ends = itertools.accumulate(counts)
+    return [order[end - count : end] for count, end in zip(counts, ends)]
 
 
 def kmeans(
@@ -187,6 +202,15 @@ def kmeans(
 
     Deterministic for a fixed seed; empty clusters are reseeded from the
     point currently farthest from its centroid, so no cluster ends empty.
+
+    Buffers: seeding writes each new center's squared distances into
+    ``column`` (n, 1) and keeps the running minimum in ``d2`` (n,); every
+    Lloyd step writes its distances into ``dists`` (n, k).  Bit-identity
+    rules: the distances keep the operations of ``max(x_sq - 2 (x @ c.T) +
+    c_sq, 0)`` in that order, and a centroid is the ``mean`` of ``x[rows]``
+    with ``rows`` a slice of one stable argsort of the assignment, ascending
+    as ``x[assignment == cid]`` gives them.  A ``reduceat`` over a sorted
+    copy of ``x`` would sum in another order and move centroids by ~1e-16.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -201,19 +225,21 @@ def kmeans(
     x_sq = np.sum(x * x, axis=1)
 
     centers = np.empty((k, x.shape[1]), dtype=float)
+    column = np.empty((n, 1))
     centers[0] = x[rng.randint(n)]
-    d2 = _sq_distances(x, x_sq, centers[:1]).min(axis=1)
+    d2 = _sq_distances(x, x_sq, centers[:1], column)[:, 0].copy()
     for i in range(1, k):
         if d2.sum() > 0:
             idx = rng.choice_weighted(d2)
         else:
             idx = rng.randint(n)
         centers[i] = x[idx]
-        d2 = np.minimum(d2, _sq_distances(x, x_sq, centers[i : i + 1]).min(axis=1))
+        np.minimum(d2, _sq_distances(x, x_sq, centers[i : i + 1], column)[:, 0], out=d2)
 
+    dists = np.empty((n, k))
     assignment = np.full(n, -1, dtype=int)
     for _ in range(max_iters):
-        dists = _sq_distances(x, x_sq, centers)
+        _sq_distances(x, x_sq, centers, dists)
         new_assignment = dists.argmin(axis=1)
 
         counts = np.bincount(new_assignment, minlength=k)
@@ -228,10 +254,10 @@ def kmeans(
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-        for cid in range(k):
+        for cid, rows in enumerate(_rows_by_cluster(assignment, counts.tolist())):
             # a reseed can empty another cluster; its centroid is then NaN,
             # the mean of no rows, without numpy's empty-slice warnings
-            centers[cid] = x[assignment == cid].mean(axis=0) if counts[cid] else np.nan
+            centers[cid] = x[rows].mean(axis=0) if rows.size else np.nan
 
     if np.any(counts == 0):  # counts is of the final assignment
         raise UnfilledClusters(k, len(np.unique(x, axis=0)), int(np.sum(counts == 0)))
@@ -267,15 +293,25 @@ def _log1p_density(log_rho: float) -> float:
 # The per-cluster terms that the report and the selection both read.
 
 
-def _members(
-    embeddings: EmbeddingSet, clustering: Clustering, cluster_id: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A cluster's rows, ascending, and their distances to its centroid."""
-    rows = np.flatnonzero(clustering.assignment == cluster_id)
-    dists = np.linalg.norm(
+def _distances(
+    embeddings: EmbeddingSet, clustering: Clustering, cluster_id: int, rows: np.ndarray
+) -> np.ndarray:
+    """The distances of ``rows`` to the centroid of ``cluster_id``."""
+    return np.linalg.norm(
         embeddings.vectors[rows] - clustering.centroids[cluster_id], axis=1
     )
-    return rows, dists
+
+
+def _members(
+    embeddings: EmbeddingSet, clustering: Clustering
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each cluster's rows, ascending, and their distances to its centroid."""
+    k = clustering.k
+    counts = np.bincount(clustering.assignment, minlength=k)[:k].tolist()
+    return [
+        (rows, _distances(embeddings, clustering, cid, rows))
+        for cid, rows in enumerate(_rows_by_cluster(clustering.assignment, counts))
+    ]
 
 
 def _floored_log_density(count: int, dim: int, dist_sum: float) -> tuple[float, float]:
@@ -291,24 +327,30 @@ def _centroid_offsets(clustering: Clustering) -> np.ndarray:
     )
 
 
+def _cluster_summary(cluster_id: int, dim: int, dists: np.ndarray) -> ClusterDensity:
+    """A cluster's density from its members' distances to its centroid."""
+    if dists.size == 0:
+        raise ValueError(f"cluster {cluster_id} is empty")
+    dist_sum = float(dists.sum())
+    radius, log_density = _floored_log_density(dists.size, dim, dist_sum)
+    return ClusterDensity(
+        cluster_id=int(cluster_id),
+        n_samples=int(dists.size),
+        radius=radius,
+        log_density=log_density,
+        radius_floored=dist_sum / dists.size < RADIUS_FLOOR,
+    )
+
+
 def cluster_density(
     embeddings: EmbeddingSet,
     clustering: Clustering,
     cluster_id: int,
 ) -> ClusterDensity:
     """Density of one cluster from its mean member-to-centroid distance."""
-    rows, dists = _members(embeddings, clustering, cluster_id)
-    if rows.size == 0:
-        raise ValueError(f"cluster {cluster_id} is empty")
-    dist_sum = float(dists.sum())
-    radius, log_density = _floored_log_density(rows.size, embeddings.dim, dist_sum)
-    return ClusterDensity(
-        cluster_id=int(cluster_id),
-        n_samples=int(rows.size),
-        radius=radius,
-        log_density=log_density,
-        radius_floored=dist_sum / rows.size < RADIUS_FLOOR,
-    )
+    rows = np.flatnonzero(clustering.assignment == cluster_id)
+    dists = _distances(embeddings, clustering, cluster_id, rows)
+    return _cluster_summary(cluster_id, embeddings.dim, dists)
 
 
 def dataset_radius(
@@ -325,20 +367,31 @@ def dataset_radius(
     denoms = np.array(
         [_log1p_density(by_id[cid].log_density) for cid in range(clustering.k)]
     )
-    return _weighted_radius(_centroid_offsets(clustering), denoms)
+    offsets = _centroid_offsets(clustering)
+    _check_geometry(offsets)
+    return _weighted_radius(offsets, denoms)
+
+
+def _check_geometry(offsets: np.ndarray) -> None:
+    """DegenerateGeometry unless some centroid is off the grand centroid."""
+    if float(offsets.max(initial=0.0)) == 0.0:
+        raise DegenerateGeometry()
 
 
 def _weighted_radius(offsets: np.ndarray, denoms: np.ndarray) -> float:
-    """Mean of centroid offsets over log(rho_i + 1), one entry per cluster."""
-    if float(offsets.max(initial=0.0)) == 0.0:
-        raise DegenerateGeometry()
-    return float(np.mean(offsets / denoms))
+    """Mean of centroid offsets over log(rho_i + 1), one entry per cluster.
+
+    The caller checks the offsets with ``_check_geometry``.  Sum over count is
+    ``np.mean`` bit for bit (a test pins it), without its dispatch cost.
+    """
+    return float(np.add.reduce(offsets / denoms) / len(offsets))
 
 
 def dataset_density(embeddings: EmbeddingSet, clustering: Clustering) -> DatasetDensityReport:
     """Full density report: per-cluster densities plus the dataset metric."""
     per_cluster = tuple(
-        cluster_density(embeddings, clustering, cid) for cid in range(clustering.k)
+        _cluster_summary(cid, embeddings.dim, dists)
+        for cid, (_, dists) in enumerate(_members(embeddings, clustering))
     )
     radius = dataset_radius(clustering, per_cluster)
     log_rho = log_density_from_radius(embeddings.n_samples, embeddings.dim, radius)
@@ -395,8 +448,7 @@ def select_low_density(
     # that same left fold, so every sum matches a running ``-=`` bit for bit.
     order: list[list[int]] = []
     dist_sums: list[list[float]] = []
-    for cid in range(clustering.k):
-        rows, dists = _members(embeddings, clustering, cid)
+    for rows, dists in _members(embeddings, clustering):
         by_dist = np.lexsort((rows, dists))
         order.append(rows[by_dist].tolist())
         steps = np.concatenate(([float(dists.sum())], dists[by_dist]))
@@ -415,6 +467,7 @@ def select_low_density(
     if target_log_density is not None:
         # the dataset density's terms for the live clusters, in id order
         live_offsets = _centroid_offsets(clustering)[live]
+        _check_geometry(live_offsets)  # again only when a cluster empties
         live_denoms = np.array([_log1p_density(ld) for ld in live_log_density])
 
     removed = np.zeros(n, dtype=bool)
@@ -449,6 +502,7 @@ def select_low_density(
                 del live[pos]
                 live_offsets = np.delete(live_offsets, pos)
                 live_denoms = np.delete(live_denoms, pos)
+                _check_geometry(live_offsets)
             else:
                 live_denoms[pos] = _log1p_density(ld)
 

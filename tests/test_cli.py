@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import subprocess
@@ -613,6 +614,55 @@ def test_console_script_smoke(tmp_path, power_fixture):
     assert (out / "fit_result.json").exists()
 
 
+def _files(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv, code, printed",
+    [
+        (["select", "--k", "2", "--keep-fraction", "0.5"], 0, "kept 35/70; log density "),
+        (["density", "--k", "2", "--max-iters", "0"], 1,
+         "subscale density: max_iters must be >= 1, got 0\n"),
+        (["density", "--k", "1"], 2, "subscale density: all cluster centroids coincide (R = 0)\n"),
+    ],
+    ids=["ok", "bad-input", "degenerate"],
+)
+def test_process_entry_matches_in_process_main(
+    tmp_path, blob_fixture, capsys, argv, code, printed
+):
+    command = [argv[0], str(blob_fixture), *argv[1:], "-o"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "subscale.cli", *command, str(tmp_path / "child")],
+        capture_output=True, text=True,
+    )
+    frozen = gc.get_freeze_count()
+    assert main(command + [str(tmp_path / "main")]) == code
+    # only the process entry freezes the heap
+    assert gc.get_freeze_count() == frozen
+    got = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, got.out, got.err)
+    assert (got.out if code == 0 else got.err).startswith(printed)
+    assert _files(tmp_path / "child") == _files(tmp_path / "main")
+    assert (tmp_path / "main" / "manifest.json").exists() == (code == 0)
+
+
+def test_run_freezes_the_heap_and_exit_handlers_still_run(tmp_path, blob_fixture):
+    out = tmp_path / "out"
+    code = (
+        "import atexit, gc, sys\n"
+        "from subscale import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['subscale', 'density', {str(blob_fixture)!r}, '--k', '2', '-o', {str(out)!r}]\n"
+        "sys.exit(cli.run())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("k=2 n=70 dim=4 ")
+    assert proc.stdout.endswith("\nfrozen True\n")
+    assert (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # argument contract
 # ---------------------------------------------------------------------------
@@ -792,6 +842,25 @@ def test_alloc_on_power_law_names_the_family(tmp_path, capsys):
     assert code == 1
     assert "allocation needs a chinchilla or suboptimal law, got 'power'" in err
     assert "unknown law family" not in err
+
+
+def test_sweep_on_power_law_draws_no_locus_and_replays(tmp_path, capsys):
+    # a power law has no compute-optimal split, so alloc refuses it, but its
+    # loss along the budget curve is defined and sweep plots it
+    out = tmp_path / "out"
+    assert main(_argv_with_law(tmp_path, None, "sweep", _POWER)) == 0
+    assert capsys.readouterr().err == ""
+    svg = (out / "alloc_sweep.svg").read_text()
+    assert "budget 1.00e+20" in svg and "optimal locus" not in svg
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tables"] == ["sweep.csv"] and manifest["plots"] == ["alloc_sweep.svg"]
+    replay = tmp_path / "replay"
+    assert main(["report", str(out / "manifest.json"), "-o", str(replay)]) == 0
+    assert _files(replay) == _files(out)
+    assert main(_argv_with_law(tmp_path, None, "alloc", _POWER)) == 1
+    assert capsys.readouterr().err == (
+        "subscale alloc: allocation needs a chinchilla or suboptimal law, got 'power'\n"
+    )
 
 
 _CURVES = {"kind": "curves", "law": _POWER, "model_sizes": [1000],

@@ -1,7 +1,8 @@
 """The fast density paths against the straightforward code they replaced.
 
 ``select_low_density`` runs as a k-way merge over per-cluster sequences and
-``kmeans`` reuses cached row norms.  The references below are the earlier
+``kmeans`` reuses cached row norms and distance buffers and updates
+centroids from one sort.  The references below are the earlier
 implementations, kept here only as oracles: the greedy selection that
 rescans every cluster after each removal and recomputes the dataset density
 from scratch, and k-means that recomputes row norms for every distance.
@@ -346,7 +347,7 @@ def test_merge_selection_hypothesis_matches_greedy_reference():
 
 
 # ---------------------------------------------------------------------------
-# k-means: cached norms change no bit
+# k-means: cached norms, distance buffers and the sorted update change no bit
 # ---------------------------------------------------------------------------
 
 
@@ -362,6 +363,11 @@ def _kmeans_inputs():
             x = np.round(x)
         for k in sorted({1, 2, min(n - 1, 7), n - 1}):
             yield x, k, case
+    # the benchmark's shape: 6000 unit rows of 96 dims around 48 centers,
+    # where buffered products and the sorted centroid update run at scale
+    centers = rng.normal(size=(48, 96))
+    x = centers[rng.integers(0, 48, size=6000)] + 0.5 * rng.normal(size=(6000, 96))
+    yield x / np.linalg.norm(x, axis=1, keepdims=True), 48, 12
 
 
 # With k above the number of distinct rows, both implementations leave a
@@ -375,3 +381,28 @@ def test_kmeans_bit_identical_to_reference(x, k, seed):
     want = reference_kmeans(emb, k, seed=seed)
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.centroids, want.centroids)
+
+
+@pytest.mark.parametrize("n,dim,k", [(1, 1, 1), (57, 3, 5), (6000, 96, 48)])
+def test_buffered_sq_distances_are_the_plain_expression(n, dim, k):
+    # k-means reads distances only through argmin and the seeding weights,
+    # so a reordered expression could pass the k-means test on most inputs
+    rng = np.random.default_rng([n, dim, k])
+    x = rng.normal(size=(n, dim))
+    centers = rng.normal(size=(k, dim))
+    out = np.empty((n, k))
+    got = density._sq_distances(x, np.sum(x * x, axis=1), centers, out)
+    assert got is out
+    assert np.array_equal(got, _reference_sq_distances(x, centers))
+
+
+def test_weighted_radius_is_numpy_mean_bit_for_bit():
+    # _weighted_radius divides np.add.reduce by the count instead of calling
+    # np.mean; the selection's target loop calls it once per removal
+    rng = np.random.default_rng(7)
+    for size in range(1, 200):
+        for _ in range(200):
+            offsets = rng.uniform(0.0, 2.0, size) * 10.0 ** rng.uniform(-3, 1)
+            denoms = np.exp(rng.uniform(-27.0, 7.0, size))
+            want = float(np.mean(offsets / denoms))
+            assert density._weighted_radius(offsets, denoms) == want
