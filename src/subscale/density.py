@@ -293,24 +293,16 @@ def _log1p_density(log_rho: float) -> float:
 # The per-cluster terms that the report and the selection both read.
 
 
-def _distances(
-    embeddings: EmbeddingSet, clustering: Clustering, cluster_id: int, rows: np.ndarray
-) -> np.ndarray:
-    """The distances of ``rows`` to the centroid of ``cluster_id``."""
-    return np.linalg.norm(
-        embeddings.vectors[rows] - clustering.centroids[cluster_id], axis=1
-    )
-
-
 def _members(
     embeddings: EmbeddingSet, clustering: Clustering
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each cluster's rows, ascending, and their distances to its centroid."""
-    k = clustering.k
-    counts = np.bincount(clustering.assignment, minlength=k)[:k].tolist()
+    counts = np.bincount(clustering.assignment, minlength=clustering.k).tolist()
     return [
-        (rows, _distances(embeddings, clustering, cid, rows))
-        for cid, rows in enumerate(_rows_by_cluster(clustering.assignment, counts))
+        (rows, np.linalg.norm(embeddings.vectors[rows] - centroid, axis=1))
+        for rows, centroid in zip(
+            _rows_by_cluster(clustering.assignment, counts), clustering.centroids
+        )
     ]
 
 
@@ -348,8 +340,9 @@ def cluster_density(
     cluster_id: int,
 ) -> ClusterDensity:
     """Density of one cluster from its mean member-to-centroid distance."""
-    rows = np.flatnonzero(clustering.assignment == cluster_id)
-    dists = _distances(embeddings, clustering, cluster_id, rows)
+    if not 0 <= cluster_id < clustering.k:
+        raise ValueError(f"cluster {cluster_id} is not in 0..{clustering.k - 1}")
+    _, dists = _members(embeddings, clustering)[cluster_id]
     return _cluster_summary(cluster_id, embeddings.dim, dists)
 
 
@@ -367,24 +360,14 @@ def dataset_radius(
     denoms = np.array(
         [_log1p_density(by_id[cid].log_density) for cid in range(clustering.k)]
     )
-    offsets = _centroid_offsets(clustering)
-    _check_geometry(offsets)
-    return _weighted_radius(offsets, denoms)
-
-
-def _check_geometry(offsets: np.ndarray) -> None:
-    """DegenerateGeometry unless some centroid is off the grand centroid."""
-    if float(offsets.max(initial=0.0)) == 0.0:
-        raise DegenerateGeometry()
+    return _weighted_radius(_centroid_offsets(clustering), denoms)
 
 
 def _weighted_radius(offsets: np.ndarray, denoms: np.ndarray) -> float:
-    """Mean of centroid offsets over log(rho_i + 1), one entry per cluster.
-
-    The caller checks the offsets with ``_check_geometry``.  Sum over count is
-    ``np.mean`` bit for bit (a test pins it), without its dispatch cost.
-    """
-    return float(np.add.reduce(offsets / denoms) / len(offsets))
+    """Mean of centroid offsets over log(rho_i + 1), one entry per cluster."""
+    if float(offsets.max(initial=0.0)) == 0.0:
+        raise DegenerateGeometry()
+    return float(np.mean(offsets / denoms))
 
 
 def dataset_density(embeddings: EmbeddingSet, clustering: Clustering) -> DatasetDensityReport:
@@ -467,7 +450,6 @@ def select_low_density(
     if target_log_density is not None:
         # the dataset density's terms for the live clusters, in id order
         live_offsets = _centroid_offsets(clustering)[live]
-        _check_geometry(live_offsets)  # again only when a cluster empties
         live_denoms = np.array([_log1p_density(ld) for ld in live_log_density])
 
     removed = np.zeros(n, dtype=bool)
@@ -502,7 +484,6 @@ def select_low_density(
                 del live[pos]
                 live_offsets = np.delete(live_offsets, pos)
                 live_denoms = np.delete(live_denoms, pos)
-                _check_geometry(live_offsets)
             else:
                 live_denoms[pos] = _log1p_density(ld)
 

@@ -395,14 +395,3 @@ def test_buffered_sq_distances_are_the_plain_expression(n, dim, k):
     assert got is out
     assert np.array_equal(got, _reference_sq_distances(x, centers))
 
-
-def test_weighted_radius_is_numpy_mean_bit_for_bit():
-    # _weighted_radius divides np.add.reduce by the count instead of calling
-    # np.mean; the selection's target loop calls it once per removal
-    rng = np.random.default_rng(7)
-    for size in range(1, 200):
-        for _ in range(200):
-            offsets = rng.uniform(0.0, 2.0, size) * 10.0 ** rng.uniform(-3, 1)
-            denoms = np.exp(rng.uniform(-27.0, 7.0, size))
-            want = float(np.mean(offsets / denoms))
-            assert density._weighted_radius(offsets, denoms) == want
