@@ -112,6 +112,15 @@ def test_singleton_cluster_flagged():
     assert math.isfinite(cd.log_density)
 
 
+@pytest.mark.parametrize("cluster_id", [-1, 2])
+def test_cluster_density_refuses_an_id_outside_the_clustering(cluster_id):
+    # a negative id must not index the member list from its end
+    emb = EmbeddingSet.from_array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
+    clustering = density.kmeans(emb, 2, seed=0)
+    with pytest.raises(ValueError, match=rf"cluster {cluster_id} is not in 0\.\.1"):
+        density.cluster_density(emb, clustering, cluster_id)
+
+
 def test_uniform_disc_density_within_ten_percent():
     rng = SplitMix64(4)
     pts = []
