@@ -107,12 +107,15 @@ def optimal_allocation(
     if not (budget > 0 and math.isfinite(budget)):
         raise ValueError(f"budget must be finite and > 0, got {budget!r}")
     lo, hi = n_bracket
-    if not 0 < lo < hi:
-        raise ValueError("n_bracket must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("n_bracket must satisfy 0 < lo < hi < inf")
 
     ln_scan = np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS)
     n_scan = np.exp(ln_scan)
-    scan_losses = np.asarray(loss_at(law, n_scan, budget / (6.0 * n_scan)))
+    # the tokens of a tiny n overflow to inf, where the laws still have a value
+    with np.errstate(over="ignore"):
+        d_scan = budget / (6.0 * n_scan)
+    scan_losses = np.asarray(loss_at(law, n_scan, d_scan))
     j = int(np.argmin(scan_losses))
     if j == 0 or j == _SCAN_POINTS - 1:
         raise NoInteriorMinimum(
@@ -159,6 +162,8 @@ def otr_sweep(law: LawParams, budget: float, otr_values) -> list[SweepPoint]:
             raise ValueError("otr values must be > 0")
         n = math.sqrt(budget / (6.0 * r))
         d = r * n
+        if not (0.0 < n < math.inf and 0.0 < d < math.inf):
+            raise ValueError(f"otr {r:g} leaves budget {budget:g} no finite (n, d)")
         points.append(
             SweepPoint(otr=r, n=n, d=d, predicted_loss=float(loss_at(law, n, d)))
         )

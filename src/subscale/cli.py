@@ -17,6 +17,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -132,8 +133,15 @@ def _write_manifest(args, out: Path, tables, plots=(), seed=None) -> None:
         for v in value if isinstance(value, list) else [value]:
             if action.type is _path:
                 inputs[str(v)] = _sha256(v)
-            # a set flag is recorded bare; str(float) is repr(float)
-            argv += action.option_strings + ([] if v is True else [str(v)])
+            # a set flag is recorded bare; str(float) is repr(float); a value
+            # such as "-1e-05" shares its option's token, or argparse reads it
+            # as an option
+            if v is True:
+                argv += action.option_strings
+            elif str(v).startswith("-"):
+                argv.append(f"{action.option_strings[-1]}={v}")
+            else:
+                argv += action.option_strings + [str(v)]
     manifest = {
         "tool": "subscale",
         "version": __version__,
@@ -151,6 +159,14 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _finite_positive(args, *options) -> None:
+    """ValueError naming the first of ``options`` whose value is not finite and > 0."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{option} must be finite and > 0, got {value!r}")
 
 
 def _load_config(args) -> fit.FitConfig:
@@ -343,6 +359,7 @@ def cmd_compare(args) -> int:
 def _otr_grid(args) -> np.ndarray:
     import numpy as np
 
+    _finite_positive(args, "--otr-min", "--otr-max")
     return np.geomspace(args.otr_min, args.otr_max, args.otr_points)
 
 
@@ -369,6 +386,7 @@ def cmd_alloc(args) -> int:
 
     out = _out_dir(args)
     law = _load_law(args.law)
+    _finite_positive(args, "--n-min", "--n-max")
     n_bracket = (args.n_min, args.n_max)
     plan = alloc.optimal_allocation(law, args.budget, n_bracket)
     _write_json(out / "allocation.json", plan)

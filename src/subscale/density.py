@@ -334,18 +334,6 @@ def _cluster_summary(cluster_id: int, dim: int, dists: np.ndarray) -> ClusterDen
     )
 
 
-def cluster_density(
-    embeddings: EmbeddingSet,
-    clustering: Clustering,
-    cluster_id: int,
-) -> ClusterDensity:
-    """Density of one cluster from its mean member-to-centroid distance."""
-    if not 0 <= cluster_id < clustering.k:
-        raise ValueError(f"cluster {cluster_id} is not in 0..{clustering.k - 1}")
-    _, dists = _members(embeddings, clustering)[cluster_id]
-    return _cluster_summary(cluster_id, embeddings.dim, dists)
-
-
 def dataset_radius(
     clustering: Clustering, per_cluster: list[ClusterDensity] | tuple[ClusterDensity, ...]
 ) -> float:
@@ -420,10 +408,12 @@ def select_low_density(
     dim = embeddings.dim
     if keep_fraction is not None:
         if not 0.0 < keep_fraction <= 1.0:
-            raise TargetUnreachable(f"keep_fraction {keep_fraction!r} not in (0, 1]")
+            raise ValueError(f"keep_fraction {keep_fraction!r} not in (0, 1]")
         keep_target = max(1, math.ceil(keep_fraction * n))
         if keep_target == n:
             return list(range(n))
+    elif math.isnan(target_log_density):
+        raise ValueError("target_log_density is NaN")
 
     # Per cluster: rows closest first (distance, then row id), and the
     # member-distance sum after each removal.  The sum starts from the

@@ -128,7 +128,7 @@ class DegenerateGeometry(SubscaleError):
 
 
 class TargetUnreachable(SubscaleError):
-    pass
+    exit_code = 2
 
 
 class EmbeddingFormatError(SubscaleError):

@@ -199,23 +199,6 @@ def _nd_value(e, ln_lam_n, alpha_n, ln_lam_d, alpha_d, ln_n, ln_d, r_n=1.0, r_d=
     return e + term_n + term_d
 
 
-def repetition_factor(otr: ArrayLike, k: float) -> ArrayLike:
-    """Logistic over-training multiplier 1 + sigmoid(k * otr).
-
-    Ranges over [1.5, 2) for otr > 0 and k >= 0; strictly increasing in otr
-    when k > 0, constant 1.5 when k == 0.  The logistic saturates to 1.0 in
-    float64 once k*otr exceeds ~37, so the output is clamped one ulp under
-    the mathematical supremum of 2 to keep the documented range contract.
-    """
-    r, scalar = _as_array(otr)
-    if np.any(r <= 0):
-        raise ValueError("otr must be > 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sig = np.minimum(_sigmoid(k * r), 1.0 - 2.0**-52)
-    return _ret(1.0 + sig, scalar)
-
-
 def _nd_args(params, ln_n, ln_d) -> tuple:
     return (
         params.e_irreducible,

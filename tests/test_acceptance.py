@@ -175,10 +175,12 @@ def test_c05_power_law_oracle_equivalence():
 
 
 def test_c06_density_analytics():
-    # (a) two points in dim 2, both at distance 1 from the centroid
-    emb = density.EmbeddingSet.from_array([[0.0, 1.0], [0.0, -1.0]])
-    clustering = density.kmeans(emb, 1, seed=0)
-    cd = density.cluster_density(emb, clustering, 0)
+    # (a) two points in dim 2, both at distance 1 from the centroid; a distant
+    # third row forms a second cluster, so that the dataset radius is defined
+    emb = density.EmbeddingSet.from_array([[0.0, 1.0], [0.0, -1.0], [1e3, 1e3]])
+    clustering = density.kmeans(emb, 2, seed=0)
+    cd = density.dataset_density(emb, clustering).per_cluster[clustering.assignment[0]]
+    assert cd.n_samples == 2
     assert math.exp(cd.log_density) == pytest.approx(2.0 / math.pi, abs=1e-9)
 
     # (b) homogeneity: scaling embeddings by s shifts every per-cluster log
@@ -202,9 +204,11 @@ def test_c06_density_analytics():
         scaled_clustering = density.Clustering.from_parts(
             clustering.assignment, clustering.centroids * s
         )
-        for cid in range(3):
-            before = density.cluster_density(emb, clustering, cid)
-            after = density.cluster_density(scaled, scaled_clustering, cid)
+        pairs = zip(
+            density.dataset_density(emb, clustering).per_cluster,
+            density.dataset_density(scaled, scaled_clustering).per_cluster,
+        )
+        for before, after in pairs:
             assert after.radius == pytest.approx(before.radius * s, rel=1e-12)
             shift = after.log_density - before.log_density
             assert shift == pytest.approx(-emb.dim * math.log(s), abs=1e-9)
@@ -386,25 +390,42 @@ def test_c09_exponent_stability():
 # ---------------------------------------------------------------------------
 
 
+def _factor(otr, k):
+    """The suboptimal law's factor 1 + sigmoid(k * otr), read off as (S - E) / (C - E).
+
+    S and C are the suboptimal and chinchilla losses at N = 1, D = otr, with the
+    same E, lambdas and alphas and k1 = k2 = k.  With E = 0 and lambda_n = 1 the
+    N term is the factor times exactly 1, and a lambda_d of 1e-300 keeps the D
+    term under half an ulp of it, so the ratio is the factor bit for bit.
+    """
+    shared = dict(e_irreducible=0.0, lambda_n=1.0, alpha_n=0.3, lambda_d=1e-300, alpha_d=0.3)
+    s = laws.eval_suboptimal(laws.SubOptimalParams(**shared, k1=k, k2=k), 1.0, otr)
+    c = laws.eval_chinchilla(laws.ChinchillaParams(**shared), 1.0, otr)
+    e = shared["e_irreducible"]
+    return (s - e) / (c - e)
+
+
 def test_c10_logistic_factor_bounds():
     rng = np.random.default_rng(10)
     otr = 10 ** rng.uniform(-6, 4, size=100_000)
     k = rng.uniform(0.0, 1.0, size=100_000)
-    values = np.array(
-        [laws.repetition_factor(float(o), float(kk)) for o, kk in zip(otr[:2000], k[:2000])]
-    )
-    assert np.all(values >= 1.5) and np.all(values < 2.0)
+    # the logistic saturates to exactly 1 in float64 once k*otr passes ~37, so
+    # the factor reaches 2 there and stays strictly under it for k*otr < 30
+    values = np.array([_factor(float(o), float(kk)) for o, kk in zip(otr[:2000], k[:2000])])
+    below = k[:2000] * otr[:2000] < 30.0
+    assert np.all(values >= 1.5) and np.all(values <= 2.0)
+    assert np.all(values[below] < 2.0)
     # vectorized check over the full 1e5 draws, per k decile
     for k_fixed in np.linspace(0.0, 1.0, 11):
-        vals = laws.repetition_factor(otr, float(k_fixed))
-        assert np.all(vals >= 1.5) and np.all(vals < 2.0)
+        vals = _factor(otr, float(k_fixed))
+        assert np.all(vals >= 1.5) and np.all(vals <= 2.0)
+        assert np.all(vals[k_fixed * otr < 30.0] < 2.0)
     # strict monotonicity in otr for k > 0 (below float saturation)
     mask = (k > 0) & (2.0 * k * otr < 30.0)
     o_sel, k_sel = otr[mask][:20_000], k[mask][:20_000]
-    lo = np.array([laws.repetition_factor(float(o), float(kk)) for o, kk in zip(o_sel, k_sel)])
-    hi = np.array(
-        [laws.repetition_factor(float(o) * 2.0, float(kk)) for o, kk in zip(o_sel, k_sel)]
-    )
+    lo, hi = np.array(
+        [_factor(np.array([o, o * 2.0]), float(kk)) for o, kk in zip(o_sel, k_sel)]
+    ).T
     assert np.all(hi > lo)
     _ok(10, "logistic factor bounds")
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -351,6 +352,30 @@ def test_select_noop_keeps_everything(tmp_path, blob_fixture):
     assert code == 0
     ids = (out / "retained_ids.txt").read_text().split()
     assert len(ids) == 70
+
+
+def test_select_unreachable_target_is_exit_two(tmp_path, blob_fixture, capsys):
+    out = tmp_path / "sel"
+    argv = ["select", str(blob_fixture), "--k", "2", "--target-log-density=-1e9"]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert "cannot reach -1e+09" in capsys.readouterr().err
+    assert not (out / "retained_ids.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (["--keep-fraction", "0.0"], "keep_fraction 0.0 not in (0, 1]"),
+        (["--keep-fraction", "1.5"], "keep_fraction 1.5 not in (0, 1]"),
+        (["--target-log-density", "nan"], "target_log_density is NaN"),
+    ],
+    ids=["keep-zero", "keep-above-one", "target-nan"],
+)
+def test_select_bad_target_is_exit_one(tmp_path, blob_fixture, capsys, target, message):
+    out = tmp_path / "sel"
+    assert main(["select", str(blob_fixture), "--k", "2", *target, "-o", str(out)]) == 1
+    assert f"subscale select: {message}\n" in capsys.readouterr().err
+    assert not (out / "retained_ids.txt").exists()
 
 
 def test_select_lowers_density(tmp_path, blob_fixture):
@@ -784,6 +809,39 @@ def test_sweep_zero_otr_points_is_exit_one(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+def test_alloc_scan_over_a_wide_bracket_prints_no_warning(tmp_path, capsys):
+    # the scan's smallest n puts budget / (6 n) beyond the float range
+    law_path = _law_json(tmp_path, REF)
+    argv = ["alloc", "--law", str(law_path), "--budget", "1e21", "--n-min", "1e-300",
+            "--n-max", "1e300", "-o", str(tmp_path / "x")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["alloc", "--n-max", "inf"], "--n-max must be finite and > 0, got inf"),
+        (["sweep", "--otr-min", "0"], "--otr-min must be finite and > 0, got 0.0"),
+        (["sweep", "--otr-max", "1e308"], "otr 1e+308 leaves budget 1e+21 no finite (n, d)"),
+    ],
+    ids=["alloc-n-max-inf", "sweep-otr-min-zero", "sweep-otr-max-overflows"],
+)
+def test_alloc_and_sweep_out_of_range_bracket_or_grid_is_exit_one(
+    tmp_path, capsys, command, message
+):
+    law_path = _law_json(tmp_path, REF)
+    out = tmp_path / "x"
+    argv = [*command, "--law", str(law_path), "--budget", "1e21", "-o", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == f"subscale {command[0]}: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_ingest_sigma_without_window_is_exit_one(tmp_path, power_fixture, capsys):
     out = tmp_path / "out"
     code = main(["ingest", str(power_fixture), "--smooth-sigma", "2.0", "-o", str(out)])
@@ -1062,7 +1120,7 @@ GOLDEN = {
     "select-target": (
         ["select", "vectors.emb", "--k", "2", "--target-log-density", "-10.5"],
         ["select", "@/vectors.emb", "--k", "2", "--seed", "0", "--max-iters", "100",
-         "--target-log-density", "-10.5"],
+         "--target-log-density=-10.5"],
         ["vectors.emb"],
         0,
     ),
@@ -1123,11 +1181,15 @@ def test_manifest_argv_round_trip(cli_inputs, monkeypatch, case):
          ["synth", "--spec", "@/curves.json", "--seed", "5", "--runs-format", "csv"]),
         (["synth", "--spec", "blobs.json"],
          ["synth", "--spec", "@/blobs.json", "--seed", "2", "--emb-format", "emb"]),
+        (["select", "vectors.emb", "--k", "2", "--target-log-density", "-10.5"],
+         ["select", "@/vectors.emb", "--k", "2", "--seed", "0", "--max-iters", "100",
+          "--target-log-density", "-10.5"]),
     ],
-    ids=["alloc", "synth-curves", "synth-blobs"],
+    ids=["alloc", "synth-curves", "synth-blobs", "select-target-two-tokens"],
 )
 def test_parent_shape_manifest_replays(cli_inputs, argv, parent_argv):
-    # manifests written before the argv builder record fewer defaults
+    # manifests written by older versions: before the argv builder they
+    # recorded fewer defaults, and a negative value as a token of its own
     assert main(argv + ["-o", "a"]) == 0
     manifest = json.loads((cli_inputs / "a" / "manifest.json").read_text())
     manifest["argv"] = [a.replace("@", str(cli_inputs), 1) for a in parent_argv]
@@ -1136,6 +1198,42 @@ def test_parent_shape_manifest_replays(cli_inputs, argv, parent_argv):
     assert main(["report", str(old), "-o", "b"]) == 0
     for name in manifest["tables"] + manifest["plots"]:
         assert _file_bytes(cli_inputs / "a" / name) == _file_bytes(cli_inputs / "b" / name)
+
+
+def test_select_target_in_e_notation_replays(tmp_path):
+    # a tight two-blob set, whose log density starts above the target
+    spec = synth.BlobSpec(
+        k=2,
+        dim=3,
+        per_cluster=(
+            synth.BlobCluster(50, (0.0, 0.0, 0.0), 0.3),
+            synth.BlobCluster(20, (4.0, 4.0, 4.0), 0.5),
+        ),
+        seed=1,
+    )
+    path = tmp_path / "tight.emb"
+    density.save_embeddings(path, synth.gen_blobs(spec)[0])
+    argv = ["select", str(path), "--k", "2", "--target-log-density=-0.00001"]
+    assert main(argv + ["-o", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["argv"][-1] == "--target-log-density=-1e-05"
+    assert main(["report", str(tmp_path / "a" / "manifest.json"), "-o", str(tmp_path / "b")]) == 0
+    assert len((tmp_path / "a" / "retained_ids.txt").read_text().split()) < 70
+    for name in manifest["tables"] + ["manifest.json"]:
+        assert _file_bytes(tmp_path / "a" / name) == _file_bytes(tmp_path / "b" / name)
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-1e+20", "-inf"])
+def test_value_that_starts_with_a_dash_is_recorded_as_one_token(cli_inputs, value):
+    # no selection reaches a log density of -1e+20 or -inf, so the manifest is
+    # written and parsed back here without running the command
+    args = cli.build_parser().parse_args(
+        ["select", "vectors.emb", "--k", "2", f"--target-log-density={value}", "-o", "a"]
+    )
+    cli._write_manifest(args, cli_inputs, [])
+    argv = json.loads((cli_inputs / "manifest.json").read_text())["argv"]
+    assert argv[-1] == f"--target-log-density={value}"
+    assert cli.build_parser().parse_args(argv + ["-o", "b"]).target_log_density == float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from subscale.errors import (
     DegenerateGeometry,
     EmbeddingFormatError,
     KTooLarge,
-    TargetUnreachable,
     UnfilledClusters,
 )
 from subscale.rng import SplitMix64
@@ -47,8 +46,7 @@ def test_kmeans_k_equals_n():
     emb = EmbeddingSet.from_array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     clustering = density.kmeans(emb, 3, seed=0)
     assert sorted(clustering.assignment) == [0, 1, 2]
-    for cid in range(3):
-        cd = density.cluster_density(emb, clustering, cid)
+    for cd in density.dataset_density(emb, clustering).per_cluster:
         assert cd.radius_floored
         assert cd.n_samples == 1
 
@@ -94,31 +92,33 @@ def test_kmeans_k_too_large():
 # ---------------------------------------------------------------------------
 
 
+def _density_of_one_cluster(rows) -> ClusterDensity:
+    """The density of the cluster of ``rows``, read from ``dataset_density``.
+
+    One row far from all of them is added as a second cluster, so that the
+    dataset radius is defined.
+    """
+    vectors = np.asarray(rows, dtype=float)
+    far = np.full((1, vectors.shape[1]), 1e3)
+    emb = EmbeddingSet.from_array(np.vstack([vectors, far]))
+    clustering = density.kmeans(emb, 2, seed=0)
+    cd = density.dataset_density(emb, clustering).per_cluster[clustering.assignment[0]]
+    assert cd.n_samples == len(vectors)
+    return cd
+
+
 def test_two_point_cluster_density_is_2_over_pi():
-    emb = EmbeddingSet.from_array([[0.0, 1.0], [0.0, -1.0]])
-    clustering = density.kmeans(emb, 1, seed=0)
-    cd = density.cluster_density(emb, clustering, 0)
+    cd = _density_of_one_cluster([[0.0, 1.0], [0.0, -1.0]])
     assert cd.radius == pytest.approx(1.0, abs=1e-15)
     assert math.exp(cd.log_density) == pytest.approx(2.0 / math.pi, abs=1e-12)
     assert not cd.radius_floored
 
 
 def test_singleton_cluster_flagged():
-    emb = EmbeddingSet.from_array([[1.0, 2.0]])
-    clustering = density.kmeans(emb, 1, seed=0)
-    cd = density.cluster_density(emb, clustering, 0)
+    cd = _density_of_one_cluster([[1.0, 2.0]])
     assert cd.radius_floored
     assert cd.radius == density.RADIUS_FLOOR
     assert math.isfinite(cd.log_density)
-
-
-@pytest.mark.parametrize("cluster_id", [-1, 2])
-def test_cluster_density_refuses_an_id_outside_the_clustering(cluster_id):
-    # a negative id must not index the member list from its end
-    emb = EmbeddingSet.from_array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
-    clustering = density.kmeans(emb, 2, seed=0)
-    with pytest.raises(ValueError, match=rf"cluster {cluster_id} is not in 0\.\.1"):
-        density.cluster_density(emb, clustering, cluster_id)
 
 
 def test_uniform_disc_density_within_ten_percent():
@@ -128,9 +128,7 @@ def test_uniform_disc_density_within_ten_percent():
         r = math.sqrt(rng.uniform())
         theta = 2.0 * math.pi * rng.uniform()
         pts.append((r * math.cos(theta), r * math.sin(theta)))
-    emb = EmbeddingSet.from_array(np.array(pts))
-    clustering = density.kmeans(emb, 1, seed=0)
-    cd = density.cluster_density(emb, clustering, 0)
+    cd = _density_of_one_cluster(pts)
     # uniform disc of radius 1: mean distance from center 2/3,
     # so rho = 100 * Gamma(2) / (pi * (2/3)^2)
     analytic = 100.0 / (math.pi * (2.0 / 3.0) ** 2)
@@ -189,7 +187,7 @@ def test_dataset_radius_matches_scalar_reimplementation():
         )
     )
     clustering = density.kmeans(emb, 3, seed=1)
-    per_cluster = [density.cluster_density(emb, clustering, c) for c in range(3)]
+    per_cluster = density.dataset_density(emb, clustering).per_cluster
     got = density.dataset_radius(clustering, per_cluster)
 
     # independent scalar reimplementation with plain python loops
@@ -256,9 +254,11 @@ def test_scaling_homogeneity_per_cluster():
         scaled_clustering = Clustering.from_parts(
             clustering.assignment, clustering.centroids * s
         )
-        for cid in range(2):
-            before = density.cluster_density(emb, clustering, cid)
-            after = density.cluster_density(scaled, scaled_clustering, cid)
+        pairs = zip(
+            density.dataset_density(emb, clustering).per_cluster,
+            density.dataset_density(scaled, scaled_clustering).per_cluster,
+        )
+        for before, after in pairs:
             assert after.radius == pytest.approx(before.radius * s, rel=1e-12)
             shift = after.log_density - before.log_density
             assert shift == pytest.approx(-emb.dim * math.log(s), abs=1e-9)
@@ -385,8 +385,10 @@ def test_select_target_log_density():
     retained = density.select_low_density(emb, clustering, target_log_density=target)
     kept_emb, kept_cl = density.apply_selection(emb, clustering, retained)
     assert density.dataset_density(kept_emb, kept_cl).log_density <= target
-    with pytest.raises(TargetUnreachable):
+    with pytest.raises(ValueError, match=r"keep_fraction 1\.5 not in \(0, 1\]"):
         density.select_low_density(emb, clustering, keep_fraction=1.5)
+    with pytest.raises(ValueError, match="target_log_density is NaN"):
+        density.select_low_density(emb, clustering, target_log_density=math.nan)
 
 
 # ---------------------------------------------------------------------------

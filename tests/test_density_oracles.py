@@ -73,10 +73,12 @@ def reference_select(
     dim = embeddings.dim
     if keep_fraction is not None:
         if not 0.0 < keep_fraction <= 1.0:
-            raise TargetUnreachable(f"keep_fraction {keep_fraction!r} not in (0, 1]")
+            raise ValueError(f"keep_fraction {keep_fraction!r} not in (0, 1]")
         keep_target = max(1, math.ceil(keep_fraction * n))
         if keep_target == n:
             return list(range(n))
+    elif math.isnan(target_log_density):
+        raise ValueError("target_log_density is NaN")
 
     centroid_offsets = np.linalg.norm(
         clustering.centroids - clustering.grand_centroid[None, :], axis=1

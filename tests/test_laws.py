@@ -47,38 +47,51 @@ def test_power_small_alpha_limit():
 # ---------------------------------------------------------------------------
 
 
+def _factor(otr, k):
+    """The suboptimal law's factor 1 + sigmoid(k * otr), read off as (S - E) / (C - E).
+
+    S and C are the suboptimal and chinchilla losses at N = 1, D = otr, with the
+    same E, lambdas and alphas and k1 = k2 = k.  With E = 0 and lambda_n = 1 the
+    N term is the factor times exactly 1, and a lambda_d of 1e-300 keeps the D
+    term under half an ulp of it, so the ratio is the factor bit for bit.
+    """
+    shared = dict(e_irreducible=0.0, lambda_n=1.0, alpha_n=0.3, lambda_d=1e-300, alpha_d=0.3)
+    s = laws.eval_suboptimal(laws.SubOptimalParams(**shared, k1=k, k2=k), 1.0, otr)
+    c = laws.eval_chinchilla(laws.ChinchillaParams(**shared), 1.0, otr)
+    e = shared["e_irreducible"]
+    return (s - e) / (c - e)
+
+
 def test_repetition_factor_near_zero():
-    assert laws.repetition_factor(1e-12, 0.5) == pytest.approx(1.5, abs=1e-9)
-    assert laws.repetition_factor(123.0, 0.0) == 1.5
+    assert _factor(1e-12, 0.5) == pytest.approx(1.5, abs=1e-9)
+    assert _factor(123.0, 0.0) == 1.5
 
 
 def test_repetition_factor_hand_values():
-    assert laws.repetition_factor(20.0, 0.00810) == pytest.approx(
-        1.0 + _sigma(0.162), rel=1e-12
-    )
-    assert laws.repetition_factor(20.0, 0.00810) == pytest.approx(1.5404, abs=5e-5)
-    assert laws.repetition_factor(1875.0, 0.00114) == pytest.approx(
-        1.0 + _sigma(2.1375), rel=1e-12
-    )
-    assert laws.repetition_factor(1875.0, 0.00114) == pytest.approx(1.8945, abs=5e-5)
+    assert _factor(20.0, 0.00810) == pytest.approx(1.0 + _sigma(0.162), rel=1e-12)
+    assert _factor(20.0, 0.00810) == pytest.approx(1.5404, abs=5e-5)
+    assert _factor(1875.0, 0.00114) == pytest.approx(1.0 + _sigma(2.1375), rel=1e-12)
+    assert _factor(1875.0, 0.00114) == pytest.approx(1.8945, abs=5e-5)
 
 
 def test_repetition_factor_bounds_and_monotonicity():
+    # the logistic saturates to exactly 1 in float64 once k*otr passes ~37, so
+    # the factor stays under 2 only below that
     rng = np.random.default_rng(5)
     otr = 10 ** rng.uniform(-6, 4, size=5000)
     k = rng.uniform(0, 1, size=5000)
-    values = laws.repetition_factor(otr, 1.0)
-    assert np.all(values >= 1.5) and np.all(values < 2.0)
+    values = _factor(otr, 1.0)
+    assert np.all(values >= 1.5) and np.all(values <= 2.0)
+    assert np.all(values[otr < 30.0] < 2.0)
     for o, kk in zip(otr, k):
-        r = laws.repetition_factor(float(o), float(kk))
-        assert 1.5 <= r < 2.0
+        r = _factor(float(o), float(kk))
+        assert 1.5 <= r <= 2.0
+        assert r < 2.0 or kk * o >= 30.0
     # strict monotonicity for k > 0, below the float64 saturation plateau
     for o, kk in zip(otr[:500], np.maximum(k[:500], 1e-3)):
         if 2.0 * kk * o > 30.0:
             continue
-        assert laws.repetition_factor(float(o) * 2.0, float(kk)) > laws.repetition_factor(
-            float(o), float(kk)
-        )
+        assert _factor(float(o) * 2.0, float(kk)) > _factor(float(o), float(kk))
 
 
 # ---------------------------------------------------------------------------

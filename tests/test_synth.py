@@ -186,9 +186,12 @@ def test_blob_radius_approaches_gaussian_mean_norm():
     spec = synth.BlobSpec(
         k=1, dim=dim, per_cluster=(synth.BlobCluster(n, (0.0, 0.0, 0.0), spread),), seed=21
     )
-    emb, _ = synth.gen_blobs(spec)
-    clustering = density.kmeans(emb, 1, seed=0)
-    cd = density.cluster_density(emb, clustering, 0)
+    blob, _ = synth.gen_blobs(spec)
+    # one distant row forms a second cluster, so the dataset radius is defined
+    emb = density.EmbeddingSet.from_array(np.vstack([blob.vectors, np.full((1, dim), 1e3)]))
+    clustering = density.kmeans(emb, 2, seed=0)
+    cd = density.dataset_density(emb, clustering).per_cluster[clustering.assignment[0]]
+    assert cd.n_samples == n
     # mean norm of an isotropic d-dim Gaussian: sigma*sqrt(2)*Gamma((d+1)/2)/Gamma(d/2)
     expected = spread * math.sqrt(2) * math.gamma((dim + 1) / 2) / math.gamma(dim / 2)
     assert cd.radius == pytest.approx(expected, rel=0.05)
