@@ -115,8 +115,9 @@ def _path(text: str) -> Path:
     return Path(text).resolve()
 
 
-def _write_manifest(args, out: Path, tables, plots=(), seed=None) -> None:
-    """Name every emitted file, the normalized argv, input hashes and seed.
+def _write_manifest(args, out: Path, names, seed=None) -> None:
+    """Name every emitted file (``.svg`` ones as plots), the normalized argv,
+    input hashes and seed.
 
     The argv is the command of ``args.parser`` followed by each of its options
     that holds a value, in parser order, so that replaying it reproduces every
@@ -148,16 +149,26 @@ def _write_manifest(args, out: Path, tables, plots=(), seed=None) -> None:
         "command": argv[0],
         "argv": argv,
         "inputs": inputs,
-        "tables": sorted(tables),
-        "plots": sorted(plots),
+        "tables": sorted(n for n in names if not n.endswith(".svg")),
+        "plots": sorted(n for n in names if n.endswith(".svg")),
         "seed": seed,
     }
     _write_json(out / "manifest.json", manifest)
 
 
-def _out_dir(args) -> Path:
+def _emit(args, outputs, seed=None) -> Path:
+    """Commit a command's outputs and return the output directory.
+
+    ``outputs`` maps each file name to a writer that takes the file's path.
+    The directory is created, the writers run in order, and the manifest
+    naming them is written last.  A handler computes and checks everything
+    before it calls this, so a rejected input leaves no directory behind.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name, write in outputs.items():
+        write(out / name)
+    _write_manifest(args, out, list(outputs), seed)
     return out
 
 
@@ -222,6 +233,11 @@ def _sweep_plot(law: laws.LawParams, budget, otr_values, points, plan, n_bracket
     for factor, sweep, best in ((0.1, None, None), (1.0, points, plan), (10.0, None, None)):
         b = budget * factor
         if sweep is None:
+            if not 0.0 < b < math.inf:
+                raise ValueError(
+                    f"--budget {budget!r} gives the sweep plot's {factor:g}x curve "
+                    f"a budget of {b!r}, which is not finite and > 0"
+                )
             sweep = alloc.otr_sweep(law, b, otr_values)
         plot.add_series(
             f"budget {b:.2e}",
@@ -252,12 +268,10 @@ def cmd_ingest(args) -> int:
 
     if args.smooth_sigma is not None and args.smooth_window is None:
         raise ValueError("--smooth-sigma needs --smooth-window")
-    out = _out_dir(args)
     series = runs.ingest(args.input, args.format)
     if args.smooth_window is not None:
         series = runs.gaussian_smooth(series, args.smooth_window, args.smooth_sigma)
-    runs.write_csv(series, out / "runs.csv")
-    _write_manifest(args, out, ["runs.csv"])
+    out = _emit(args, {"runs.csv": lambda p: runs.write_csv(series, p)})
     n_runs = len(runs.indices_by_run(series))
     print(f"ingested {len(series)} records across {n_runs} runs -> {out / 'runs.csv'}")
     return 0
@@ -266,24 +280,20 @@ def cmd_ingest(args) -> int:
 def cmd_fit(args) -> int:
     from . import fit, runs
 
-    out = _out_dir(args)
     series = runs.ingest(args.input)
     config = _load_config(args)
 
     if len(args.family) > 1:
         table = fit.compare_laws(series, args.family, config, args.split_fraction)
-        _write_fit_table(out / "comparison.csv", table.rows)
-        _write_json(out / "comparison.json", table)
         best = next((r for r in table.rows if r.error is None), None)
-        tables = ["comparison.csv", "comparison.json"]
-        plots = []
+        outputs = {
+            "comparison.csv": lambda p: _write_fit_table(p, table.rows),
+            "comparison.json": lambda p: _write_json(p, table),
+        }
         if best is not None:
-            plot = _fit_plot(
-                series, best.params, best.family, f"best family: {best.family}"
-            )
-            plot.write(out / "loss_tokens.svg")
-            plots.append("loss_tokens.svg")
-        _write_manifest(args, out, tables, plots)
+            plot = _fit_plot(series, best.params, best.family, f"best family: {best.family}")
+            outputs["loss_tokens.svg"] = plot.write
+        _emit(args, outputs)
         if best is None:
             print("all families failed", file=sys.stderr)
             return 2
@@ -303,25 +313,19 @@ def cmd_fit(args) -> int:
         _, mape_pred = fit.predict(result.params, holdout, family=family)
         result = dataclasses.replace(result, mape_pred=mape_pred)
 
-    _write_json(out / "fit_result.json", result)
-    _write_fit_table(out / "fit_result.csv", [result])
     preds, _ = fit.predict(result.params, fit_split, family=family)
-    _write_table(
-        out / "residuals.csv",
-        ["run_id", "model_size", "tokens", "loss", "predicted", "residual"],
-        (
-            [rec.run_id, rec.model_size, rec.tokens, rec.loss, pred, res]
-            for rec, pred, res in zip(fit_split.records, preds, result.residuals)
-        ),
+    residuals = (
+        [rec.run_id, rec.model_size, rec.tokens, rec.loss, pred, res]
+        for rec, pred, res in zip(fit_split.records, preds, result.residuals)
     )
-    plot = _fit_plot(series, result.params, family, f"{family} fit")
-    plot.write(out / "loss_tokens.svg")
-    _write_manifest(
-        args,
-        out,
-        ["fit_result.json", "fit_result.csv", "residuals.csv"],
-        ["loss_tokens.svg"],
-    )
+    header = ["run_id", "model_size", "tokens", "loss", "predicted", "residual"]
+    outputs = {
+        "fit_result.json": lambda p: _write_json(p, result),
+        "fit_result.csv": lambda p: _write_fit_table(p, [result]),
+        "residuals.csv": lambda p: _write_table(p, header, residuals),
+        "loss_tokens.svg": _fit_plot(series, result.params, family, f"{family} fit").write,
+    }
+    _emit(args, outputs)
     pred_txt = "" if result.mape_pred is None else f", pred MAPE {result.mape_pred:.3e}"
     print(
         f"{family}: converged={result.converged}, fit MAPE {result.mape_fit:.3e}{pred_txt}"
@@ -332,21 +336,22 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     from . import fit, laws, runs
 
-    out = _out_dir(args)
     series = runs.ingest(args.input)
     params = _load_law(args.params)
     args.family = args.family or laws.family_of(params)
     preds, mape_pred = fit.predict(params, series, family=args.family)
-    _write_table(
-        out / "predictions.csv",
-        ["run_id", "model_size", "tokens", "loss", "predicted"],
-        (
-            [rec.run_id, rec.model_size, rec.tokens, rec.loss, pred]
-            for rec, pred in zip(series.records, preds)
-        ),
+    rows = (
+        [rec.run_id, rec.model_size, rec.tokens, rec.loss, pred]
+        for rec, pred in zip(series.records, preds)
     )
-    _write_json(out / "prediction.json", {"family": args.family, "mape_pred": mape_pred})
-    _write_manifest(args, out, ["predictions.csv", "prediction.json"])
+    header = ["run_id", "model_size", "tokens", "loss", "predicted"]
+    outputs = {
+        "predictions.csv": lambda p: _write_table(p, header, rows),
+        "prediction.json": lambda p: _write_json(
+            p, {"family": args.family, "mape_pred": mape_pred}
+        ),
+    }
+    _emit(args, outputs)
     print(f"prediction MAPE {mape_pred:.6e} over {len(series)} records")
     return 0
 
@@ -360,51 +365,45 @@ def _otr_grid(args) -> np.ndarray:
     import numpy as np
 
     _finite_positive(args, "--otr-min", "--otr-max")
+    if args.otr_points < 1:
+        raise ValueError(f"--otr-points must be >= 1, got {args.otr_points}")
     return np.geomspace(args.otr_min, args.otr_max, args.otr_points)
 
 
-def _write_sweep(out: Path, law: laws.LawParams, args, plan=None, n_bracket=_DEFAULT_N_BRACKET):
-    """Write sweep.csv and alloc_sweep.svg for the budget and OTR grid in args, and
-    return the sweep; ``plan`` is the budget's allocation over ``n_bracket``."""
+def _sweep_outputs(law: laws.LawParams, args, plan=None, n_bracket=_DEFAULT_N_BRACKET):
+    """sweep.csv and alloc_sweep.svg for the budget and OTR grid in args, as outputs
+    for ``_emit``, and the sweep; ``plan`` is the budget's allocation over ``n_bracket``."""
     from . import alloc
 
     otr_values = _otr_grid(args)
     points = alloc.otr_sweep(law, args.budget, otr_values)
-    _write_table(
-        out / "sweep.csv",
-        ["otr", "n", "d", "loss"],
-        ([p.otr, p.n, p.d, p.predicted_loss] for p in points),
-    )
-    _sweep_plot(law, args.budget, otr_values, points, plan, n_bracket).write(
-        out / "alloc_sweep.svg"
-    )
-    return points
+    rows = ([p.otr, p.n, p.d, p.predicted_loss] for p in points)
+    plot = _sweep_plot(law, args.budget, otr_values, points, plan, n_bracket)
+    outputs = {
+        "sweep.csv": lambda p: _write_table(p, ["otr", "n", "d", "loss"], rows),
+        "alloc_sweep.svg": plot.write,
+    }
+    return outputs, points
 
 
 def cmd_alloc(args) -> int:
     from . import alloc
 
-    out = _out_dir(args)
     law = _load_law(args.law)
     _finite_positive(args, "--n-min", "--n-max")
     n_bracket = (args.n_min, args.n_max)
     plan = alloc.optimal_allocation(law, args.budget, n_bracket)
-    _write_json(out / "allocation.json", plan)
-    tables = ["allocation.json"]
-    plots = []
+    outputs = {"allocation.json": lambda p: _write_json(p, plan)}
     if args.sweep:
-        _write_sweep(out, law, args, plan, n_bracket)
-        tables.append("sweep.csv")
-        plots.append("alloc_sweep.svg")
-    _write_manifest(args, out, tables, plots)
+        outputs.update(_sweep_outputs(law, args, plan, n_bracket)[0])
+    _emit(args, outputs)
     print(_json_text(plan))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    points = _write_sweep(out, _load_law(args.law), args)
-    _write_manifest(args, out, ["sweep.csv"], ["alloc_sweep.svg"])
+    outputs, points = _sweep_outputs(_load_law(args.law), args)
+    _emit(args, outputs)
     best = min(points, key=lambda p: p.predicted_loss)
     print(f"sweep minimum: otr {best.otr:.4g}, loss {best.predicted_loss:.6g}")
     return 0
@@ -423,12 +422,11 @@ def _clustered(args):
 def cmd_density(args) -> int:
     from . import density
 
-    out = _out_dir(args)
     embeddings, clustering = _clustered(args)
     report = density.dataset_density(embeddings, clustering)
     # plain fields: a dataclass would send _json_default to import laws
-    _write_json(out / "density_report.json", dataclasses.asdict(report))
-    _write_manifest(args, out, ["density_report.json"], seed=args.seed)
+    fields = dataclasses.asdict(report)
+    _emit(args, {"density_report.json": lambda p: _write_json(p, fields)}, seed=args.seed)
     print(
         f"k={report.k} n={report.n_total} dim={report.dim} "
         f"log_density={report.log_density:.6g}"
@@ -439,7 +437,6 @@ def cmd_density(args) -> int:
 def cmd_select(args) -> int:
     from . import density
 
-    out = _out_dir(args)
     if (args.keep_fraction is None) == (args.target_log_density is None):
         raise ValueError("give exactly one of --keep-fraction or --target-log-density")
     embeddings, clustering = _clustered(args)
@@ -452,19 +449,19 @@ def cmd_select(args) -> int:
     )
     kept, kept_clustering = density.apply_selection(embeddings, clustering, rows)
     after = density.dataset_density(kept, kept_clustering)
-    (out / "retained_ids.txt").write_text("\n".join(kept.ids) + "\n", encoding="utf-8")
-    _write_json(
-        out / "selection.json",
-        {
-            "n_before": embeddings.n_samples,
-            "n_after": kept.n_samples,
-            "log_density_before": before.log_density,
-            "log_density_after": after.log_density,
-            "k_before": before.k,
-            "k_after": after.k,
-        },
-    )
-    _write_manifest(args, out, ["retained_ids.txt", "selection.json"], seed=args.seed)
+    selection = {
+        "n_before": embeddings.n_samples,
+        "n_after": kept.n_samples,
+        "log_density_before": before.log_density,
+        "log_density_after": after.log_density,
+        "k_before": before.k,
+        "k_after": after.k,
+    }
+    outputs = {
+        "retained_ids.txt": lambda p: p.write_text("\n".join(kept.ids) + "\n", encoding="utf-8"),
+        "selection.json": lambda p: _write_json(p, selection),
+    }
+    _emit(args, outputs, seed=args.seed)
     print(
         f"kept {kept.n_samples}/{embeddings.n_samples}; "
         f"log density {before.log_density:.6g} -> {after.log_density:.6g}"
@@ -475,31 +472,27 @@ def cmd_select(args) -> int:
 def cmd_synth(args) -> int:
     from . import runs, synth
 
-    out = _out_dir(args)
     spec = synth.load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     args.seed = spec.seed
     if isinstance(spec, synth.CurveSpec):
         series = synth.gen_curves(spec)
-        name = f"runs.{args.runs_format}"
-        if args.runs_format == "csv":
-            runs.write_csv(series, out / name)
-        else:
-            runs.write_jsonl(series, out / name)
-        outputs = [name]
-        print(f"generated {len(series)} records -> {out / name}")
+        write = runs.write_csv if args.runs_format == "csv" else runs.write_jsonl
+        outputs = {f"runs.{args.runs_format}": lambda p: write(series, p)}
+        generated = f"{len(series)} records"
     else:
         from . import density
 
         embeddings, labels = synth.gen_blobs(spec)
         name = "embeddings.csv" if args.emb_format == "csv" else "embeddings.emb"
-        density.save_embeddings(out / name, embeddings)
-        labels_name = "labels.csv"
-        _write_table(out / labels_name, ["id", "label"], zip(embeddings.ids, labels))
-        outputs = [name, labels_name]
-        print(f"generated {embeddings.n_samples} embeddings -> {out / name}")
-    _write_manifest(args, out, outputs, seed=args.seed)
+        outputs = {
+            name: lambda p: density.save_embeddings(p, embeddings),
+            "labels.csv": lambda p: _write_table(p, ["id", "label"], zip(embeddings.ids, labels)),
+        }
+        generated = f"{embeddings.n_samples} embeddings"
+    out = _emit(args, outputs, seed=args.seed)
+    print(f"generated {generated} -> {out / next(iter(outputs))}")
     return 0
 
 

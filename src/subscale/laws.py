@@ -227,8 +227,9 @@ def eval_suboptimal(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> Arr
     if np.any(na <= 0) or np.any(da <= 0):
         raise ValueError("n and d must be > 0")
     r = da / na
-    r_d = 1.0 + _sigmoid(params.k1 * r)
-    r_n = 1.0 + _sigmoid(params.k2 * r)
+    # a zero steepness gives the factor 1.5 at every OTR: 0 * inf would be NaN
+    r_d = 1.0 + _sigmoid(params.k1 * r if params.k1 else 0.0)
+    r_n = 1.0 + _sigmoid(params.k2 * r if params.k2 else 0.0)
     value = _nd_value(*_nd_args(params, np.log(na), np.log(da)), r_n, r_d)
     return _ret(value, s1 and s2)
 

@@ -805,13 +805,54 @@ def test_sweep_zero_otr_points_is_exit_one(tmp_path, capsys):
          "-o", str(out)]
     )
     assert code == 1
-    assert "otr_values must not be empty" in capsys.readouterr().err
+    assert "--otr-points must be >= 1, got 0" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, points",
+    [(["sweep"], "-3"), (["alloc", "--sweep"], "0"), (["alloc", "--sweep"], "-3")],
+    ids=["sweep-minus-three", "alloc-sweep-zero", "alloc-sweep-minus-three"],
+)
+def test_otr_points_below_one_names_the_option(tmp_path, capsys, command, points):
+    law_path = _law_json(tmp_path, REF)
+    out = tmp_path / "x"
+    argv = [*command, "--law", str(law_path), "--budget", "1e20", f"--otr-points={points}"]
+    assert main(argv + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"subscale {command[0]}: --otr-points must be >= 1, got {points}\n"
+    )
+    assert not out.exists()
+
+
+def test_sweep_budget_whose_plot_curve_overflows_is_exit_one(tmp_path, capsys):
+    # the budget itself sweeps; the plot's curve at 10 times it is inf
+    law_path = _law_json(tmp_path, REF)
+    out = tmp_path / "x"
+    assert main(["sweep", "--law", str(law_path), "--budget", "1e308", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "subscale sweep: --budget 1e+308 gives the sweep plot's 10x curve a budget of inf, "
+        "which is not finite and > 0\n"
+    )
+    assert not out.exists()
 
 
 def test_alloc_scan_over_a_wide_bracket_prints_no_warning(tmp_path, capsys):
     # the scan's smallest n puts budget / (6 n) beyond the float range
     law_path = _law_json(tmp_path, REF)
+    argv = ["alloc", "--law", str(law_path), "--budget", "1e21", "--n-min", "1e-300",
+            "--n-max", "1e300", "-o", str(tmp_path / "x")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("steepness", ["k1", "k2"])
+def test_alloc_zero_steepness_over_a_wide_bracket_prints_no_warning(tmp_path, capsys, steepness):
+    # the scan's smallest n sends the tokens, and so the OTR, to inf, where a
+    # zero steepness still gives its factor of 1.5
+    law_path = _law_json(tmp_path, dataclasses.replace(REF, **{steepness: 0.0}))
     argv = ["alloc", "--law", str(law_path), "--budget", "1e21", "--n-min", "1e-300",
             "--n-max", "1e300", "-o", str(tmp_path / "x")]
     with warnings.catch_warnings():
@@ -1150,6 +1191,35 @@ def test_manifest_argv_golden(cli_inputs, case):
     assert manifest["argv"] == [a.replace("@", str(cli_inputs), 1) for a in recorded]
     assert sorted(manifest["inputs"]) == sorted(str(cli_inputs / f) for f in inputs)
     assert manifest["seed"] == seed
+    written = sorted(p.name for p in (cli_inputs / "out").iterdir())
+    assert sorted(manifest["tables"] + manifest["plots"] + ["manifest.json"]) == written
+
+
+# id: (command line, exit code); each fails after its inputs are read
+FAILING = {
+    "ingest": (["ingest", "bad_runs.csv"], 1),
+    "fit": (["fit", "power_runs.csv", "--family", "power", "--config", "bad.json"], 1),
+    "compare": (["compare", "bad_runs.csv"], 1),
+    "predict": (["predict", "power_runs.csv", "--params", "bad.json"], 1),
+    "alloc": (["alloc", "--law", "sub_law.json", "--budget", "1e20", "--n-max", "1e8"], 2),
+    "alloc-sweep": (
+        ["alloc", "--law", "sub_law.json", "--budget", "1e20", "--sweep", "--otr-min", "0"], 1
+    ),
+    "sweep": (["sweep", "--law", "sub_law.json", "--budget", "1e308"], 1),
+    "density": (["density", "vectors.emb", "--k", "99"], 1),
+    "select": (["select", "vectors.emb", "--k", "2", "--target-log-density=-1e9"], 2),
+    "synth": (["synth", "--spec", "bad.json"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_failing_command_writes_no_output_directory(cli_inputs, capsys, case):
+    (cli_inputs / "bad_runs.csv").write_text("run_id,model_size\nr1,x\n")
+    (cli_inputs / "bad.json").write_text("{")
+    argv, code = FAILING[case]
+    assert main(argv + ["-o", "out"]) == code
+    assert capsys.readouterr().err.startswith(f"subscale {argv[0]}: ")
+    assert not (cli_inputs / "out").exists()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
