@@ -283,11 +283,22 @@ def cmd_fit(args) -> int:
     series = runs.ingest(args.input)
     config = _load_config(args)
 
-    if len(args.family) > 1:
-        table = fit.compare_laws(series, args.family, config, args.split_fraction)
-        best = next((r for r in table.rows if r.error is None), None)
+    # the one split of fit and compare; 1 fits one family on all records, no holdout
+    fraction, several = args.split_fraction, len(args.family) > 1
+    if not (0.0 < fraction < 1.0 or (fraction == 1.0 and not several)):
+        rule = "(0, 1) to rank families, as a ranking needs a holdout" if several else "(0, 1]"
+        raise ValueError(f"--split-fraction must be in {rule}, got {fraction!r}")
+    if fraction == 1.0:
+        fit_split, holdout = series, None
+    else:
+        fit_split, holdout = runs.split_fit_holdout(series, fraction)
+
+    if several:
+        rows = fit.compare_laws(fit_split, holdout, args.family, config)
+        best = next((r for r in rows if r.error is None), None)
+        table = {"rows": rows, "split_fraction": fraction}
         outputs = {
-            "comparison.csv": lambda p: _write_fit_table(p, table.rows),
+            "comparison.csv": lambda p: _write_fit_table(p, rows),
             "comparison.json": lambda p: _write_json(p, table),
         }
         if best is not None:
@@ -304,10 +315,6 @@ def cmd_fit(args) -> int:
         return 0
 
     family = args.family[0]
-    if args.split_fraction == 1.0:  # exactly 1 means no holdout
-        fit_split, holdout = series, None
-    else:
-        fit_split, holdout = runs.split_fit_holdout(series, args.split_fraction)
     result = fit.fit_law(fit_split, family, config)
     if holdout is not None:
         _, mape_pred = fit.predict(result.params, holdout, family=family)
@@ -391,6 +398,7 @@ def cmd_alloc(args) -> int:
 
     law = _load_law(args.law)
     _finite_positive(args, "--n-min", "--n-max")
+    _otr_grid(args)  # checked without --sweep too, since the manifest records the grid
     n_bracket = (args.n_min, args.n_max)
     plan = alloc.optimal_allocation(law, args.budget, n_bracket)
     outputs = {"allocation.json": lambda p: _write_json(p, plan)}

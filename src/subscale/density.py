@@ -334,23 +334,6 @@ def _cluster_summary(cluster_id: int, dim: int, dists: np.ndarray) -> ClusterDen
     )
 
 
-def dataset_radius(
-    clustering: Clustering, per_cluster: list[ClusterDensity] | tuple[ClusterDensity, ...]
-) -> float:
-    """Mean centroid offset from the grand centroid, density-weighted.
-
-    Each cluster's distance to the grand centroid is divided by
-    log(rho_i + 1), so dense clusters pull the dataset radius down.
-    """
-    by_id = {c.cluster_id: c for c in per_cluster}
-    if sorted(by_id) != list(range(clustering.k)):
-        raise ValueError("per_cluster must cover every cluster exactly once")
-    denoms = np.array(
-        [_log1p_density(by_id[cid].log_density) for cid in range(clustering.k)]
-    )
-    return _weighted_radius(_centroid_offsets(clustering), denoms)
-
-
 def _weighted_radius(offsets: np.ndarray, denoms: np.ndarray) -> float:
     """Mean of centroid offsets over log(rho_i + 1), one entry per cluster."""
     if float(offsets.max(initial=0.0)) == 0.0:
@@ -364,7 +347,9 @@ def dataset_density(embeddings: EmbeddingSet, clustering: Clustering) -> Dataset
         _cluster_summary(cid, embeddings.dim, dists)
         for cid, (_, dists) in enumerate(_members(embeddings, clustering))
     )
-    radius = dataset_radius(clustering, per_cluster)
+    # each centroid offset over log(rho_i + 1): dense clusters pull the radius down
+    denoms = np.array([_log1p_density(c.log_density) for c in per_cluster])
+    radius = _weighted_radius(_centroid_offsets(clustering), denoms)
     log_rho = log_density_from_radius(embeddings.n_samples, embeddings.dim, radius)
     return DatasetDensityReport(
         weighted_radius=radius,

@@ -82,7 +82,7 @@ from .laws import (  # noqa: F401  (the *_gradient names: see _FamilySpec)
     suboptimal_gradient,
     suboptimal_value_and_jacobian,
 )
-from .runs import RunSeries, column, split_fit_holdout
+from .runs import RunSeries, column, split_fit_holdout  # noqa: F401  (see _FamilySpec)
 
 EXPONENT_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 # Default steepness inits for the repetition factors; chosen so the
@@ -274,7 +274,8 @@ class _FamilySpec:
     that come from the data, given the inputs, the losses and one grid
     point's values.  The evaluators look the law functions up at call time
     so that wrappers installed on this module's attributes see every call;
-    the ``*_gradient`` functions stay importable here for the same wrappers.
+    the ``*_gradient`` functions and ``split_fit_holdout``, which the CLI
+    calls, stay importable here for the same wrappers.
     """
 
     law: type
@@ -954,30 +955,23 @@ class ComparisonRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[ComparisonRow, ...]
-    split_fraction: float
-
-
 # What a family's fit may legitimately fail with; anything else is a bug
 # and propagates instead of becoming a table row.
 _FIT_FAILURES = (SubscaleError, ValueError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def compare_laws(
-    series: RunSeries,
+    fit_split: RunSeries,
+    holdout: RunSeries,
     families: list[str],
     config: FitConfig | None = None,
-    split_fraction: float = 0.25,
-) -> ComparisonTable:
-    """Fit each family on the leading split, score it on the rest.
+) -> tuple[ComparisonRow, ...]:
+    """Fit each family on ``fit_split``, score it on ``holdout``, and rank the rows.
 
     Rows are sorted by prediction MAPE ascending, ties broken by fewer
     parameters; rows whose fit failed are kept at the bottom with the error
     message instead of aborting the comparison.
     """
-    fit_split, holdout = split_fit_holdout(series, split_fraction)
     rows: list[ComparisonRow] = []
     for tag in families:
         try:
@@ -1012,5 +1006,4 @@ def compare_laws(
             return (1, math.inf, math.inf, i)
         return (0, row.mape_pred, row.n_params, i)
 
-    ordered = tuple(row for _, row in sorted(enumerate(rows), key=sort_key))
-    return ComparisonTable(rows=ordered, split_fraction=split_fraction)
+    return tuple(row for _, row in sorted(enumerate(rows), key=sort_key))

@@ -5,7 +5,7 @@ Each check takes a value and ``where``, the document and key it came from
 (such as ``"spec 'seed'"``), and returns the value or raises ValueError
 naming ``where``.  The document types' constructors run these checks on
 their fields, so a value built in Python meets the rules of a file; the
-readers only pick keys.  Only the standard library is used.
+readers only pick keys.  Only the standard library and ``errors`` are used.
 """
 
 from __future__ import annotations
@@ -15,13 +15,15 @@ import math
 import numbers
 from pathlib import Path
 
+from .errors import utf8_fault
+
 
 def load(path, kind: str):
     """The JSON value of the UTF-8 file at ``path``; errors name ``kind`` and the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{kind} {path} is not UTF-8 text: {exc}") from None
+        raise ValueError(f"{kind} {path} is not UTF-8 text: {utf8_fault(path, exc)}") from None
     except ValueError as exc:  # the decoder's error, or an integer too long to convert
         raise ValueError(f"{kind} {path} is not valid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per level of nesting

@@ -161,7 +161,7 @@ def test_fit_multi_family_comparison_sorted(tmp_path, suboptimal_fixture):
     assert preds == sorted(preds)
 
 
-@pytest.mark.parametrize("fraction", ["1.5", "0.0", "-0.25"])
+@pytest.mark.parametrize("fraction", ["1.5", "0.0", "-0.25", "nan"])
 def test_fit_split_fraction_out_of_range_is_exit_one(tmp_path, power_fixture, capsys, fraction):
     out = tmp_path / "fit"
     code = main(
@@ -169,8 +169,25 @@ def test_fit_split_fraction_out_of_range_is_exit_one(tmp_path, power_fixture, ca
          "-o", str(out)]
     )
     assert code == 1
-    assert "fraction must be in (0, 1)" in capsys.readouterr().err
-    assert not (out / "fit_result.json").exists()
+    assert capsys.readouterr().err == (
+        f"subscale fit: --split-fraction must be in (0, 1], got {float(fraction)!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.0", "0", "nan"])
+def test_compare_split_fraction_outside_open_interval_is_exit_one(
+    tmp_path, suboptimal_fixture, capsys, fraction
+):
+    # a ranking scores each family on a holdout, so 1 (no holdout) is refused too
+    out = tmp_path / "cmp"
+    argv = ["compare", str(suboptimal_fixture), "--split-fraction", fraction, "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "subscale compare: --split-fraction must be in (0, 1) to rank families, as a ranking "
+        f"needs a holdout, got {float(fraction)!r}\n"
+    )
+    assert not out.exists()
 
 
 def test_fit_split_fraction_one_fits_without_holdout(tmp_path, power_fixture):
@@ -557,9 +574,10 @@ def test_report_bad_manifest_is_exit_one(tmp_path, capsys, manifest, message):
 @pytest.mark.parametrize(
     "content, fault",
     [(b"{", "is not valid JSON: Expecting property name enclosed in double quotes"),
-     (b"\xff", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+     (b"\xff", "is not UTF-8 text: line 1: 'utf-8' codec can't decode byte 0xff in position 0"),
+     (b'{\n"a": "\xff"}', "is not UTF-8 text: line 2: 'utf-8' codec can't decode byte 0xff"),
      (b"[" * 100_000, "is nested too deeply to read")],
-    ids=["invalid", "not-utf8", "deep"],
+    ids=["invalid", "not-utf8", "not-utf8-line-2", "deep"],
 )
 @pytest.mark.parametrize("kind", ["law file", "fit config", "synth spec", "manifest"])
 def test_unreadable_json_document_names_its_kind_and_file(
@@ -811,8 +829,9 @@ def test_sweep_zero_otr_points_is_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, points",
-    [(["sweep"], "-3"), (["alloc", "--sweep"], "0"), (["alloc", "--sweep"], "-3")],
-    ids=["sweep-minus-three", "alloc-sweep-zero", "alloc-sweep-minus-three"],
+    [(["sweep"], "-3"), (["alloc", "--sweep"], "0"), (["alloc", "--sweep"], "-3"),
+     (["alloc"], "0")],
+    ids=["sweep-minus-three", "alloc-sweep-zero", "alloc-sweep-minus-three", "alloc-zero"],
 )
 def test_otr_points_below_one_names_the_option(tmp_path, capsys, command, points):
     law_path = _law_json(tmp_path, REF)
@@ -867,8 +886,11 @@ def test_alloc_zero_steepness_over_a_wide_bracket_prints_no_warning(tmp_path, ca
         (["alloc", "--n-max", "inf"], "--n-max must be finite and > 0, got inf"),
         (["sweep", "--otr-min", "0"], "--otr-min must be finite and > 0, got 0.0"),
         (["sweep", "--otr-max", "1e308"], "otr 1e+308 leaves budget 1e+21 no finite (n, d)"),
+        # without --sweep the grid is unused, but the manifest would record it
+        (["alloc", "--otr-min=-5"], "--otr-min must be finite and > 0, got -5.0"),
     ],
-    ids=["alloc-n-max-inf", "sweep-otr-min-zero", "sweep-otr-max-overflows"],
+    ids=["alloc-n-max-inf", "sweep-otr-min-zero", "sweep-otr-max-overflows",
+         "alloc-otr-min-negative"],
 )
 def test_alloc_and_sweep_out_of_range_bracket_or_grid_is_exit_one(
     tmp_path, capsys, command, message

@@ -148,29 +148,24 @@ def test_log_density_monotone_in_radius_and_count():
 # ---------------------------------------------------------------------------
 
 
-def _hand_cluster(cluster_id, log_density):
-    return ClusterDensity(
-        cluster_id=cluster_id, n_samples=2, radius=1.0, log_density=log_density
-    )
-
-
 def test_dataset_radius_hand_example():
-    # centroids at +-1 on the x axis, both densities e-1 so log(rho+1) = 1
+    # centroids at +-1 on the x axis, each with two members at distance r in
+    # dim 2, so rho = 2 / (pi r^2) = e - 1 and log(rho + 1) = 1
+    r = math.sqrt(2.0 / (math.pi * (math.e - 1.0)))
+    emb = EmbeddingSet.from_array([[1.0, r], [1.0, -r], [-1.0, r], [-1.0, -r]])
     clustering = Clustering.from_parts(
-        assignment=[0, 1],
+        assignment=[0, 0, 1, 1],
         centroids=[[1.0, 0.0], [-1.0, 0.0]],
     )
-    per_cluster = [
-        _hand_cluster(0, math.log(math.e - 1.0)),
-        _hand_cluster(1, math.log(math.e - 1.0)),
-    ]
-    assert density.dataset_radius(clustering, per_cluster) == pytest.approx(1.0, abs=1e-12)
+    report = density.dataset_density(emb, clustering)
+    assert report.weighted_radius == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dataset_radius_single_cluster_degenerate():
+    emb = EmbeddingSet.from_array([[1.0, 1.0], [1.0, 3.0]])
     clustering = Clustering.from_parts(assignment=[0, 0], centroids=[[1.0, 2.0]])
     with pytest.raises(DegenerateGeometry):
-        density.dataset_radius(clustering, [_hand_cluster(0, 0.5)])
+        density.dataset_density(emb, clustering)
 
 
 def test_dataset_radius_matches_scalar_reimplementation():
@@ -187,8 +182,8 @@ def test_dataset_radius_matches_scalar_reimplementation():
         )
     )
     clustering = density.kmeans(emb, 3, seed=1)
-    per_cluster = density.dataset_density(emb, clustering).per_cluster
-    got = density.dataset_radius(clustering, per_cluster)
+    report = density.dataset_density(emb, clustering)
+    per_cluster, got = report.per_cluster, report.weighted_radius
 
     # independent scalar reimplementation with plain python loops
     k = clustering.k

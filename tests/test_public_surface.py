@@ -12,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# ROADMAP direction 7 gives this analysis a `stability` command as its consumer
+# ROADMAP direction 11 gives this analysis a `stability` command as its consumer
 EXEMPT = {"alloc.alpha_stability"}
 
 

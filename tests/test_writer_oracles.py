@@ -13,6 +13,7 @@ pinned in ``test_cli.py``.
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,10 +232,12 @@ def test_comparison_with_error_row_matches_reference(tmp_path):
     series = runs.RunSeries.from_records(
         dataclasses.replace(rec, batch_size=None) for rec in _series().records
     )
-    table = fit.compare_laws(series, ["power", "batch_power", "suboptimal", "chinchilla"])
-    assert table.rows[-1].error is not None and table.rows[-1].family == "batch_power"
-    cli._write_fit_table(tmp_path / "comparison.csv", table.rows)
-    cli._write_json(tmp_path / "comparison.json", table)
+    families = ["power", "batch_power", "suboptimal", "chinchilla"]
+    rows = fit.compare_laws(*runs.split_fit_holdout(series, 0.25), families)
+    assert rows[-1].error is not None and rows[-1].family == "batch_power"
+    table = SimpleNamespace(rows=rows, split_fraction=0.25)
+    cli._write_fit_table(tmp_path / "comparison.csv", rows)
+    cli._write_json(tmp_path / "comparison.json", {"rows": rows, "split_fraction": 0.25})
     assert _read(tmp_path / "comparison.csv") == _ref_comparison_csv(table)
     assert _read(tmp_path / "comparison.json") == _ref_json_text(_ref_comparison_dict(table))
 
@@ -242,7 +245,9 @@ def test_comparison_with_error_row_matches_reference(tmp_path):
 def test_compare_command_matches_reference(tmp_path, runs_csv):
     out = tmp_path / "out"
     assert cli.main(["compare", str(runs_csv), "-o", str(out)]) == 0
-    table = fit.compare_laws(runs.ingest(runs_csv), ["power", "chinchilla", "suboptimal"])
+    split = runs.split_fit_holdout(runs.ingest(runs_csv), 0.25)
+    rows = fit.compare_laws(*split, ["power", "chinchilla", "suboptimal"])
+    table = SimpleNamespace(rows=rows, split_fraction=0.25)
     assert _read(out / "comparison.csv") == _ref_comparison_csv(table)
     assert _read(out / "comparison.json") == _ref_json_text(_ref_comparison_dict(table))
 
