@@ -39,6 +39,7 @@ if TYPE_CHECKING:
 _FAMILY_CHOICES = ["batch_power", "chinchilla", "lr_power", "power", "suboptimal"]
 _DEFAULT_N_BRACKET = (1e6, 1e13)
 _DEFAULT_FAMILIES = ["power", "chinchilla", "suboptimal"]
+_MAX_OTR_POINTS = 10**6  # a sweep of 10**6 points takes about a minute (README)
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +116,28 @@ def _path(text: str) -> Path:
     return Path(text).resolve()
 
 
+def _seed(text: str) -> int:
+    """Parser type of every --seed: SplitMix64 would reduce one outside [0, 2^64)."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _write_manifest(args, out: Path, names, seed=None) -> None:
     """Name every emitted file (``.svg`` ones as plots), the normalized argv,
     input hashes and seed.
 
     The argv is the command of ``args.parser`` followed by each of its options
     that holds a value, in parser order, so that replaying it reproduces every
-    effective value.  ``--out`` and suppressed (replay-only) options are left
-    out; the inputs are the values of the ``_path``-typed options.
+    effective value.  ``--out`` is left out; the inputs are the values of the
+    ``_path``-typed options.
     """
     argv = [args.parser.prog.split()[-1]]
     inputs = {}
     for action in args.parser._actions:
         value = getattr(args, action.dest, None)
-        hidden = action.dest == "out" or action.help == argparse.SUPPRESS
-        if value is None or value is False or hidden:
+        if value is None or value is False or action.dest == "out":
             continue
         for v in value if isinstance(value, list) else [value]:
             if action.type is _path:
@@ -280,6 +288,7 @@ def cmd_ingest(args) -> int:
 def cmd_fit(args) -> int:
     from . import fit, runs
 
+    args.family = args.family or list(_DEFAULT_FAMILIES)
     series = runs.ingest(args.input)
     config = _load_config(args)
 
@@ -363,17 +372,14 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    args.family = args.family or list(_DEFAULT_FAMILIES)
-    return cmd_fit(args)
-
-
 def _otr_grid(args) -> np.ndarray:
     import numpy as np
 
     _finite_positive(args, "--otr-min", "--otr-max")
     if args.otr_points < 1:
         raise ValueError(f"--otr-points must be >= 1, got {args.otr_points}")
+    if args.otr_points > _MAX_OTR_POINTS:
+        raise ValueError(f"--otr-points must be <= {_MAX_OTR_POINTS}, got {args.otr_points}")
     return np.geomspace(args.otr_min, args.otr_max, args.otr_points)
 
 
@@ -519,6 +525,11 @@ def cmd_report(args) -> int:
             f"manifest 'argv' cannot replay {argv[0]!r}: it does not start with a command "
             "that writes a manifest"
         )
+    if argv[0] == "fit":
+        # older manifests record --seed and --threads, which had no effect on a
+        # fit and which the parser no longer takes: each goes with its value
+        flags = {i for i, a in enumerate(argv) if a in ("--seed", "--threads")}
+        argv = [a for i, a in enumerate(argv) if not {i, i - 1} & flags]
     for arg in argv:
         option = arg.split("=", 1)[0]
         # argparse reads -h with flags after it, and any prefix of --help, as help
@@ -546,23 +557,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_fit_options(p, family_required: bool) -> None:
-    """The options of `fit`, which `compare` shares: it replays as `fit`."""
-    p.add_argument("input", type=_path)
-    p.add_argument(
-        "--family",
-        action="append",
-        required=family_required,
-        choices=_FAMILY_CHOICES,
-        help="repeat for a comparison table",
-    )
-    p.add_argument("--config", type=_path, default=None, help="FitConfig JSON file")
-    p.add_argument("--split-fraction", type=float, default=0.25)
-    # no effect: accepted so that manifests recorded with them still replay
-    p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
-
-
 def _add_sweep_options(p, alloc: bool) -> None:
     """The options of `sweep`; `alloc` adds its bracket and --sweep before the grid."""
     p.add_argument("--law", type=_path, required=True, help="law params JSON")
@@ -580,7 +574,7 @@ def _add_density_options(p, select: bool) -> None:
     """The options of `density`; `select` adds its targets before --normalize."""
     p.add_argument("embeddings", type=_path)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="k-means seed")
+    p.add_argument("--seed", type=_seed, default=0, help="k-means seed")
     p.add_argument("--max-iters", type=int, default=100)
     if select:
         p.add_argument("--keep-fraction", type=float, default=None)
@@ -597,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"subscale {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help):
-        p = sub.add_parser(name, help=help)
+    def command(name, handler, help, aliases=()):
+        p = sub.add_parser(name, help=help, aliases=aliases)
         p.add_argument("-o", "--out", required=True, help="output directory")
         p.set_defaults(handler=handler, parser=p)
         return p
@@ -609,17 +603,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth-window", type=int, default=None)
     p.add_argument("--smooth-sigma", type=float, default=None)
 
-    fit_p = command("fit", cmd_fit, "fit one or more law families")
-    _add_fit_options(fit_p, family_required=True)
+    p = command("fit", cmd_fit, "fit one law family, or rank several", aliases=["compare"])
+    p.add_argument("input", type=_path)
+    p.add_argument(
+        "--family",
+        action="append",
+        choices=_FAMILY_CHOICES,
+        help="repeat to rank several; default: power, chinchilla and suboptimal",
+    )
+    p.add_argument("--config", type=_path, default=None, help="FitConfig JSON file")
+    p.add_argument("--split-fraction", type=float, default=0.25)
 
     p = command("predict", cmd_predict, "evaluate a fitted law on a runs file")
     p.add_argument("input", type=_path)
     p.add_argument("--params", type=_path, required=True, help="law params JSON")
     p.add_argument("--family", choices=_FAMILY_CHOICES, default=None)
-
-    p = command("compare", cmd_compare, "fit and rank several families")
-    p.set_defaults(parser=fit_p)  # recorded and replayed as `fit`
-    _add_fit_options(p, family_required=False)
 
     p = command("alloc", cmd_alloc, "compute-optimal (N, D) for a budget")
     _add_sweep_options(p, alloc=True)
@@ -635,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("synth", cmd_synth, "generate fixtures from a spec JSON")
     p.add_argument("--spec", type=_path, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the spec's seed")
     p.add_argument("--runs-format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--emb-format", choices=["emb", "csv"], default="emb")
 

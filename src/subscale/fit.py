@@ -272,8 +272,8 @@ class _FamilySpec:
     vectors and returns the (starts, records) values and the (starts,
     params, records) Jacobians.  ``init`` gives, by name, the start values
     that come from the data, given the inputs, the losses and one grid
-    point's values.  The evaluators look the law functions up at call time
-    so that wrappers installed on this module's attributes see every call;
+    point's values.  ``evaluate`` looks its law function up at call time,
+    so that a wrapper installed on this module's attribute sees every call;
     the ``*_gradient`` functions and ``split_fit_holdout``, which the CLI
     calls, stay importable here for the same wrappers.
     """
@@ -353,7 +353,7 @@ def _power_family(extract) -> _FamilySpec:
         extract,
         lambda p, x: eval_power(p, *x),
         prepare_power,
-        lambda theta, prep: power_value_and_jacobian(theta, prep),
+        power_value_and_jacobian,
         _power_init,
     )
 
@@ -367,7 +367,7 @@ FAMILIES: dict[str, _FamilySpec] = {
         _series_nd,
         lambda p, x: eval_chinchilla(p, *x),
         prepare_nd,
-        lambda theta, prep: chinchilla_value_and_jacobian(theta, prep),
+        chinchilla_value_and_jacobian,
         partial(_nd_init, repetition=False),
     ),
     "suboptimal": _FamilySpec(
@@ -375,7 +375,7 @@ FAMILIES: dict[str, _FamilySpec] = {
         _series_nd,
         lambda p, x: eval_suboptimal(p, *x),
         prepare_nd,
-        lambda theta, prep: suboptimal_value_and_jacobian(theta, prep),
+        suboptimal_value_and_jacobian,
         partial(_nd_init, repetition=True),
     ),
 }

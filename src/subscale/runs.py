@@ -302,6 +302,10 @@ def gaussian_smooth(
     two_var = 2.0 * sigma * sigma
     if two_var == 0.0:  # the centre weight would be 0/0
         raise ValueError(f"sigma {sigma!r} is too small: 2*sigma**2 underflows to 0")
+    by_run = indices_by_run(series)
+    for run_id, idx in by_run.items():  # before the kernel, which has `window` weights
+        if len(idx) < window:
+            raise WindowLargerThanRun(run_id, len(idx), window)
 
     left = window // 2
     offsets = np.arange(-left, window - left)
@@ -309,9 +313,7 @@ def gaussian_smooth(
         kernel = np.exp(-(offsets.astype(float) ** 2) / two_var)
 
     new_records = list(series.records)
-    for run_id, idx in indices_by_run(series).items():
-        if len(idx) < window:
-            raise WindowLargerThanRun(run_id, len(idx), window)
+    for idx in by_run.values():
         losses = np.array([series.records[i].loss for i in idx], dtype=float)
         n = len(losses)
         for pos in range(n):
@@ -339,8 +341,11 @@ def split_fit_holdout(
     for run_id, idx in indices_by_run(series).items():
         length = len(idx)
         n_fit = math.ceil(fraction * length)
-        if length < math.ceil(1.0 / fraction) or n_fit >= length:
-            raise TooFewRecords(run_id, length, max(math.ceil(1.0 / fraction), n_fit + 1))
+        # no run holds 2**53 records, so that bound on 1/fraction changes no
+        # split and keeps the count finite and short
+        min_length = math.ceil(min(1.0 / fraction, 2.0**53))
+        if length < min_length or n_fit >= length:
+            raise TooFewRecords(run_id, length, max(min_length, n_fit + 1))
         order = sorted(idx, key=lambda i: series.records[i].tokens)
         take_fit.update(order[:n_fit])
 

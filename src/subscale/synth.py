@@ -30,6 +30,14 @@ LADDER_MODEL_SIZES: tuple[int, ...] = tuple(
 )
 
 
+def _seed(value) -> int:
+    """A spec's seed: SplitMix64 would reduce one outside [0, 2^64) without a word."""
+    seed = jsondoc.integer(value, "spec 'seed'")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"spec 'seed' must be in [0, 2^64), got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Grid of (N, token checkpoints) to sample from a loss law."""
@@ -54,7 +62,7 @@ class CurveSpec:
                 for row in jsondoc.array(self.token_checkpoints, grids)
             ),
             noise_sigma=jsondoc.number(self.noise_sigma, "spec 'noise_sigma'"),
-            seed=jsondoc.integer(self.seed, "spec 'seed'"),
+            seed=_seed(self.seed),
         )
         if len(self.model_sizes) == 0:
             raise ValueError("model_sizes must be non-empty")
@@ -131,7 +139,7 @@ class BlobSpec:
             k=jsondoc.integer(self.k, "spec 'k'"),
             dim=jsondoc.integer(self.dim, "spec 'dim'"),
             per_cluster=tuple(jsondoc.array(self.per_cluster, where)),
-            seed=jsondoc.integer(self.seed, "spec 'seed'"),
+            seed=_seed(self.seed),
         )
         if self.k != len(self.per_cluster):
             raise ValueError("k must equal the number of cluster specs")

@@ -452,13 +452,6 @@ def test_c11_cli_determinism(tmp_path):
     for name in ("fit_result.json", "residuals.csv", "loss_tokens.svg"):
         assert (fit1 / name).read_bytes() == (fit2 / name).read_bytes()
 
-    fit4 = tmp_path / "fit4"
-    assert cli_main(
-        ["fit", str(runs_path), "--family", "suboptimal", "--threads", "4", "-o", str(fit4)]
-    ) == 0
-    assert (fit1 / "fit_result.json").read_bytes() == (fit4 / "fit_result.json").read_bytes()
-    assert (fit1 / "residuals.csv").read_bytes() == (fit4 / "residuals.csv").read_bytes()
-
     blob_spec = synth.BlobSpec(
         k=2,
         dim=4,

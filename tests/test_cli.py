@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import gc
@@ -190,6 +191,19 @@ def test_compare_split_fraction_outside_open_interval_is_exit_one(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fraction", ["5e-324", "1e-300"])
+def test_fit_tiny_split_fraction_names_the_run(tmp_path, power_fixture, capsys, fraction):
+    # 1/fraction overflowed, or named a 300-digit count; no run holds 2**53 records
+    out = tmp_path / "fit"
+    argv = ["fit", str(power_fixture), "--family", "power", "--split-fraction", fraction]
+    assert main(argv + ["-o", str(out)]) == 1
+    run_id = runs.ingest(power_fixture).records[0].run_id
+    assert capsys.readouterr().err == (
+        f"subscale fit: run {run_id!r} has 16 records; splitting needs at least {2**53}\n"
+    )
+    assert not out.exists()
+
+
 def test_fit_split_fraction_one_fits_without_holdout(tmp_path, power_fixture):
     out = tmp_path / "fit"
     code = main(
@@ -217,6 +231,24 @@ def test_compare_defaults(tmp_path, suboptimal_fixture):
     assert main(["compare", str(suboptimal_fixture), "-o", str(out)]) == 0
     lines = (out / "comparison.csv").read_text().splitlines()
     assert len(lines) == 4  # header + power + chinchilla + suboptimal
+
+
+def test_compare_is_another_name_for_fit(tmp_path, suboptimal_fixture):
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sub.choices["compare"] is sub.choices["fit"]
+    assert all(
+        a.help != argparse.SUPPRESS for p in sub.choices.values() for a in p._actions
+    )
+    # without --family, both rank the default families and write the same bytes
+    outs = [tmp_path / "fit", tmp_path / "compare"]
+    for out in outs:
+        assert main([out.name, str(suboptimal_fixture), "-o", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["comparison.csv", "comparison.json", "loss_tokens.svg", "manifest.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +537,38 @@ def test_synth_curves_and_blobs(tmp_path):
     assert emb.n_samples == 8 and emb.dim == 2
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "-1", str(-(2**64))])
+@pytest.mark.parametrize("command", ["density", "select", "synth"])
+def test_seed_outside_uint64_names_the_option(tmp_path, blob_fixture, capsys, command, seed):
+    # SplitMix64 would reduce such a seed modulo 2^64 without a word
+    spec_path = tmp_path / "curves.json"
+    spec_path.write_text(json.dumps(_CURVES))
+    argv = {
+        "density": ["density", str(blob_fixture), "--k", "2"],
+        "select": ["select", str(blob_fixture), "--k", "2", "--keep-fraction", "0.5"],
+        "synth": ["synth", "--spec", str(spec_path)],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--seed={seed}", "-o", str(out)])
+    assert exc.value.code == 1
+    assert f"argument --seed: must be in [0, 2^64), got {seed}\n" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + [f"--seed={2**64 - 1}", "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("seed", [2**64, -1, 1e20])
+def test_spec_seed_outside_uint64_names_the_key(tmp_path, capsys, seed):
+    spec_path = tmp_path / "curves.json"
+    spec_path.write_text(json.dumps(dict(_CURVES, seed=seed)))
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(spec_path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"subscale synth: spec 'seed' must be in [0, 2^64), got {int(seed)}\n"
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # manifests, determinism, threads
 # ---------------------------------------------------------------------------
@@ -595,27 +659,14 @@ def test_unreadable_json_document_names_its_kind_and_file(
     assert capsys.readouterr().err.startswith(f"subscale {argv[0]}: {kind} {doc} {fault}")
 
 
-def test_thread_count_does_not_change_tables(tmp_path, suboptimal_fixture):
-    out1 = tmp_path / "t1"
-    out4 = tmp_path / "t4"
-    main(["fit", str(suboptimal_fixture), "--family", "suboptimal", "--threads", "1",
-          "-o", str(out1)])
-    main(["fit", str(suboptimal_fixture), "--family", "suboptimal", "--threads", "4",
-          "-o", str(out4)])
-    assert _file_bytes(out1 / "fit_result.json") == _file_bytes(out4 / "fit_result.json")
-    assert _file_bytes(out1 / "residuals.csv") == _file_bytes(out4 / "residuals.csv")
-
-
 def test_fit_manifest_records_no_threads_or_seed(tmp_path, power_fixture):
+    # only report drops them, from older manifests: typed, they are a usage error
     out = tmp_path / "fit"
-    assert main(
-        ["fit", str(power_fixture), "--family", "power", "--seed", "5", "--threads", "2",
-         "-o", str(out)]
-    ) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "threads" not in manifest
-    assert manifest["seed"] is None
-    assert "--threads" not in manifest["argv"] and "--seed" not in manifest["argv"]
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(power_fixture), "--family", "power", "--seed", "5", "--threads", "2",
+              "-o", str(out)])
+    assert exc.value.code == 1
+    assert not out.exists()
 
 
 def test_manifest_with_threads_and_seed_replays(tmp_path, suboptimal_fixture):
@@ -844,6 +895,22 @@ def test_otr_points_below_one_names_the_option(tmp_path, capsys, command, points
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", [10**6 + 1, 2**60, 2**63])
+@pytest.mark.parametrize(
+    "command", [["sweep"], ["alloc", "--sweep"], ["alloc"]], ids=["sweep", "alloc-sweep", "alloc"]
+)
+def test_otr_points_above_the_bound_names_the_option(tmp_path, capsys, command, points):
+    # numpy cannot build a grid of 2**60 points, and 2**63 overflows its index
+    law_path = _law_json(tmp_path, REF)
+    out = tmp_path / "x"
+    argv = [*command, "--law", str(law_path), "--budget", "1e20", f"--otr-points={points}"]
+    assert main(argv + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"subscale {command[0]}: --otr-points must be <= 1000000, got {points}\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_budget_whose_plot_curve_overflows_is_exit_one(tmp_path, capsys):
     # the budget itself sweeps; the plot's curve at 10 times it is inf
     law_path = _law_json(tmp_path, REF)
@@ -911,6 +978,22 @@ def test_ingest_sigma_without_window_is_exit_one(tmp_path, power_fixture, capsys
     assert code == 1
     assert "--smooth-sigma needs --smooth-window" in capsys.readouterr().err
     assert not (out / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("window", [2**40, 2**62])
+def test_smooth_window_longer_than_every_run_names_the_run(
+    tmp_path, power_fixture, capsys, window
+):
+    # the runs are checked before the kernel, which would hold `window` weights
+    out = tmp_path / "out"
+    argv = ["ingest", str(power_fixture), "--smooth-window", str(window), "-o", str(out)]
+    assert main(argv) == 1
+    run_id = runs.ingest(power_fixture).records[0].run_id
+    assert capsys.readouterr().err == (
+        f"subscale ingest: run {run_id!r} has 16 records, fewer than window {window}; "
+        "reduce the window\n"
+    )
+    assert not out.exists()
 
 
 _POWER = {"family": "power", "lambda": 3.0, "alpha": 0.3}
@@ -1064,7 +1147,7 @@ def test_synth_integral_float_spec_matches_integer_spec(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fit", "runs.csv", "-o", "out"],  # --family is required
+        ["fit", "runs.csv", "--threads", "4", "-o", "out"],  # fit takes no --threads
         ["alloc", "--law", "law.json", "--budget", "lots", "-o", "out"],
         ["no-such-command"],
         [],

@@ -1,4 +1,4 @@
-"""Fuzzed runs and embedding files on the CLI: exit 0, 1 or 2, never a traceback.
+"""Fuzzed runs files, embedding files and argv on the CLI: exit 0, 1 or 2, never a traceback.
 
 Each draw starts from a valid file and breaks it a little: a cell or a JSON
 value replaced by a hostile one, a line deleted or repeated, the bytes cut
@@ -9,14 +9,16 @@ a user would have seen it on stderr.
 
 import contextlib
 import io
+import itertools
 import json
+import shutil
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from subscale import density, laws, runs, synth
+from subscale import cli, density, laws, runs, synth
 from subscale.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -27,7 +29,7 @@ REF = laws.SubOptimalParams(1.372, 61.929, 0.272, 455.345, 0.289, 0.00810, 0.001
 _SETTINGS = hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 
 
-def _assert_handled(argv) -> None:
+def _assert_handled(argv) -> int:
     """``main(argv)`` exits 0, 1 or 2 with no traceback; warnings are errors."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -39,6 +41,7 @@ def _assert_handled(argv) -> None:
                 code = exc.code
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue(), err.getvalue()
+    return code
 
 
 # text that a cell of a CSV file may hold instead of a number or an id
@@ -200,5 +203,123 @@ def test_fuzzed_embedding_file_is_measured_or_rejected(tmp_path):
         _assert_handled(
             ["density", str(path), "--k", "2", "-o", out] + (["--normalize"] if normalize else [])
         )
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed argv: every command, with options set to edge values
+# ---------------------------------------------------------------------------
+
+_FLOATS = [
+    "0", "-0.0", "0.25", "0.5", "1", "1.0", "2", "-1", "5e-324", "1e-300", "1e20", "1e300",
+    "1e308", "inf", "-inf", "nan", "x", "",
+]
+# counts come only from fixed edges: one between 10**4 and 2**60 could make
+# numpy really allocate terabytes on a host that overcommits memory
+_COUNTS = [
+    str(-(2**63)), "-1", "0", "1", "2", "3", "10", "10000", str(2**60), str(2**62), str(2**63),
+    str(2**64), "1.5", "x",
+]
+_SEEDS = ["0", "1", str(2**64 - 1), str(2**64), "-1", str(-(2**64)), "x"]
+
+
+def _commands(tmp_path) -> dict:
+    """Command name -> (a valid argv without -o, option -> values; None for a flag)."""
+    runs_csv = tmp_path / "runs.csv"
+    runs.write_csv(_runs_series(), runs_csv)
+    emb = tmp_path / "embeddings.emb"
+    density.save_embeddings(emb, _embeddings())
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(laws.params_to_dict(REF)))
+    power_law = tmp_path / "power_law.json"
+    power_law.write_text(json.dumps(laws.params_to_dict(laws.PowerLawParams(3.0, 0.3))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_iters": 20}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(synth.CurveSpec(
+        law=REF, model_sizes=(10**7,), token_checkpoints=((10**8, 2 * 10**8, 4 * 10**8),)
+    ).to_dict()))
+    assert main(["ingest", str(runs_csv), "-o", str(tmp_path / "recorded")]) == 0
+    missing = str(tmp_path / "missing.json")
+    families = [*cli._FAMILY_CHOICES, "nope"]
+    fit_options = {
+        "--family": families, "--config": [str(config), missing], "--split-fraction": _FLOATS,
+        "--seed": _SEEDS, "--threads": _COUNTS,
+    }
+    grid = {"--budget": _FLOATS, "--otr-min": _FLOATS, "--otr-max": _FLOATS,
+            "--otr-points": _COUNTS}
+    clusters = {"--k": _COUNTS, "--seed": _SEEDS, "--max-iters": _COUNTS, "--normalize": None}
+    return {
+        "ingest": (["ingest", str(runs_csv)], {
+            "--format": ["csv", "jsonl", "xml"], "--smooth-window": _COUNTS,
+            "--smooth-sigma": _FLOATS,
+        }),
+        "fit": (["fit", str(runs_csv), "--family", "power"], fit_options),
+        "compare": (["compare", str(runs_csv)], fit_options),
+        "predict": (["predict", str(runs_csv), "--params", str(law)], {
+            "--family": families, "--params": [str(law), str(power_law), missing],
+        }),
+        "alloc": (["alloc", "--law", str(law), "--budget", "1e20"], {
+            **grid, "--n-min": _FLOATS, "--n-max": _FLOATS, "--sweep": None,
+        }),
+        "sweep": (["sweep", "--law", str(law), "--budget", "1e20"], grid),
+        "density": (["density", str(emb), "--k", "2"], clusters),
+        "select": (["select", str(emb), "--k", "2", "--keep-fraction", "0.5"], {
+            **clusters, "--keep-fraction": _FLOATS, "--target-log-density": _FLOATS,
+        }),
+        "synth": (["synth", "--spec", str(spec)], {
+            "--seed": _SEEDS, "--runs-format": ["csv", "jsonl", "x"],
+            "--emb-format": ["emb", "csv", "x"],
+        }),
+        "report": (["report", str(tmp_path / "recorded" / "manifest.json")], {}),
+    }
+
+
+def _token(option, value) -> str:
+    """One argv token: a flag bare, any other value after ``=``, so "-1" stays a value."""
+    return option if value is None else f"{option}={value}"
+
+
+@st.composite
+def _argv(draw, base, options) -> list:
+    """``base`` with up to three options set."""
+    argv = list(base)
+    for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+        argv.append(_token(option, draw(st.sampled_from(options[option] or [None]))))
+    return argv
+
+
+_COMMANDS = ["alloc", "compare", "density", "fit", "ingest", "predict", "report", "select",
+             "sweep", "synth"]
+
+
+def test_every_command_is_fuzzed():
+    assert set(_COMMANDS) == set(cli.build_parser()._actions[-1].choices)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_fuzzed_argv_exits_0_1_or_2_and_leaves_no_output_on_exit_1(
+    tmp_path, monkeypatch, command
+):
+    # each option alone at each of its values, then up to three drawn together
+    monkeypatch.chdir(tmp_path)
+    base, options = _commands(tmp_path)[command]
+    names = (tmp_path / f"out{i}" for i in itertools.count())
+
+    def run(argv):
+        out = next(names)
+        if _assert_handled(argv + ["-o", str(out)]) == 1:
+            assert not out.exists(), argv
+        shutil.rmtree(out, ignore_errors=True)
+
+    for option, values in options.items():
+        for value in values or [None]:
+            run(base + [_token(option, value)])
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(_argv(base, options) if options else st.just(base))
+    def check(argv):
+        run(argv)
 
     check()
