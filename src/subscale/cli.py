@@ -117,7 +117,7 @@ def _path(text: str) -> Path:
 
 
 def _seed(text: str) -> int:
-    """Parser type of every --seed: SplitMix64 would reduce one outside [0, 2^64)."""
+    """Parser type of every --seed: SplitMix64's range, as a usage error naming --seed."""
     seed = int(text)
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {seed}")

@@ -52,35 +52,21 @@ RADIUS_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Row-major sample vectors with per-row ids."""
+    """Row-major sample vectors with per-row ids, index ids by default."""
 
     vectors: np.ndarray
-    ids: tuple[str, ...]
+    ids: tuple[str, ...] | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def n_samples(self) -> int:
-        return self.vectors.shape[0]
-
-    @staticmethod
-    def from_array(vectors, ids=None, normalize: bool = False) -> "EmbeddingSet":
-        arr = np.asarray(vectors, dtype=float)
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.vectors, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("vectors must be a non-empty 2D array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("vectors must be finite")
-        if normalize:
-            norms = np.linalg.norm(arr, axis=1, keepdims=True)
-            if np.any(norms == 0):
-                raise ValueError("cannot unit-normalize zero vectors")
-            arr = arr / norms
-        if ids is None:
+        if self.ids is None:
             ids = tuple(str(i) for i in range(arr.shape[0]))
         else:
-            ids = tuple(str(i) for i in ids)
+            ids = tuple(str(i) for i in self.ids)
             if len(ids) != arr.shape[0]:
                 raise ValueError("ids length must match number of rows")
             # a saved CSV of such an id would not load again
@@ -91,34 +77,40 @@ class EmbeddingSet:
                         f"row {row}: id {sample_id!r} holds the control "
                         f"character {control.group()!r}"
                     )
-        return EmbeddingSet(vectors=arr, ids=ids)
+        object.__setattr__(self, "vectors", arr)
+        object.__setattr__(self, "ids", ids)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def n_samples(self) -> int:
+        return self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
 class Clustering:
-    """Partition of rows into k clusters with fixed centroids."""
+    """Partition of rows into k non-empty clusters with fixed centroids."""
 
-    k: int
     assignment: np.ndarray
     centroids: np.ndarray
-    grand_centroid: np.ndarray
+    k: int = field(init=False)
+    grand_centroid: np.ndarray = field(init=False)
 
-    @staticmethod
-    def from_parts(assignment, centroids) -> "Clustering":
-        assignment = np.asarray(assignment, dtype=int)
-        centroids = np.asarray(centroids, dtype=float)
+    def __post_init__(self) -> None:
+        assignment = np.asarray(self.assignment, dtype=int)
+        centroids = np.asarray(self.centroids, dtype=float)
         k = centroids.shape[0]
         if assignment.min() < 0 or assignment.max() >= k:
             raise ValueError("assignment indices out of range")
         counts = np.bincount(assignment, minlength=k)
         if np.any(counts == 0):
             raise ValueError("every cluster must have at least one member")
-        return Clustering(
-            k=k,
-            assignment=assignment,
-            centroids=centroids,
-            grand_centroid=centroids.mean(axis=0),
-        )
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "grand_centroid", centroids.mean(axis=0))
 
 
 def _fill_raw_density(summary) -> None:
@@ -218,10 +210,10 @@ def kmeans(
     n = embeddings.n_samples
     if k < 1 or k > n:
         raise KTooLarge(k, n)
-    if k == n:
-        return Clustering.from_parts(np.arange(n), x.copy())
-
     rng = SplitMix64(seed)
+    if k == n:
+        return Clustering(np.arange(n), x.copy())
+
     x_sq = np.sum(x * x, axis=1)
 
     centers = np.empty((k, x.shape[1]), dtype=float)
@@ -261,7 +253,7 @@ def kmeans(
 
     if np.any(counts == 0):  # counts is of the final assignment
         raise UnfilledClusters(k, len(np.unique(x, axis=0)), int(np.sum(counts == 0)))
-    return Clustering.from_parts(assignment, centers)
+    return Clustering(assignment, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +289,12 @@ def _members(
     embeddings: EmbeddingSet, clustering: Clustering
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each cluster's rows, ascending, and their distances to its centroid."""
+    n, dim = embeddings.vectors.shape
+    if clustering.assignment.shape != (n,) or clustering.centroids.shape[1:] != (dim,):
+        raise ValueError(
+            f"a clustering of assignment shape {clustering.assignment.shape} and centroid "
+            f"shape {clustering.centroids.shape} does not fit {n} embeddings of dimension {dim}"
+        )
     counts = np.bincount(clustering.assignment, minlength=clustering.k).tolist()
     return [
         (rows, np.linalg.norm(embeddings.vectors[rows] - centroid, axis=1))
@@ -321,8 +319,6 @@ def _centroid_offsets(clustering: Clustering) -> np.ndarray:
 
 def _cluster_summary(cluster_id: int, dim: int, dists: np.ndarray) -> ClusterDensity:
     """A cluster's density from its members' distances to its centroid."""
-    if dists.size == 0:
-        raise ValueError(f"cluster {cluster_id} is empty")
     dist_sum = float(dists.sum())
     radius, log_density = _floored_log_density(dists.size, dim, dist_sum)
     return ClusterDensity(
@@ -475,11 +471,12 @@ def apply_selection(
     the same centroids to be meaningful.  Emptied clusters are dropped and
     the remaining ones renumbered in id order.
     """
+    n = embeddings.n_samples
+    if not len(rows) or min(rows) < 0 or max(rows) >= n:
+        raise ValueError(f"rows must be a non-empty selection of rows in [0, {n})")
     live, assignment = np.unique(clustering.assignment[rows], return_inverse=True)
-    kept = EmbeddingSet(
-        vectors=embeddings.vectors[rows], ids=tuple(embeddings.ids[i] for i in rows)
-    )
-    return kept, Clustering.from_parts(assignment, clustering.centroids[live])
+    kept = EmbeddingSet(embeddings.vectors[rows], tuple(embeddings.ids[i] for i in rows))
+    return kept, Clustering(assignment, clustering.centroids[live])
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +523,7 @@ def _csv_rows(path: Path, fh):
 
 
 def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
-    """Read either embedding format; see :func:`save_embeddings`."""
+    """Read either format (see :func:`save_embeddings`), rows unit length if ``normalize``."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with path.open("r", newline="", encoding="utf-8") as fh:
@@ -565,7 +562,7 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
                 raise EmbeddingFormatError(str(path), "no rows")
         vectors = np.array(rows)
         # beyond the binary format's float32 range squared distances can
-        # overflow; a non-finite component is from_array's to reject
+        # overflow; a non-finite component is EmbeddingSet's to reject
         huge = np.argwhere(np.isfinite(vectors) & (np.abs(vectors) > np.finfo(np.float32).max))
         if huge.size:
             row, col = huge[0].tolist()
@@ -574,18 +571,26 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingSet:
                 f"id {ids[row]!r}: {header[col + 1]} = {rows[row][col]!r} is beyond the "
                 "float32 range",
             )
-        return EmbeddingSet.from_array(vectors, ids, normalize=normalize)
-
-    raw = path.read_bytes()
-    if len(raw) < 20 or raw[:4] != _EMB_MAGIC:
-        raise EmbeddingFormatError(str(path), "missing EMB1 magic")
-    dim, count = struct.unpack("<QQ", raw[4:20])
-    expected = 20 + dim * count * 4
-    if len(raw) != expected:
-        raise EmbeddingFormatError(
-            str(path), f"expected {expected} bytes for {count}x{dim}, got {len(raw)}"
-        )
-    with np.errstate(invalid="ignore"):  # a signalling NaN, which from_array rejects
-        vectors = np.frombuffer(raw, dtype="<f4", offset=20).astype(float)
-    vectors = vectors.reshape(count, dim)
-    return EmbeddingSet.from_array(vectors, normalize=normalize)
+        embeddings = EmbeddingSet(vectors, ids)
+    else:
+        raw = path.read_bytes()
+        if len(raw) < 20 or raw[:4] != _EMB_MAGIC:
+            raise EmbeddingFormatError(str(path), "missing EMB1 magic")
+        dim, count = struct.unpack("<QQ", raw[4:20])
+        expected = 20 + dim * count * 4
+        if len(raw) != expected:
+            raise EmbeddingFormatError(
+                str(path), f"expected {expected} bytes for {count}x{dim}, got {len(raw)}"
+            )
+        with np.errstate(invalid="ignore"):  # a signalling NaN, which EmbeddingSet rejects
+            vectors = np.frombuffer(raw, dtype="<f4", offset=20).astype(float)
+        vectors = vectors.reshape(count, dim)
+        embeddings = EmbeddingSet(vectors)
+    if normalize:
+        # after the checked build, so that a non-finite row is rejected first;
+        # in place, as no caller holds the array yet, and unit rows stay finite
+        norms = np.linalg.norm(embeddings.vectors, axis=1, keepdims=True)
+        if np.any(norms == 0):
+            raise ValueError("cannot unit-normalize zero vectors")
+        np.divide(embeddings.vectors, norms, out=embeddings.vectors)
+    return embeddings

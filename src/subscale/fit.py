@@ -928,8 +928,6 @@ def predict(
     ``family`` disambiguates which record field a power law reads
     (compute by default, or batch_power / lr_power).
     """
-    if len(holdout.records) == 0:
-        raise InsufficientData("holdout is empty")
     family = family or family_of(params)
     spec = _family(family)
     if not isinstance(params, spec.law):

@@ -9,6 +9,7 @@ variates come from the Box-Muller transform on top of the uniform stream.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -22,11 +23,16 @@ class SplitMix64:
     """SplitMix64 stream: state += golden-gamma; output = mix(state).
 
     ``uniform`` maps the top 53 output bits into (0, 1], which keeps
-    ``log(u)`` finite for Box-Muller.
+    ``log(u)`` finite for Box-Muller.  The seed is an integer in [0, 2^64):
+    one outside would be reduced to another seed's stream.
     """
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= int(seed) <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed!r}")
+        self._state = int(seed)
         self._spare_normal: float | None = None
 
     def next_uint64(self) -> int:

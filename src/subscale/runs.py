@@ -58,21 +58,19 @@ class TrainingRun:
 
 @dataclass(frozen=True)
 class RunSeries:
-    """Ordered, validated collection of training records."""
+    """Ordered collection of training records, validated when built."""
 
     records: tuple[TrainingRun, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", tuple(self.records))
+        _validate_records(self.records)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[TrainingRun]:
         return iter(self.records)
-
-    @staticmethod
-    def from_records(records) -> "RunSeries":
-        records = tuple(records)
-        _validate_records(records)
-        return RunSeries(records=records)
 
 
 def _validate_records(records: tuple[TrainingRun, ...]) -> None:
@@ -231,7 +229,7 @@ def ingest(path, format: str | None = None) -> RunSeries:
                     records.append(_record_from_mapping(raw, row))
     except UnicodeDecodeError as exc:
         raise ValueError(f"runs file {path} is not UTF-8 text: {utf8_fault(path, exc)}") from None
-    return RunSeries.from_records(records)
+    return RunSeries(records)
 
 
 def _plain_row(rec: TrainingRun) -> list:
@@ -323,7 +321,7 @@ def gaussian_smooth(
             smoothed = float(np.dot(w, losses[lo:hi]) / w.sum())
             new_records[idx[pos]] = replace(new_records[idx[pos]], loss=smoothed)
 
-    return RunSeries(records=tuple(new_records))
+    return RunSeries(new_records)
 
 
 def split_fit_holdout(
@@ -346,11 +344,10 @@ def split_fit_holdout(
         min_length = math.ceil(min(1.0 / fraction, 2.0**53))
         if length < min_length or n_fit >= length:
             raise TooFewRecords(run_id, length, max(min_length, n_fit + 1))
-        order = sorted(idx, key=lambda i: series.records[i].tokens)
-        take_fit.update(order[:n_fit])
+        take_fit.update(idx[:n_fit])  # a run's records are in token order
 
     fit_records = tuple(r for i, r in enumerate(series.records) if i in take_fit)
     holdout_records = tuple(
         r for i, r in enumerate(series.records) if i not in take_fit
     )
-    return RunSeries(records=fit_records), RunSeries(records=holdout_records)
+    return RunSeries(fit_records), RunSeries(holdout_records)

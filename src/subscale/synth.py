@@ -31,7 +31,7 @@ LADDER_MODEL_SIZES: tuple[int, ...] = tuple(
 
 
 def _seed(value) -> int:
-    """A spec's seed: SplitMix64 would reduce one outside [0, 2^64) without a word."""
+    """A spec's seed: SplitMix64's range, checked when the spec is built."""
     seed = jsondoc.integer(value, "spec 'seed'")
     if not 0 <= seed < 2**64:
         raise ValueError(f"spec 'seed' must be in [0, 2^64), got {seed}")
@@ -216,7 +216,7 @@ def gen_curves(spec: CurveSpec) -> RunSeries:
                     dataset_tag="synthetic",
                 )
             )
-    return RunSeries.from_records(records)
+    return RunSeries(records)
 
 
 def otr_checkpoints(
@@ -243,7 +243,4 @@ def gen_blobs(spec: BlobSpec) -> tuple[EmbeddingSet, np.ndarray]:
             noise = rng.normals(spec.dim)
             rows.append(centroid + blob.spread * noise)
             labels.append(cid)
-    return (
-        EmbeddingSet.from_array(np.vstack(rows)),
-        np.asarray(labels, dtype=int),
-    )
+    return EmbeddingSet(np.vstack(rows)), np.asarray(labels, dtype=int)

@@ -177,7 +177,7 @@ def test_c05_power_law_oracle_equivalence():
 def test_c06_density_analytics():
     # (a) two points in dim 2, both at distance 1 from the centroid; a distant
     # third row forms a second cluster, so that the dataset radius is defined
-    emb = density.EmbeddingSet.from_array([[0.0, 1.0], [0.0, -1.0], [1e3, 1e3]])
+    emb = density.EmbeddingSet([[0.0, 1.0], [0.0, -1.0], [1e3, 1e3]])
     clustering = density.kmeans(emb, 2, seed=0)
     cd = density.dataset_density(emb, clustering).per_cluster[clustering.assignment[0]]
     assert cd.n_samples == 2
@@ -200,8 +200,8 @@ def test_c06_density_analytics():
     clustering = density.kmeans(emb, 3, seed=0)
     rng = np.random.default_rng(9)
     for s in 10 ** rng.uniform(-2, 2, size=10):
-        scaled = density.EmbeddingSet.from_array(emb.vectors * s, emb.ids)
-        scaled_clustering = density.Clustering.from_parts(
+        scaled = density.EmbeddingSet(emb.vectors * s, emb.ids)
+        scaled_clustering = density.Clustering(
             clustering.assignment, clustering.centroids * s
         )
         pairs = zip(
@@ -226,7 +226,7 @@ def test_c06_density_analytics():
     dim, n = 768, 40
     vectors = 0.05 * rng768.normals(dim * n).reshape(n, dim)
     vectors[n // 2 :] += 1.0
-    emb768 = density.EmbeddingSet.from_array(vectors)
+    emb768 = density.EmbeddingSet(vectors)
     clustering768 = density.kmeans(emb768, 2, seed=0)
     report = density.dataset_density(emb768, clustering768)
     assert report.density_overflowed
@@ -361,7 +361,7 @@ def _bin_records(bins, alphas, lam=5.0, n_points=5):
                     loss=float(lam * c**-alpha),
                 )
             )
-    return runs.RunSeries.from_records(records)
+    return runs.RunSeries(records)
 
 
 def test_c09_exponent_stability():

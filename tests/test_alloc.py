@@ -173,7 +173,7 @@ def test_alpha_stability_exact_alpha_recovered():
     records = []
     for i, (lo, hi) in enumerate(bins):
         records.extend(_records_for_bin(lo, hi, 0.0521, lam=5.0 + 0.1 * i, bin_idx=i))
-    series = runs.RunSeries.from_records(records)
+    series = runs.RunSeries(records)
     report = alloc.alpha_stability(series, bins)
     assert report.mean_alpha == pytest.approx(0.0521, abs=1e-6)
     assert report.std_alpha <= 1e-9
@@ -189,7 +189,7 @@ def test_alpha_stability_normal_draws_pass_moment_test():
     for i, (lo, hi) in enumerate(bins):
         alpha = 0.0521 + 0.002 * rng.normal()
         records.extend(_records_for_bin(lo, hi, alpha, lam=5.0, bin_idx=i))
-    series = runs.RunSeries.from_records(records)
+    series = runs.RunSeries(records)
     report = alloc.alpha_stability(series, bins, significance=0.05)
     assert report.normality_method == "jarque-bera"
     assert report.normality_pass
@@ -201,7 +201,7 @@ def test_alpha_stability_detects_decreasing_regime():
     records = []
     for i, (lo, hi) in enumerate(bins):
         records.extend(_records_for_bin(lo, hi, 0.09 - 0.005 * i, lam=4.0, bin_idx=i))
-    series = runs.RunSeries.from_records(records)
+    series = runs.RunSeries(records)
     report = alloc.alpha_stability(series, bins, otr_threshold=50.0)
     alphas = [b.alpha for b in report.bins]
     assert all(b < a for a, b in zip(alphas, alphas[1:]))
@@ -214,7 +214,7 @@ def test_alpha_stability_bin_invariance_for_global_law():
     records = []
     for i, (lo, hi) in enumerate(bins):
         records.extend(_records_for_bin(lo, hi, 0.0777, lam=3.0, bin_idx=i))
-    series = runs.RunSeries.from_records(records)
+    series = runs.RunSeries(records)
     report = alloc.alpha_stability(series, bins)
     for b in report.bins:
         assert b.alpha == pytest.approx(0.0777, abs=1e-9)
@@ -223,6 +223,6 @@ def test_alpha_stability_bin_invariance_for_global_law():
 def test_alpha_stability_bin_too_small():
     bins = [(60.0, 70.0)]
     records = _records_for_bin(60.0, 70.0, 0.05, lam=5.0, bin_idx=0, n_points=2)
-    series = runs.RunSeries.from_records(records)
+    series = runs.RunSeries(records)
     with pytest.raises(BinTooSmall):
         alloc.alpha_stability(series, bins)

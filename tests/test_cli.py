@@ -251,6 +251,25 @@ def test_compare_is_another_name_for_fit(tmp_path, suboptimal_fixture):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_compare_where_every_family_fails_keeps_its_tables(tmp_path, capsys):
+    # split 0.25 of two 4-record runs leaves 2 fit records, too few for any family
+    records = [
+        runs.TrainingRun(f"run{i}", 10**7 * (i + 1), 10**8 * (j + 1), 3.0 - 0.1 * j)
+        for i in range(2) for j in range(4)
+    ]
+    path = tmp_path / "runs.csv"
+    runs.write_csv(runs.RunSeries(records), path)
+    out = tmp_path / "cmp"
+    assert main(["compare", str(path), "--split-fraction", "0.25", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "all families failed\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "comparison.csv", "comparison.json", "manifest.json"
+    ]
+    rows = json.loads((out / "comparison.json").read_text())["rows"]
+    assert [r["family"] for r in rows] == list(cli._DEFAULT_FAMILIES)
+    assert all(r["error"] and r["mape_pred"] is None for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # alloc / sweep
 # ---------------------------------------------------------------------------
@@ -381,7 +400,7 @@ def test_kmeans_unfillable_k_is_exit_one_without_warnings(tmp_path, command):
     # 10 distinct rows, each 5 times: k=20 still fills, k=21 cannot
     x = np.repeat(np.random.default_rng(0).standard_normal((10, 2)), 5, axis=0)
     path = tmp_path / "dup.csv"
-    density.save_embeddings(path, density.EmbeddingSet.from_array(x))
+    density.save_embeddings(path, density.EmbeddingSet(x))
     argv = [sys.executable, "-m", "subscale.cli", *command, str(path), "-o"]
     ok = subprocess.run(argv + [str(tmp_path / "ok"), "--k", "20"], capture_output=True, text=True)
     bad = subprocess.run(argv + [str(tmp_path / "bad"), "--k", "21"], capture_output=True, text=True)
@@ -448,7 +467,7 @@ def test_select_with_duplicate_ids_reports_the_kept_rows(tmp_path):
     results = {}
     for name, ids in (("unique", [str(i) for i in range(40)]), ("shared", shared)):
         path = tmp_path / f"{name}.csv"
-        density.save_embeddings(path, density.EmbeddingSet.from_array(x, ids))
+        density.save_embeddings(path, density.EmbeddingSet(x, ids))
         out = tmp_path / name
         argv = ["select", str(path), "--k", "2", "--keep-fraction", "0.5", "-o", str(out)]
         assert main(argv) == 0
@@ -462,12 +481,12 @@ def test_select_with_duplicate_ids_reports_the_kept_rows(tmp_path):
 
     # the dataset density of the kept rows, their clusters renumbered, over
     # the fixed centroids
-    clustering = density.kmeans(density.EmbeddingSet.from_array(x), 2, seed=0)
+    clustering = density.kmeans(density.EmbeddingSet(x), 2, seed=0)
     labels = clustering.assignment[rows].tolist()
     live = sorted(set(labels))
     after = density.dataset_density(
-        density.EmbeddingSet.from_array(x[rows]),
-        density.Clustering.from_parts(
+        density.EmbeddingSet(x[rows]),
+        density.Clustering(
             [live.index(c) for c in labels], clustering.centroids[live]
         ),
     )
@@ -606,6 +625,15 @@ def test_report_rejects_changed_input(tmp_path, blob_fixture):
     main(["density", str(blob_fixture), "--k", "2", "-o", str(out1)])
     blob_fixture.write_bytes(b"EMB1" + blob_fixture.read_bytes()[4:] + b"x")
     assert main(["report", str(out1 / "manifest.json"), "-o", str(tmp_path / "b")]) == 1
+
+
+def test_report_rejects_deleted_input(tmp_path, blob_fixture, capsys):
+    out1 = tmp_path / "a"
+    assert main(["density", str(blob_fixture), "--k", "2", "-o", str(out1)]) == 0
+    blob_fixture.unlink()
+    assert main(["report", str(out1 / "manifest.json"), "-o", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == f"subscale report: manifest input missing: {blob_fixture}\n"
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize(
@@ -1431,7 +1459,7 @@ def test_text_cells_are_quoted(tmp_path):
         dataclasses.replace(r, run_id=run_id + r.run_id) for r in synth.gen_curves(spec).records
     ]
     path = tmp_path / "runs.csv"
-    runs.write_csv(runs.RunSeries.from_records(records), path)
+    runs.write_csv(runs.RunSeries(records), path)
     law = _law_json(tmp_path, spec.law)
     assert main(["fit", str(path), "--family", "chinchilla", "-o", str(tmp_path / "fit")]) == 0
     assert main(["predict", str(path), "--params", str(law), "-o", str(tmp_path / "pred")]) == 0
@@ -1457,7 +1485,7 @@ def test_control_character_in_run_id_is_exit_one(tmp_path, power_fixture, comman
     ]
     path = tmp_path / f"runs.{fmt}"
     write = runs.write_csv if fmt == "csv" else runs.write_jsonl
-    write(runs.RunSeries.from_records(records), path)
+    write(runs.RunSeries(records), path)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "subscale.cli", command[0], str(path), *command[1:],

@@ -36,14 +36,14 @@ def _two_blob_spec(n0=60, n1=12, dim=4, spread=0.5, gap=8.0, seed=3):
 
 
 def test_kmeans_k1_centroid_is_mean():
-    emb = EmbeddingSet.from_array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
+    emb = EmbeddingSet([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
     clustering = density.kmeans(emb, 1, seed=0)
     assert clustering.k == 1
     assert clustering.centroids[0] == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_kmeans_k_equals_n():
-    emb = EmbeddingSet.from_array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    emb = EmbeddingSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     clustering = density.kmeans(emb, 3, seed=0)
     assert sorted(clustering.assignment) == [0, 1, 2]
     for cd in density.dataset_density(emb, clustering).per_cluster:
@@ -72,7 +72,7 @@ def test_kmeans_deterministic():
 def test_kmeans_on_duplicate_rows_never_warns_and_names_unfillable_k():
     # a reseed empties another cluster for one Lloyd step at k=15..20
     x = np.repeat(np.random.default_rng(0).standard_normal((10, 2)), 5, axis=0)
-    emb = EmbeddingSet.from_array(x)
+    emb = EmbeddingSet(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in (10, 15, 20):
@@ -82,7 +82,7 @@ def test_kmeans_on_duplicate_rows_never_warns_and_names_unfillable_k():
 
 
 def test_kmeans_k_too_large():
-    emb = EmbeddingSet.from_array([[0.0, 1.0]])
+    emb = EmbeddingSet([[0.0, 1.0]])
     with pytest.raises(KTooLarge):
         density.kmeans(emb, 2, seed=0)
 
@@ -100,7 +100,7 @@ def _density_of_one_cluster(rows) -> ClusterDensity:
     """
     vectors = np.asarray(rows, dtype=float)
     far = np.full((1, vectors.shape[1]), 1e3)
-    emb = EmbeddingSet.from_array(np.vstack([vectors, far]))
+    emb = EmbeddingSet(np.vstack([vectors, far]))
     clustering = density.kmeans(emb, 2, seed=0)
     cd = density.dataset_density(emb, clustering).per_cluster[clustering.assignment[0]]
     assert cd.n_samples == len(vectors)
@@ -152,8 +152,8 @@ def test_dataset_radius_hand_example():
     # centroids at +-1 on the x axis, each with two members at distance r in
     # dim 2, so rho = 2 / (pi r^2) = e - 1 and log(rho + 1) = 1
     r = math.sqrt(2.0 / (math.pi * (math.e - 1.0)))
-    emb = EmbeddingSet.from_array([[1.0, r], [1.0, -r], [-1.0, r], [-1.0, -r]])
-    clustering = Clustering.from_parts(
+    emb = EmbeddingSet([[1.0, r], [1.0, -r], [-1.0, r], [-1.0, -r]])
+    clustering = Clustering(
         assignment=[0, 0, 1, 1],
         centroids=[[1.0, 0.0], [-1.0, 0.0]],
     )
@@ -162,8 +162,8 @@ def test_dataset_radius_hand_example():
 
 
 def test_dataset_radius_single_cluster_degenerate():
-    emb = EmbeddingSet.from_array([[1.0, 1.0], [1.0, 3.0]])
-    clustering = Clustering.from_parts(assignment=[0, 0], centroids=[[1.0, 2.0]])
+    emb = EmbeddingSet([[1.0, 1.0], [1.0, 3.0]])
+    clustering = Clustering(assignment=[0, 0], centroids=[[1.0, 2.0]])
     with pytest.raises(DegenerateGeometry):
         density.dataset_density(emb, clustering)
 
@@ -223,7 +223,7 @@ def test_high_dimensional_log_density_finite_raw_overflows():
     dim, n = 768, 40
     vectors = 0.05 * rng.normals(dim * n).reshape(n, dim)
     vectors[n // 2 :] += 1.0  # two separated groups
-    emb = EmbeddingSet.from_array(vectors)
+    emb = EmbeddingSet(vectors)
     clustering = density.kmeans(emb, 2, seed=0)
     report = density.dataset_density(emb, clustering)
     assert math.isfinite(report.log_density)
@@ -245,8 +245,8 @@ def test_scaling_homogeneity_per_cluster():
     clustering = density.kmeans(emb, 2, seed=2)
     rng = np.random.default_rng(0)
     for s in 10 ** rng.uniform(-2, 2, size=5):
-        scaled = EmbeddingSet.from_array(emb.vectors * s, emb.ids)
-        scaled_clustering = Clustering.from_parts(
+        scaled = EmbeddingSet(emb.vectors * s, emb.ids)
+        scaled_clustering = Clustering(
             clustering.assignment, clustering.centroids * s
         )
         pairs = zip(
@@ -266,11 +266,11 @@ def test_dataset_density_permutation_invariant():
 
     rng = np.random.default_rng(1)
     perm = rng.permutation(emb.n_samples)
-    emb_perm = EmbeddingSet.from_array(
+    emb_perm = EmbeddingSet(
         emb.vectors[perm], [emb.ids[i] for i in perm]
     )
     # relabel clusters 0<->1 as well
-    relabeled = Clustering.from_parts(
+    relabeled = Clustering(
         1 - clustering.assignment[perm], clustering.centroids[::-1].copy()
     )
     report_perm = density.dataset_density(emb_perm, relabeled)
@@ -386,6 +386,26 @@ def test_select_target_log_density():
         density.select_low_density(emb, clustering, target_log_density=math.nan)
 
 
+def test_clustering_of_another_embedding_set_is_rejected():
+    emb, _ = synth.gen_blobs(_two_blob_spec(n0=40, n1=20))  # 60 rows of dimension 4
+    fewer_rows = density.kmeans(EmbeddingSet(emb.vectors[:40]), 2, seed=0)
+    fewer_dims = density.kmeans(EmbeddingSet(emb.vectors[:, :3]), 2, seed=0)
+    for clustering in (fewer_rows, fewer_dims):
+        with pytest.raises(ValueError, match="does not fit 60 embeddings of dimension 4"):
+            density.dataset_density(emb, clustering)
+        with pytest.raises(ValueError, match="does not fit 60 embeddings of dimension 4"):
+            density.select_low_density(emb, clustering, keep_fraction=0.5)
+
+
+@pytest.mark.parametrize("rows", [[0, 99], [-1, 3], []], ids=["past-the-end", "negative", "none"])
+def test_apply_selection_rejects_rows_outside_the_set(rows):
+    emb, _ = synth.gen_blobs(_two_blob_spec(n0=30, n1=10))
+    clustering = density.kmeans(emb, 2, seed=0)
+    message = r"^rows must be a non-empty selection of rows in \[0, 40\)$"
+    with pytest.raises(ValueError, match=message):
+        density.apply_selection(emb, clustering, rows)
+
+
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
@@ -405,7 +425,7 @@ def test_binary_roundtrip(tmp_path):
 
 
 def test_csv_roundtrip_exact(tmp_path):
-    emb = EmbeddingSet.from_array(
+    emb = EmbeddingSet(
         np.array([[0.1, -2.5, 3.00000000001], [4.0, 5.0, -6.0]]), ["x", "y"]
     )
     path = tmp_path / "vectors.csv"
@@ -449,6 +469,17 @@ def test_csv_component_must_be_ascii_without_underscores(tmp_path, value):
     assert str(err.value) == f"{path}: line 3: non-numeric component"
 
 
+def test_csv_blank_line_is_skipped_and_counted_in_line_numbers(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("id,v0,v1\na,0.5,1\n\nb,2.0,3.0\n")
+    emb = density.load_embeddings(path)
+    assert emb.ids == ("a", "b") and emb.vectors.tolist() == [[0.5, 1.0], [2.0, 3.0]]
+    path.write_text("id,v0,v1\na,0.5,1\n\nb,2.0\n")
+    with pytest.raises(EmbeddingFormatError) as err:
+        density.load_embeddings(path)
+    assert str(err.value) == f"{path}: line 4: expected 3 columns"
+
+
 def test_csv_that_is_not_utf8_names_the_file_and_line(tmp_path):
     path = tmp_path / "e.csv"
     data = b"id,v0,v1\na,0.5,1\nb\xff,2.0,3.0\n"
@@ -477,7 +508,7 @@ def test_from_array_rejects_control_character_in_id(char):
     # a CSV saved with such an id would not load again
     bad = f"a{char}b"
     with pytest.raises(ValueError) as info:
-        EmbeddingSet.from_array(np.eye(3), ["x", "y", bad])
+        EmbeddingSet(np.eye(3), ["x", "y", bad])
     assert str(info.value) == f"row 2: id {bad!r} holds the control character {char!r}"
 
 
@@ -486,7 +517,7 @@ def test_valid_ids_round_trip_through_csv(tmp_path):
            "7", "7"]
     vectors = np.random.default_rng(0).standard_normal((len(ids), 3))
     path = tmp_path / "vectors.csv"
-    density.save_embeddings(path, EmbeddingSet.from_array(vectors, ids))
+    density.save_embeddings(path, EmbeddingSet(vectors, ids))
     loaded = density.load_embeddings(path)
     assert loaded.ids == tuple(ids)
     assert np.array_equal(loaded.vectors, vectors)
@@ -500,7 +531,7 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_normalize_flag(tmp_path):
-    emb = EmbeddingSet.from_array(np.array([[3.0, 4.0], [0.0, 2.0]]))
+    emb = EmbeddingSet(np.array([[3.0, 4.0], [0.0, 2.0]]))
     path = tmp_path / "v.csv"
     density.save_embeddings(path, emb)
     loaded = density.load_embeddings(path, normalize=True)

@@ -142,7 +142,7 @@ def reference_kmeans(embeddings, k, seed=0, max_iters=100):
     if k < 1 or k > n:
         raise KTooLarge(k, n)
     if k == n:
-        return Clustering.from_parts(np.arange(n), x.copy())
+        return Clustering(np.arange(n), x.copy())
 
     rng = SplitMix64(seed)
 
@@ -177,7 +177,7 @@ def reference_kmeans(embeddings, k, seed=0, max_iters=100):
         for cid in range(k):
             centers[cid] = x[assignment == cid].mean(axis=0)
 
-    return Clustering.from_parts(assignment, centers)
+    return Clustering(assignment, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +205,12 @@ def _points(rng, kind, n, dim):
 def _clustering(rng, x, k, how):
     n = x.shape[0]
     if how == "kmeans":
-        return density.kmeans(EmbeddingSet.from_array(x), k, seed=int(rng.integers(1000)))
+        return density.kmeans(EmbeddingSet(x), k, seed=int(rng.integers(1000)))
     # every cluster non-empty, sizes uneven; centroids at the member means
     labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     labels = labels[rng.permutation(n)]
     centroids = np.stack([x[labels == c].mean(axis=0) for c in range(k)])
-    return Clustering.from_parts(labels, centroids)
+    return Clustering(labels, centroids)
 
 
 def _outcome(select, emb, clustering, **kwargs):
@@ -248,7 +248,7 @@ def test_merge_selection_matches_greedy_reference(seed, kind, how):
     dim = int(rng.integers(1, 6))
     k = int(rng.integers(1, min(n, 9) + 1))
     x = _points(rng, kind, n, dim)
-    emb = EmbeddingSet.from_array(x)
+    emb = EmbeddingSet(x)
     clustering = _clustering(rng, x, k, how)
     # the large floor makes many radii floored, so cluster densities tie
     for radius_floor in (density.RADIUS_FLOOR, 0.75):
@@ -267,8 +267,8 @@ def test_merge_selection_empties_small_clusters():
     x = np.vstack([rng.normal(size=(40, 3)) * 0.1, rng.normal(size=(5, 3)) * 5.0])
     labels = np.array([0] * 40 + [1, 2, 3, 4, 5])
     centroids = np.stack([x[labels == c].mean(axis=0) for c in range(6)])
-    emb = EmbeddingSet.from_array(x)
-    clustering = Clustering.from_parts(labels, centroids)
+    emb = EmbeddingSet(x)
+    clustering = Clustering(labels, centroids)
     retained = density.select_low_density(emb, clustering, keep_fraction=1e-9)
     assert retained == reference_select(emb, clustering, keep_fraction=1e-9)
     assert len(retained) == 1
@@ -285,8 +285,8 @@ def test_merge_selection_overflowing_radius_is_never_densest():
     x[4:] *= np.array([[1.0], [-1.0], [1.0], [-1.0]])
     labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     centroids = np.array([x[:4].mean(axis=0), np.zeros(3)])
-    emb = EmbeddingSet.from_array(x)
-    clustering = Clustering.from_parts(labels, centroids)
+    emb = EmbeddingSet(x)
+    clustering = Clustering(labels, centroids)
     for keep in (0.75, 0.5, 0.25):
         _assert_same(emb, clustering, keep_fraction=keep)
     with pytest.raises(TargetUnreachable, match="no members left"):
@@ -296,7 +296,7 @@ def test_merge_selection_overflowing_radius_is_never_densest():
 def test_merge_selection_unreachable_target_message():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(30, 2))
-    emb = EmbeddingSet.from_array(x)
+    emb = EmbeddingSet(x)
     clustering = density.kmeans(emb, 3, seed=0)
     target = density.dataset_density(emb, clustering).log_density - 1e6
     with pytest.raises(TargetUnreachable) as fast:
@@ -336,8 +336,8 @@ def test_merge_selection_hypothesis_matches_greedy_reference():
     @hypothesis.given(problems())
     def check(problem):
         x, labels, centroids, floor, mode = problem
-        emb = EmbeddingSet.from_array(x)
-        clustering = Clustering.from_parts(labels, centroids)
+        emb = EmbeddingSet(x)
+        clustering = Clustering(labels, centroids)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "RADIUS_FLOOR", floor)
             if "drop" in mode:
@@ -378,7 +378,7 @@ def _kmeans_inputs():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("x,k,seed", list(_kmeans_inputs()))
 def test_kmeans_bit_identical_to_reference(x, k, seed):
-    emb = EmbeddingSet.from_array(x)
+    emb = EmbeddingSet(x)
     got = density.kmeans(emb, k, seed=seed)
     want = reference_kmeans(emb, k, seed=seed)
     assert np.array_equal(got.assignment, want.assignment)

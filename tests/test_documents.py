@@ -7,6 +7,9 @@ with one field replaced by an arbitrary value: a bool, an integral or
 fractional float, inf or NaN, a numpy scalar, a string, None, a list or a
 tuple.  The build must either raise a ValueError that names the field, or
 give a value that round-trips through JSON text.
+
+The data types ``RunSeries``, ``EmbeddingSet`` and ``Clustering`` check what
+they are built from in the same way, and so does ``SplitMix64`` its seed.
 """
 
 import dataclasses
@@ -17,7 +20,8 @@ import re
 import numpy as np
 import pytest
 
-from subscale import laws, synth
+from subscale import density, laws, rng, runs, synth
+from subscale.errors import MalformedRecord, NonPositiveValue
 from subscale.fit import FitConfig
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -349,3 +353,85 @@ def test_spec_writers_keep_their_key_order():
         '{"n_samples": 3, "centroid": [0.0, 1.0], "spread": 0.5}, '
         '{"n_samples": 2, "centroid": [4.0, 1.0], "spread": 0.2}], "seed": 1}'
     )
+
+
+# ---------------------------------------------------------------------------
+# Data types and seeds: checked when built, by the library as by a caller
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: runs.RunSeries((runs.TrainingRun("a", -5, 10, 2.0),)), NonPositiveValue,
+         "row 1: model_size must be > 0, got -5"),
+        (lambda: runs.RunSeries((runs.TrainingRun("a", 5, 10, -1.0),)), NonPositiveValue,
+         "row 1: loss must be > 0, got -1.0"),
+        (lambda: runs.RunSeries(()), MalformedRecord, "row 0: series has no records"),
+        (lambda: density.EmbeddingSet(np.array([[np.nan, 1.0]])), ValueError,
+         "vectors must be finite"),
+        (lambda: density.EmbeddingSet(np.ones((6, 2)), ids=("a",)), ValueError,
+         "ids length must match number of rows"),
+        (lambda: density.EmbeddingSet(np.arange(3.0)), ValueError,
+         "vectors must be a non-empty 2D array"),
+        (lambda: density.Clustering(np.zeros(6, int), np.zeros((2, 2))), ValueError,
+         "every cluster must have at least one member"),
+        (lambda: density.Clustering(np.full(6, 5), np.zeros((2, 2))), ValueError,
+         "assignment indices out of range"),
+    ],
+    ids=["negative-model-size", "negative-loss", "empty-series", "nan-vector",
+         "short-ids", "one-dimensional-vectors", "empty-cluster", "cluster-out-of-range"],
+)
+def test_data_type_rejects_what_it_is_built_from(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_data_types_take_sequences_and_derive_their_fields():
+    records = [runs.TrainingRun("a", 5, 10, 2.0), runs.TrainingRun("a", 5, 20, 1.5)]
+    assert runs.RunSeries(records).records == tuple(records)
+    emb = density.EmbeddingSet([[0.0, 1.0], [2.0, 3.0]])
+    assert emb.ids == ("0", "1") and emb.vectors.dtype == float
+    clustering = density.Clustering([1, 0, 1], [[0.0, 0.0], [2.0, 4.0]])
+    assert clustering.k == 2
+    assert clustering.grand_centroid.tolist() == [1.0, 2.0]
+    # derived from the centroids, so a caller cannot contradict them
+    with pytest.raises(TypeError):
+        density.Clustering([0], [[0.0]], k=3)
+    with pytest.raises(TypeError):
+        density.Clustering([0], [[0.0]], grand_centroid=np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be in [0, 2^64), got -1"),
+        (2**64, "seed must be in [0, 2^64), got 18446744073709551616"),
+        (np.int64(-3), "seed must be in [0, 2^64), got np.int64(-3)"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (2.0, "seed must be an integer, got 2.0"),
+        (True, "seed must be an integer, got True"),
+        ("7", "seed must be an integer, got '7'"),
+        (None, "seed must be an integer, got None"),
+    ],
+    ids=["negative", "2^64", "negative-numpy", "fractional", "integral-float", "bool",
+         "string", "none"],
+)
+def test_seed_outside_the_generators_range_is_rejected(seed, message):
+    with pytest.raises(ValueError) as err:
+        rng.SplitMix64(seed)
+    assert str(err.value) == message
+    emb = density.EmbeddingSet(np.arange(6.0).reshape(3, 2))
+    for k in (2, 3):  # k == n returns the points themselves, and checks the seed too
+        with pytest.raises(ValueError, match="^seed must be"):
+            density.kmeans(emb, k, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7), np.uint8(0)],
+                         ids=repr)
+def test_numpy_integer_seed_gives_the_plain_integers_stream(seed):
+    numpy_stream, plain_stream = rng.SplitMix64(seed), rng.SplitMix64(int(seed))
+    assert [numpy_stream.next_uint64() for _ in range(3)] == [
+        plain_stream.next_uint64() for _ in range(3)
+    ]

@@ -12,6 +12,7 @@ from subscale.errors import (
     FamilyMismatch,
     InsufficientData,
     LengthMismatch,
+    MalformedRecord,
     MissingField,
     NonFiniteLoss,
     NonPositiveActual,
@@ -302,7 +303,7 @@ def test_family_registry_derives_from_params_class(tag):
     assert spec.log_scaled == _LOG_MASKS[tag]
     assert spec.staged_k == (tag == "suboptimal")
     # init starts every parameter the default grid leaves out
-    series = runs.RunSeries.from_records(
+    series = runs.RunSeries(
         dataclasses.replace(r, batch_size=2 ** (4 + i), learning_rate=1e-4 * (i + 1))
         for i, r in enumerate(_suboptimal_series(n_sizes=3, n_checkpoints=4).records)
     )
@@ -370,6 +371,14 @@ def test_huber_robust_fit_still_recovers():
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
+def test_linear_residual_fit_reports_linear_residuals():
+    series = _power_series(noise=0.02, seed=10)
+    result = fit.fit_law(series, "power", fit.FitConfig(residual_space="linear"))
+    assert result.params.alpha == pytest.approx(0.3, rel=0.05)
+    preds, _ = fit.predict(result.params, series)
+    assert result.residuals == tuple((preds - runs.column(series, "loss")).tolist())
+
+
 @pytest.mark.parametrize("delta", [2.0**53, 1e300], ids=["2^53", "1e300"])
 def test_huge_robust_delta_fits_as_least_squares(delta):
     # every residual is inside delta; the outer Huber branch, computed for
@@ -406,10 +415,9 @@ def test_predict_on_fit_data_matches_mape_fit():
 
 
 def test_predict_empty_holdout_rejected():
-    result_params = PowerLawParams(lam=1.0, alpha=0.1)
-    empty = runs.RunSeries(records=())
-    with pytest.raises(InsufficientData):
-        fit.predict(result_params, empty)
+    # an empty holdout cannot be built, so it never reaches predict
+    with pytest.raises(MalformedRecord, match="series has no records"):
+        runs.RunSeries(())
 
 
 @pytest.mark.parametrize(

@@ -301,6 +301,9 @@ CONFIGS = {
                 "e_irreducible": (0.0, 1.0)},
         multistart_grid={"k2": [0.0, 0.5]},
     ),
+    # a power fit's every start ends on a corner of this box after one
+    # iteration, with no free coordinate left
+    "pinned": fit.FitConfig(bounds={"alpha": (1.0, 1.5), "lambda": (1e-12, 1e-6)}),
 }
 
 
@@ -750,14 +753,14 @@ def _repeat_first_record(series):
     # is singular
     first = series.records[0]
     last = dataclasses.replace(first, run_id="repeat", loss=first.loss * 1.01)
-    return runs.RunSeries.from_records(series.records + (last,))
+    return runs.RunSeries(series.records + (last,))
 
 
 def _losses_rising_with_scale(series):
     # the lowest loss on the smallest, earliest record: the two-point solve
     # goes negative
     losses = sorted(r.loss for r in series.records)
-    return runs.RunSeries.from_records(
+    return runs.RunSeries(
         dataclasses.replace(r, loss=loss) for r, loss in zip(series.records, losses)
     )
 

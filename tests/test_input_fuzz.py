@@ -153,7 +153,7 @@ def test_fuzzed_runs_file_ingests_and_fits_or_is_rejected(tmp_path):
 
 def _embeddings() -> density.EmbeddingSet:
     rng = np.random.default_rng(5)
-    return density.EmbeddingSet.from_array(
+    return density.EmbeddingSet(
         np.vstack([rng.normal(0.0, 0.1, (6, 3)), rng.normal(2.0, 0.1, (6, 3))])
     )
 

@@ -18,7 +18,7 @@ from subscale.laws import PowerLawParams
 
 
 def _series(rows):
-    return runs.RunSeries.from_records(
+    return runs.RunSeries(
         [runs.TrainingRun(run_id=r[0], model_size=r[1], tokens=r[2], loss=r[3]) for r in rows]
     )
 
@@ -128,8 +128,9 @@ def test_csv_field_beyond_the_csv_size_limit_is_named(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [("[" * 100_000, "row 2: invalid JSON: nested too deeply"),
-     ('{"model_size": ' + "1" * 5000 + "}", "row 2: invalid JSON: Exceeds the limit (4300 digits)")],
-    ids=["deep", "long-integer"],
+     ('{"model_size": ' + "1" * 5000 + "}", "row 2: invalid JSON: Exceeds the limit (4300 digits)"),
+     ('["a", 10, 100, 3.0]', "row 2: record is not a JSON object")],
+    ids=["deep", "long-integer", "not-an-object"],
 )
 def test_jsonl_line_the_decoder_cannot_read_is_named(tmp_path, line, message):
     path = tmp_path / "runs.jsonl"
@@ -267,7 +268,7 @@ def test_roundtrip_identity(tmp_path):
         runs.TrainingRun("a", 10**8, 2 * 10**9, 3.0123456789012345, step=2),
         runs.TrainingRun("b", 2 * 10**8, 10**9, 2.8),
     ]
-    series = runs.RunSeries.from_records(rows)
+    series = runs.RunSeries(rows)
     for writer, path in ((runs.write_csv, tmp_path / "x.csv"),
                          (runs.write_jsonl, tmp_path / "x.jsonl")):
         writer(series, path)
@@ -285,7 +286,7 @@ def test_numpy_scalars_round_trip_as_plain_numbers(tmp_path, suffix):
         runs.TrainingRun("b", np.int32(7), np.uint64(10), np.float32(0.1),
                          learning_rate=np.float16(0.5)),
     ]
-    series = runs.RunSeries.from_records(rows)
+    series = runs.RunSeries(rows)
     path = tmp_path / f"x.{suffix}"
     writer = runs.write_csv if suffix == "csv" else runs.write_jsonl
     writer(series, path)
@@ -306,7 +307,7 @@ def test_column_names_the_first_record_without_the_field():
         runs.TrainingRun("b", 20, 100, 2.9),
         runs.TrainingRun("c", 30, 100, 2.8),
     ]
-    series = runs.RunSeries.from_records(rows)
+    series = runs.RunSeries(rows)
     assert runs.column(series, "model_size").tolist() == [10.0, 20.0, 30.0]
     with pytest.raises(MissingField) as err:
         runs.column(series, "learning_rate")
@@ -326,14 +327,14 @@ def _run_of_losses(losses, run_id="a"):
 
 
 def test_smooth_preserves_constants():
-    series = runs.RunSeries.from_records(_run_of_losses([2.5] * 15))
+    series = runs.RunSeries(_run_of_losses([2.5] * 15))
     smoothed = runs.gaussian_smooth(series, window=10)
     assert [r.loss for r in smoothed.records] == pytest.approx([2.5] * 15, abs=1e-15)
 
 
 def test_smooth_window_one_is_identity():
     losses = [3.1, 2.9, 3.3, 2.7, 3.0]
-    series = runs.RunSeries.from_records(_run_of_losses(losses))
+    series = runs.RunSeries(_run_of_losses(losses))
     smoothed = runs.gaussian_smooth(series, window=1)
     assert [r.loss for r in smoothed.records] == losses
 
@@ -359,7 +360,7 @@ def _oracle_smooth(losses, window, sigma):
 def test_smooth_matches_convolution_oracle():
     rng = np.random.default_rng(11)
     losses = list(3.0 + 0.1 * rng.normal(size=40))
-    series = runs.RunSeries.from_records(_run_of_losses(losses))
+    series = runs.RunSeries(_run_of_losses(losses))
     for window in (3, 4, 10):
         smoothed = runs.gaussian_smooth(series, window=window)
         expected = _oracle_smooth(losses, window, window / 4.0)
@@ -368,7 +369,7 @@ def test_smooth_matches_convolution_oracle():
 
 
 def test_smooth_keeps_other_fields_and_length():
-    series = runs.RunSeries.from_records(
+    series = runs.RunSeries(
         _run_of_losses([3.0, 2.9, 2.8, 2.7, 2.6], "x") + _run_of_losses([4.0] * 6, "y")
     )
     smoothed = runs.gaussian_smooth(series, window=3)
@@ -386,7 +387,7 @@ def test_smooth_sigma_whose_kernel_underflows_rejected():
 
 
 def test_smooth_window_larger_than_run():
-    series = runs.RunSeries.from_records(_run_of_losses([3.0, 2.9, 2.8]))
+    series = runs.RunSeries(_run_of_losses([3.0, 2.9, 2.8]))
     with pytest.raises(WindowLargerThanRun) as err:
         runs.gaussian_smooth(series, window=10)
     assert err.value.run_id == "a"
@@ -398,17 +399,17 @@ def test_smooth_window_larger_than_run():
 
 
 def test_split_counts():
-    series = runs.RunSeries.from_records(_run_of_losses([3.0 - 0.1 * i for i in range(8)]))
+    series = runs.RunSeries(_run_of_losses([3.0 - 0.1 * i for i in range(8)]))
     fit_split, holdout = runs.split_fit_holdout(series, 0.25)
     assert (len(fit_split), len(holdout)) == (2, 6)
 
-    series4 = runs.RunSeries.from_records(_run_of_losses([3.0, 2.9, 2.8, 2.7]))
+    series4 = runs.RunSeries(_run_of_losses([3.0, 2.9, 2.8, 2.7]))
     fit_split, holdout = runs.split_fit_holdout(series4, 0.5)
     assert (len(fit_split), len(holdout)) == (2, 2)
 
 
 def test_split_matches_per_run_slicing_oracle():
-    series = runs.RunSeries.from_records(
+    series = runs.RunSeries(
         _run_of_losses([3.0 - 0.05 * i for i in range(12)], "a")
         + _run_of_losses([4.0 - 0.05 * i for i in range(8)], "b")
     )
@@ -423,7 +424,7 @@ def test_split_matches_per_run_slicing_oracle():
 
 
 def test_split_partitions():
-    series = runs.RunSeries.from_records(
+    series = runs.RunSeries(
         _run_of_losses([3.0 - 0.05 * i for i in range(9)], "a")
         + _run_of_losses([4.0 - 0.05 * i for i in range(5)], "b")
     )
@@ -434,6 +435,6 @@ def test_split_partitions():
 
 
 def test_split_too_few_records():
-    series = runs.RunSeries.from_records(_run_of_losses([3.0, 2.9, 2.8]))
+    series = runs.RunSeries(_run_of_losses([3.0, 2.9, 2.8]))
     with pytest.raises(TooFewRecords):
         runs.split_fit_holdout(series, 0.25)

@@ -204,7 +204,7 @@ def _ladder(seed):
                 dataset_tag=("synthetic", None, "c4, \"en\"")[i % 3],
             )
         )
-    return runs.RunSeries.from_records(records)
+    return runs.RunSeries(records)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -364,7 +364,7 @@ def test_write_ingest_round_trip_property(tmp_path):
                 )
                 for r in records
             ]
-        return runs.RunSeries.from_records(records)
+        return runs.RunSeries(records)
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
     @hypothesis.given(series())
@@ -418,6 +418,6 @@ def test_smoothed_losses_match_reference_loop(window, sigma):
             runs.TrainingRun(f"r{run}", 10**6 * (run + 1), 1000 * (i + 1), float(loss))
             for i, loss in enumerate(losses)
         ]
-    series = runs.RunSeries.from_records(records)
+    series = runs.RunSeries(records)
     got = [rec.loss for rec in runs.gaussian_smooth(series, window, sigma).records]
     assert got == _ref_smoothed_losses(series, window, sigma)

@@ -188,7 +188,7 @@ def test_blob_radius_approaches_gaussian_mean_norm():
     )
     blob, _ = synth.gen_blobs(spec)
     # one distant row forms a second cluster, so the dataset radius is defined
-    emb = density.EmbeddingSet.from_array(np.vstack([blob.vectors, np.full((1, dim), 1e3)]))
+    emb = density.EmbeddingSet(np.vstack([blob.vectors, np.full((1, dim), 1e3)]))
     clustering = density.kmeans(emb, 2, seed=0)
     cd = density.dataset_density(emb, clustering).per_cluster[clustering.assignment[0]]
     assert cd.n_samples == n

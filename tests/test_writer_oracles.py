@@ -184,7 +184,7 @@ def _series(noise=0.01, seed=3):
         )
         for i, rec in enumerate(synth.gen_curves(spec).records)
     ]
-    return runs.RunSeries.from_records(records)
+    return runs.RunSeries(records)
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +229,7 @@ def test_fit_outputs_match_reference(tmp_path, runs_csv, family, split):
 
 def test_comparison_with_error_row_matches_reference(tmp_path):
     # no batch sizes, so batch_power fails and is kept as an error row
-    series = runs.RunSeries.from_records(
+    series = runs.RunSeries(
         dataclasses.replace(rec, batch_size=None) for rec in _series().records
     )
     families = ["power", "batch_power", "suboptimal", "chinchilla"]
@@ -322,7 +322,7 @@ def _wide():
     # 768 dimensions: the dataset density and both cluster densities overflow
     vectors = 0.05 * SplitMix64(6).normals(768 * 40).reshape(40, 768)
     vectors[20:] += 1.0
-    return density.EmbeddingSet.from_array(vectors)
+    return density.EmbeddingSet(vectors)
 
 
 @pytest.mark.parametrize(
