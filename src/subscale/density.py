@@ -99,8 +99,12 @@ class Clustering:
     grand_centroid: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=int)
+        assignment = np.asarray(self.assignment)
+        if assignment.ndim != 1 or assignment.size == 0 or assignment.dtype.kind not in "iu":
+            raise ValueError("assignment must be a non-empty 1D integer array")
         centroids = np.asarray(self.centroids, dtype=float)
+        if centroids.ndim != 2 or not np.all(np.isfinite(centroids)):
+            raise ValueError("centroids must be a finite 2D array")
         k = centroids.shape[0]
         if assignment.min() < 0 or assignment.max() >= k:
             raise ValueError("assignment indices out of range")
@@ -332,7 +336,7 @@ def _cluster_summary(cluster_id: int, dim: int, dists: np.ndarray) -> ClusterDen
 
 def _weighted_radius(offsets: np.ndarray, denoms: np.ndarray) -> float:
     """Mean of centroid offsets over log(rho_i + 1), one entry per cluster."""
-    if float(offsets.max(initial=0.0)) == 0.0:
+    if float(offsets.max()) == 0.0:
         raise DegenerateGeometry()
     return float(np.mean(offsets / denoms))
 
@@ -414,7 +418,7 @@ def select_low_density(
         dist_sum = dist_sums[cid][taken[cid]]
         return _floored_log_density(count, dim, dist_sum)[1]
 
-    live = [cid for cid in range(clustering.k) if order[cid]]
+    live = list(range(clustering.k))
     live_log_density = [cluster_log_density(cid) for cid in live]
     heap = [(-ld, cid) for cid, ld in zip(live, live_log_density)]
     heapq.heapify(heap)

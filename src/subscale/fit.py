@@ -933,7 +933,7 @@ def predict(
     if not isinstance(params, spec.law):
         raise FamilyMismatch(family_of(params), family)
     with np.errstate(over="ignore"):
-        preds = np.atleast_1d(spec.evaluate(params, spec.extract(holdout)))
+        preds = spec.evaluate(params, spec.extract(holdout))
     return finite_loss(preds, family), mape(preds, _losses(holdout))
 
 

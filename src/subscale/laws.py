@@ -11,12 +11,12 @@ Families:
                             tokens far exceed the optimal budget for N.
 
 All evaluators accept scalars or numpy arrays and are smooth in their
-parameters.  The fitter calls a fused ``*_value_and_jacobian`` once per
-step for a whole stack of parameter vectors, over inputs that
-``prepare_power`` or ``prepare_nd`` log-transform and check once per fit;
-its Jacobians hold the exact partials in the params class's field order.
-The ``*_gradient`` functions return those partials for one law and raw
-inputs.
+parameters.  ``prepare_power`` and ``prepare_nd`` alone check and
+log-transform a law's inputs: each ``eval_*`` reads what they return, and
+so does the fitter, once per fit, before it calls a fused
+``*_value_and_jacobian`` once per step for a whole stack of parameter
+vectors; its Jacobians hold the exact partials in the params class's field
+order.  The ``*_gradient`` functions return those partials for one law.
 
 Each params class checks its fields through ``jsondoc``'s checks, which name
 the bad JSON key, however the law was built; ``params_from_dict`` only picks
@@ -37,15 +37,6 @@ from .errors import NonFiniteLoss, UnknownFamily
 ArrayLike = Union[float, np.ndarray]
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(value: np.ndarray, scalar: bool):
-    return float(value) if scalar else value
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic 1 / (1 + exp(-z)); callers pass z = k * OTR >= 0 (or NaN)."""
     return 1.0 / (1.0 + np.exp(-z))
@@ -64,6 +55,16 @@ def _check_numbers(params) -> None:
         f.name: jsondoc.number(getattr(params, f.name), f"{where}: {key!r}")
         for key, f in zip(param_keys(type(params)), fields(params))
     })
+
+
+def _check_nd(params) -> None:
+    """_check_numbers, then the signs of the (N, D) families' shared coefficients."""
+    _check_numbers(params)
+    if not params.e_irreducible >= 0:
+        raise ValueError("e_irreducible must be >= 0")
+    for name in ("lambda_n", "alpha_n", "lambda_d", "alpha_d"):
+        if not getattr(params, name) > 0:
+            raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,7 @@ class ChinchillaParams:
     alpha_d: float
 
     def __post_init__(self):
-        _check_numbers(self)
-        if not self.e_irreducible >= 0:
-            raise ValueError("e_irreducible must be >= 0")
-        for name in ("lambda_n", "alpha_n", "lambda_d", "alpha_d"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        _check_nd(self)
 
 
 @dataclass(frozen=True)
@@ -116,12 +112,7 @@ class SubOptimalParams:
     k2: float
 
     def __post_init__(self):
-        _check_numbers(self)
-        if not self.e_irreducible >= 0:
-            raise ValueError("e_irreducible must be >= 0")
-        for name in ("lambda_n", "alpha_n", "lambda_d", "alpha_d"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        _check_nd(self)
         if not (self.k1 >= 0 and self.k2 >= 0):
             raise ValueError("k1 and k2 must be >= 0")
 
@@ -176,12 +167,21 @@ def params_from_dict(data: dict) -> LawParams:
 # ---------------------------------------------------------------------------
 
 
-def eval_power(params: PowerLawParams, x: ArrayLike) -> ArrayLike:
-    """lam * x**(-alpha) for x > 0, computed in log space."""
-    xa, scalar = _as_array(x)
+def prepare_power(x: ArrayLike) -> tuple[np.ndarray]:
+    """(ln x,) for x > 0; ln x is a numpy scalar where x is a scalar."""
+    xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0):
         raise ValueError("x must be > 0")
-    return _ret(_power_value(math.log(params.lam), params.alpha, np.log(xa)), scalar)
+    return (np.log(xa),)
+
+
+def prepare_nd(n: ArrayLike, d: ArrayLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln N, ln D, OTR = D/N) for N, D > 0, for the (N, D) families."""
+    na = np.asarray(n, dtype=float)
+    da = np.asarray(d, dtype=float)
+    if np.any(na <= 0) or np.any(da <= 0):
+        raise ValueError("n and d must be > 0")
+    return np.log(na), np.log(da), da / na
 
 
 # The value formulas take scalars for one law, or (starts, 1) columns for a
@@ -199,39 +199,35 @@ def _nd_value(e, ln_lam_n, alpha_n, ln_lam_d, alpha_d, ln_n, ln_d, r_n=1.0, r_d=
     return e + term_n + term_d
 
 
-def _nd_args(params, ln_n, ln_d) -> tuple:
-    return (
-        params.e_irreducible,
-        math.log(params.lambda_n),
-        params.alpha_n,
-        math.log(params.lambda_d),
-        params.alpha_d,
-        ln_n,
-        ln_d,
+def _eval_nd(params, ln_n, ln_d, r_n=1.0, r_d=1.0) -> ArrayLike:
+    """_nd_value for one law: a Python float where the inputs were scalars."""
+    value = _nd_value(
+        params.e_irreducible, math.log(params.lambda_n), params.alpha_n,
+        math.log(params.lambda_d), params.alpha_d, ln_n, ln_d, r_n, r_d,
     )
+    # numpy returns a scalar, not an array, for 0-d operands
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
+def eval_power(params: PowerLawParams, x: ArrayLike) -> ArrayLike:
+    """lam * x**(-alpha) for x > 0, computed in log space."""
+    value = _power_value(math.log(params.lam), params.alpha, *prepare_power(x))
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def eval_chinchilla(params: ChinchillaParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
     """E + lam_n/N**alpha_n + lam_d/D**alpha_d for N, D > 0."""
-    na, s1 = _as_array(n)
-    da, s2 = _as_array(d)
-    if np.any(na <= 0) or np.any(da <= 0):
-        raise ValueError("n and d must be > 0")
-    return _ret(_nd_value(*_nd_args(params, np.log(na), np.log(da))), s1 and s2)
+    ln_n, ln_d, _ = prepare_nd(n, d)
+    return _eval_nd(params, ln_n, ln_d)
 
 
 def eval_suboptimal(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
     """Chinchilla terms scaled by repetition factors of OTR = d/n."""
-    na, s1 = _as_array(n)
-    da, s2 = _as_array(d)
-    if np.any(na <= 0) or np.any(da <= 0):
-        raise ValueError("n and d must be > 0")
-    r = da / na
+    ln_n, ln_d, otr = prepare_nd(n, d)
     # a zero steepness gives the factor 1.5 at every OTR: 0 * inf would be NaN
-    r_d = 1.0 + _sigmoid(params.k1 * r if params.k1 else 0.0)
-    r_n = 1.0 + _sigmoid(params.k2 * r if params.k2 else 0.0)
-    value = _nd_value(*_nd_args(params, np.log(na), np.log(da)), r_n, r_d)
-    return _ret(value, s1 and s2)
+    r_d = 1.0 + _sigmoid(params.k1 * otr if params.k1 else 0.0)
+    r_n = 1.0 + _sigmoid(params.k2 * otr if params.k2 else 0.0)
+    return _eval_nd(params, ln_n, ln_d, r_n, r_d)
 
 
 def finite_loss(value: ArrayLike, family: str) -> ArrayLike:
@@ -245,10 +241,8 @@ def loss_at(params: LawParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
     """Evaluate a law at (model size, tokens); the power family at compute C = 6*n*d."""
     with np.errstate(over="ignore"):
         if isinstance(params, PowerLawParams):
-            na, s1 = _as_array(n)
-            da, s2 = _as_array(d)
-            c = 6.0 * na * da
-            value = eval_power(params, float(c) if (s1 and s2) else c)
+            c = 6.0 * np.asarray(n, dtype=float) * np.asarray(d, dtype=float)
+            value = eval_power(params, c)
         elif isinstance(params, ChinchillaParams):
             value = eval_chinchilla(params, n, d)
         else:
@@ -269,23 +263,6 @@ def loss_at(params: LawParams, n: ArrayLike, d: ArrayLike) -> ArrayLike:
 # round differently, so only the inputs and the sigmoids are shared.  The
 # logs of the coefficients are taken per law with ``math.log``, as the
 # evaluators take them: numpy's vectorized log rounds some inputs otherwise.
-
-
-def prepare_power(x: ArrayLike) -> tuple[np.ndarray]:
-    """(ln x,) for x > 0: what power_value_and_jacobian reads."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa <= 0):
-        raise ValueError("x must be > 0")
-    return (np.log(xa),)
-
-
-def prepare_nd(n: ArrayLike, d: ArrayLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln N, ln D, OTR = D/N) for N, D > 0, for the (N, D) families."""
-    na = np.atleast_1d(np.asarray(n, dtype=float))
-    da = np.atleast_1d(np.asarray(d, dtype=float))
-    if np.any(na <= 0) or np.any(da <= 0):
-        raise ValueError("n and d must be > 0")
-    return np.log(na), np.log(da), da / na
 
 
 def _columns(theta: np.ndarray) -> np.ndarray:
@@ -369,14 +346,16 @@ def _one_law(params: LawParams) -> np.ndarray:
 
 def power_gradient(params: PowerLawParams, x: ArrayLike) -> np.ndarray:
     """Partials of eval_power wrt (lam, alpha); shape (len(x), 2)."""
-    return power_value_and_jacobian(_one_law(params), prepare_power(x))[1][0].T
+    return power_value_and_jacobian(_one_law(params), prepare_power(np.atleast_1d(x)))[1][0].T
 
 
 def chinchilla_gradient(params: ChinchillaParams, n: ArrayLike, d: ArrayLike) -> np.ndarray:
     """Partials wrt (e_irreducible, lambda_n, alpha_n, lambda_d, alpha_d)."""
-    return chinchilla_value_and_jacobian(_one_law(params), prepare_nd(n, d))[1][0].T
+    prepared = prepare_nd(*np.atleast_1d(n, d))  # the fused path reads 1-D inputs
+    return chinchilla_value_and_jacobian(_one_law(params), prepared)[1][0].T
 
 
 def suboptimal_gradient(params: SubOptimalParams, n: ArrayLike, d: ArrayLike) -> np.ndarray:
     """Partials wrt (e, lambda_n, alpha_n, lambda_d, alpha_d, k1, k2)."""
-    return suboptimal_value_and_jacobian(_one_law(params), prepare_nd(n, d))[1][0].T
+    prepared = prepare_nd(*np.atleast_1d(n, d))  # the fused path reads 1-D inputs
+    return suboptimal_value_and_jacobian(_one_law(params), prepared)[1][0].T

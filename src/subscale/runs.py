@@ -76,6 +76,8 @@ class RunSeries:
 def _validate_records(records: tuple[TrainingRun, ...]) -> None:
     if not records:
         raise MalformedRecord(0, "series has no records")
+    for name, parse in _PARSERS:
+        _check_column(name, parse, list(map(attrgetter(name), records)))
     last_tokens: dict[str, int] = {}
     for row, rec in enumerate(records, start=1):
         for field in _POSITIVE:
@@ -91,6 +93,45 @@ def _validate_records(records: tuple[TrainingRun, ...]) -> None:
         if prev is not None and rec.tokens <= prev:
             raise NonMonotoneTokens(rec.run_id, row)
         last_tokens[rec.run_id] = rec.tokens
+
+
+def _check_column(name: str, parse, values: list) -> None:
+    """Reject a value of field ``name`` that a runs file cannot hold, naming its row.
+
+    A file's parsers give only valid values, but a caller may build records
+    of any type.  Each distinct type is checked once, and each distinct
+    string once.  A count beyond 2^53 stays valid, as in a spec built in
+    Python (``synth`` grids reach such token counts); an integer loss or
+    learning rate must be within 2^53, where a float holds it exactly.
+    """
+    def first_row(fault) -> int | None:
+        return next((row for row, value in enumerate(values, start=1) if fault(value)), None)
+
+    def reject(row: int, detail: str):
+        raise MalformedRecord(row, f"{name}={values[row - 1]!r} {detail}")
+
+    integers = False  # in a float column
+    for kind in set(map(type, values)):
+        if kind is type(None):
+            valid = name not in _REQUIRED_COLUMNS
+        elif parse is _parse_count or parse is _parse_float:
+            valid = kind is not bool and issubclass(kind, _NUMBER_TYPES[parse])
+            integers = integers or parse is _parse_float and issubclass(kind, _INTEGERS)
+        else:
+            valid = issubclass(kind, str)
+        if not valid:
+            reject(first_row(lambda value: type(value) is kind), f"is not {_WANTS[parse]}")
+    if parse is _parse_id or parse is _parse_text:
+        for text in set(values) - {None}:
+            if not text:
+                reject(values.index(text) + 1, f"is not {_WANTS[parse]}")
+            if parse is _parse_id and CONTROL_CHARACTER.search(text):
+                _parse_id(text, values.index(text) + 1, name)  # names the character
+    elif integers:
+        row = first_row(lambda value: isinstance(value, _INTEGERS)
+                        and not -_MAX_COUNT <= value <= _MAX_COUNT)
+        if row:
+            reject(row, "exceeds 2^53")
 
 
 def _parse_id(text, row: int, field: str) -> str:
@@ -163,6 +204,15 @@ _SCHEMA = {
     "batch_size": (_parse_count, True),
     "learning_rate": (_parse_float, True),
     "dataset_tag": (_parse_text, False),
+}
+# what a field of a built record must be, by its parser
+_INTEGERS = (int, np.integer)
+_NUMBER_TYPES = {_parse_count: _INTEGERS, _parse_float: (*_INTEGERS, float, np.floating)}
+_WANTS = {
+    _parse_id: "a non-empty string",
+    _parse_text: "a non-empty string",
+    _parse_count: "an integer count",
+    _parse_float: "numeric",
 }
 CSV_COLUMNS = tuple(f.name for f in fields(TrainingRun))
 _REQUIRED_COLUMNS = tuple(f.name for f in fields(TrainingRun) if f.default is MISSING)

@@ -1480,12 +1480,19 @@ def test_text_cells_are_quoted(tmp_path):
 def test_control_character_in_run_id_is_exit_one(tmp_path, power_fixture, command, fmt, control):
     # csv.writer leaves a bare carriage return unquoted, so residuals.csv
     # would split each row of such a run in two
-    records = [
-        dataclasses.replace(r, run_id=f"a{control}b") for r in runs.ingest(power_fixture).records
+    # written by hand: RunSeries itself refuses such an id
+    rows = [
+        dict(dataclasses.asdict(r), run_id=f"a{control}b")
+        for r in runs.ingest(power_fixture).records
     ]
     path = tmp_path / f"runs.{fmt}"
-    write = runs.write_csv if fmt == "csv" else runs.write_jsonl
-    write(runs.RunSeries(records), path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            writer = csv.DictWriter(fh, runs.CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "subscale.cli", command[0], str(path), *command[1:],

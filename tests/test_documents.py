@@ -378,9 +378,23 @@ def test_spec_writers_keep_their_key_order():
          "every cluster must have at least one member"),
         (lambda: density.Clustering(np.full(6, 5), np.zeros((2, 2))), ValueError,
          "assignment indices out of range"),
+        (lambda: density.Clustering([0, 0], [0.0]), ValueError,
+         "centroids must be a finite 2D array"),
+        (lambda: density.Clustering([0], [[np.nan]]), ValueError,
+         "centroids must be a finite 2D array"),
+        (lambda: density.Clustering([], [[0.0]]), ValueError,
+         "assignment must be a non-empty 1D integer array"),
+        (lambda: density.Clustering([[0, 0]], [[0.0]]), ValueError,
+         "assignment must be a non-empty 1D integer array"),
+        (lambda: density.Clustering([0.5, 0], [[0.0]]), ValueError,
+         "assignment must be a non-empty 1D integer array"),
+        (lambda: density.Clustering([True, False], [[0.0], [1.0]]), ValueError,
+         "assignment must be a non-empty 1D integer array"),
     ],
     ids=["negative-model-size", "negative-loss", "empty-series", "nan-vector",
-         "short-ids", "one-dimensional-vectors", "empty-cluster", "cluster-out-of-range"],
+         "short-ids", "one-dimensional-vectors", "empty-cluster", "cluster-out-of-range",
+         "one-dimensional-centroids", "nan-centroid", "empty-assignment",
+         "two-dimensional-assignment", "float-assignment", "bool-assignment"],
 )
 def test_data_type_rejects_what_it_is_built_from(build, error, message):
     with pytest.raises(error) as err:

@@ -260,6 +260,46 @@ def test_analytic_gradients_match_finite_differences(case):
             assert abs(grad[row, i] - numeric[row]) / denom < 1e-4
 
 
+@pytest.mark.parametrize(
+    "params, evaluate, gradient, inputs, message",
+    [
+        (laws.PowerLawParams(5.1, 0.21), laws.eval_power, laws.power_gradient,
+         lambda n, d: (6.0 * np.asarray(n) * d,), "x must be > 0"),
+        (laws.ChinchillaParams(1.3, 61.0, 0.27, 450.0, 0.29), laws.eval_chinchilla,
+         laws.chinchilla_gradient, lambda n, d: (n, d), "n and d must be > 0"),
+        (REF, laws.eval_suboptimal, laws.suboptimal_gradient, lambda n, d: (n, d),
+         "n and d must be > 0"),
+    ],
+    ids=["power", "chinchilla", "suboptimal"],
+)
+def test_evaluators_keep_input_shapes(params, evaluate, gradient, inputs, message):
+    n = np.array([[1e7, 1e9, 4e10], [2e8, 3e9, 5e10]])
+    d = np.array([[1e9, 5e11, 9e12], [4e10, 6e10, 2e12]])
+    # scalars give a Python float, from the evaluator and from loss_at
+    value = evaluate(params, *inputs(1e9, 2e10))
+    assert type(value) is float
+    assert type(laws.loss_at(params, 1e9, 2e10)) is float
+    assert laws.loss_at(params, 1e9, 2e10) == value
+    # arrays keep numpy's broadcast shape: 1-D, 2-D, and a scalar N against many D
+    for n_in, d_in in [(n[0], d[0]), (n, d), (1e9, d[0]), (1e9, d)]:
+        want_shape = np.broadcast(n_in, d_in).shape
+        values = evaluate(params, *inputs(n_in, d_in))
+        assert isinstance(values, np.ndarray) and values.shape == want_shape
+        assert laws.loss_at(params, n_in, d_in).shape == want_shape
+        for index in np.ndindex(want_shape):
+            one = evaluate(params, *inputs(np.broadcast_to(n_in, want_shape)[index],
+                                           np.broadcast_to(d_in, want_shape)[index]))
+            assert values[index] == pytest.approx(one, rel=1e-14)
+    # a non-positive input is refused, scalar or in an array
+    for bad_n, bad_d in [(0.0, 2e10), (1e9, -1.0), (n[0], np.array([1.0, 0.0, 1.0]))]:
+        with pytest.raises(ValueError, match=message):
+            evaluate(params, *inputs(bad_n, bad_d))
+    # a gradient at scalars is one row, equal to the one-element array call
+    grad = gradient(params, *inputs(1e9, 2e10))
+    assert grad.shape == (1, len(laws.param_keys(type(params))))
+    assert np.array_equal(grad, gradient(params, *inputs(np.array([1e9]), np.array([2e10]))))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

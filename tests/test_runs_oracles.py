@@ -380,6 +380,64 @@ def test_write_ingest_round_trip_property(tmp_path):
     check()
 
 
+def test_built_series_is_rejected_by_name_or_round_trips(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from subscale.errors import SubscaleError
+
+    # values a runs file can hold, and values of every other kind
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+    big = st.integers(-(2**60), 2**60)
+    wild = st.one_of(
+        st.none(), st.booleans(), st.just(""), text, big, st.floats(),
+        big.map(np.int64), st.floats(allow_nan=False).map(np.float64),
+        st.sampled_from([2**53, -(2**53), 2**53 + 1, "1.0", np.True_]),
+    )
+    counts = st.integers(1, 2**53) | st.integers(1, 2**53).map(np.int64)
+    floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+    def field(valid):
+        return st.one_of(valid, valid, valid, wild)
+
+    @st.composite
+    def records(draw):
+        out = []
+        for tokens in range(1, draw(st.integers(1, 4)) + 1):
+            out.append(runs.TrainingRun(
+                draw(field(st.sampled_from(["a", "b"]))),
+                draw(field(counts)),
+                draw(field(st.just(tokens * 10))),
+                draw(field(floats)),
+                step=draw(field(st.none() | st.integers(-(2**53), 2**53))),
+                batch_size=draw(field(st.none() | counts)),
+                learning_rate=draw(field(st.none() | floats)),
+                dataset_tag=draw(field(st.none() | text.filter(bool))),
+            ))
+        return out
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(records())
+    def check(recs):
+        try:
+            series = runs.RunSeries(recs)
+        except SubscaleError:
+            return
+        # a count beyond 2^53 is valid in Python, and only a runs file's rule
+        beyond = any(
+            not isinstance(getattr(r, f), (float, type(None))) and abs(getattr(r, f)) > 2**53
+            for r in series.records for f in ("model_size", "tokens", "step", "batch_size")
+        )
+        for write, name in ((runs.write_csv, "x.csv"), (runs.write_jsonl, "x.jsonl")):
+            write(series, tmp_path / name)
+            if beyond:
+                with pytest.raises(MalformedRecord, match=r"exceeds 2\^53"):
+                    runs.ingest(tmp_path / name)
+            else:
+                assert runs.ingest(tmp_path / name).records == series.records
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # Smoothing: the sliced windows against the masked loop they replaced
 # ---------------------------------------------------------------------------
