@@ -8,7 +8,8 @@ schema.  The CSV header (required) is their names in field order::
     run_id,model_size,tokens,loss,step,batch_size,learning_rate,dataset_tag
 
 JSONL carries one object per record with the same keys.  The fields without
-a default are required; ``_SCHEMA`` gives each field its parser and says
+a default are required; ``_SCHEMA`` holds each field's rules: its parser,
+the types a value built in Python may have, the wording of its fault, and
 whether it must be > 0.  Counts are parsed as integers up to 2**53, the
 other numbers as finite 64-bit floats.  Optional fields may be empty (CSV)
 or null (JSONL).  The writers write a numpy scalar as a plain Python
@@ -21,9 +22,9 @@ import csv
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import count
 from operator import attrgetter, index
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -69,15 +70,14 @@ class RunSeries:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self) -> Iterator[TrainingRun]:
-        return iter(self.records)
-
 
 def _validate_records(records: tuple[TrainingRun, ...]) -> None:
     if not records:
         raise MalformedRecord(0, "series has no records")
-    for name, parse in _PARSERS:
-        _check_column(name, parse, list(map(attrgetter(name), records)))
+    faults = [fault for name, rule in _SCHEMA.items()
+              if (fault := _column_fault(name, rule, list(map(attrgetter(name), records))))]
+    if faults:  # the first row's, and in it the first field's, as in a runs file
+        raise min(faults, key=attrgetter("row"))
     last_tokens: dict[str, int] = {}
     for row, rec in enumerate(records, start=1):
         for field in _POSITIVE:
@@ -95,43 +95,44 @@ def _validate_records(records: tuple[TrainingRun, ...]) -> None:
         last_tokens[rec.run_id] = rec.tokens
 
 
-def _check_column(name: str, parse, values: list) -> None:
-    """Reject a value of field ``name`` that a runs file cannot hold, naming its row.
+def _column_fault(name: str, rule: tuple, values: list) -> MalformedRecord | None:
+    """The fault of the first value of field ``name`` that a runs file cannot hold.
 
     A file's parsers give only valid values, but a caller may build records
-    of any type.  Each distinct type is checked once, and each distinct
-    string once.  A count beyond 2^53 stays valid, as in a spec built in
-    Python (``synth`` grids reach such token counts); an integer loss or
-    learning rate must be within 2^53, where a float holds it exactly.
+    of any type.  Each distinct type is judged once, and each distinct
+    string once; the rows are scanned only when the column holds a fault or
+    an integer in a float field.  A count beyond 2^53 stays valid, as in a
+    spec built in Python (``synth`` grids reach such token counts); an
+    integer loss or learning rate must be within 2^53, where a float holds
+    it exactly.
     """
-    def first_row(fault) -> int | None:
-        return next((row for row, value in enumerate(values, start=1) if fault(value)), None)
+    parse, types, wants, _ = rule
+    optional = name not in _REQUIRED_COLUMNS
 
-    def reject(row: int, detail: str):
-        raise MalformedRecord(row, f"{name}={values[row - 1]!r} {detail}")
+    def valid_type(kind) -> bool:
+        return optional if kind is type(None) else kind is not bool and issubclass(kind, types)
 
-    integers = False  # in a float column
-    for kind in set(map(type, values)):
-        if kind is type(None):
-            valid = name not in _REQUIRED_COLUMNS
-        elif parse is _parse_count or parse is _parse_float:
-            valid = kind is not bool and issubclass(kind, _NUMBER_TYPES[parse])
-            integers = integers or parse is _parse_float and issubclass(kind, _INTEGERS)
-        else:
-            valid = issubclass(kind, str)
-        if not valid:
-            reject(first_row(lambda value: type(value) is kind), f"is not {_WANTS[parse]}")
-    if parse is _parse_id or parse is _parse_text:
-        for text in set(values) - {None}:
-            if not text:
-                reject(values.index(text) + 1, f"is not {_WANTS[parse]}")
-            if parse is _parse_id and CONTROL_CHARACTER.search(text):
-                _parse_id(text, values.index(text) + 1, name)  # names the character
-    elif integers:
-        row = first_row(lambda value: isinstance(value, _INTEGERS)
-                        and not -_MAX_COUNT <= value <= _MAX_COUNT)
-        if row:
-            reject(row, "exceeds 2^53")
+    def fault(value, row: int) -> MalformedRecord | None:
+        if not valid_type(type(value)) or value == "":
+            return MalformedRecord(row, f"{name}={value!r} is not {wants}")
+        if isinstance(value, str):
+            try:
+                parse(value, row, name)  # names a control character in a run id
+            except MalformedRecord as exc:
+                return exc
+        elif (float in types and isinstance(value, _INTEGERS)
+              and not -_MAX_COUNT <= value <= _MAX_COUNT):
+            return MalformedRecord(row, f"{name}={value!r} exceeds 2^53")
+        return None
+
+    kinds = set(map(type, values))
+    # row 0: here only whether a distinct string is faulty counts
+    if all(map(valid_type, kinds)) and not (
+        any(fault(text, 0) for text in set(values) - {None}) if str in types
+        else float in types and any(issubclass(kind, _INTEGERS) for kind in kinds)
+    ):
+        return None
+    return next(filter(None, map(fault, values, count(1))), None)
 
 
 def _parse_id(text, row: int, field: str) -> str:
@@ -194,33 +195,24 @@ def _parse_float(text, row: int, field: str) -> float | None:
         raise MalformedRecord(row, f"{field}={text!r} is not numeric") from None
 
 
-# per field of TrainingRun: its parser, and whether it must be > 0
-_SCHEMA = {
-    "run_id": (_parse_id, False),
-    "model_size": (_parse_count, True),
-    "tokens": (_parse_count, True),
-    "loss": (_parse_float, True),
-    "step": (_parse_count, False),
-    "batch_size": (_parse_count, True),
-    "learning_rate": (_parse_float, True),
-    "dataset_tag": (_parse_text, False),
-}
-# what a field of a built record must be, by its parser
 _INTEGERS = (int, np.integer)
-_NUMBER_TYPES = {_parse_count: _INTEGERS, _parse_float: (*_INTEGERS, float, np.floating)}
-_WANTS = {
-    _parse_id: "a non-empty string",
-    _parse_text: "a non-empty string",
-    _parse_count: "an integer count",
-    _parse_float: "numeric",
+_REALS = (*_INTEGERS, float, np.floating)
+# per field of TrainingRun, in field order: its parser, the types a built
+# value may have, what its fault says it is not, and whether it must be > 0
+_SCHEMA = {
+    "run_id": (_parse_id, (str,), "a non-empty string", False),
+    "model_size": (_parse_count, _INTEGERS, "an integer count", True),
+    "tokens": (_parse_count, _INTEGERS, "an integer count", True),
+    "loss": (_parse_float, _REALS, "numeric", True),
+    "step": (_parse_count, _INTEGERS, "an integer count", False),
+    "batch_size": (_parse_count, _INTEGERS, "an integer count", True),
+    "learning_rate": (_parse_float, _REALS, "numeric", True),
+    "dataset_tag": (_parse_text, (str,), "a non-empty string", False),
 }
 CSV_COLUMNS = tuple(f.name for f in fields(TrainingRun))
 _REQUIRED_COLUMNS = tuple(f.name for f in fields(TrainingRun) if f.default is MISSING)
-_PARSERS = tuple((name, _SCHEMA[name][0]) for name in CSV_COLUMNS)
-_POSITIVE = tuple(name for name in CSV_COLUMNS if _SCHEMA[name][1])
-_FLOAT_AT = tuple(i for i, (_, parse) in enumerate(_PARSERS) if parse is _parse_float)
-_FLOATS = tuple(CSV_COLUMNS[i] for i in _FLOAT_AT)
-_values = attrgetter(*CSV_COLUMNS)
+_POSITIVE = tuple(name for name, (_, _, _, positive) in _SCHEMA.items() if positive)
+_FLOATS = tuple(name for name, (_, types, _, _) in _SCHEMA.items() if float in types)
 
 
 def _record_from_mapping(raw: dict, row: int) -> TrainingRun:
@@ -228,7 +220,7 @@ def _record_from_mapping(raw: dict, row: int) -> TrainingRun:
     for key in _REQUIRED_COLUMNS:
         if get(key) in (None, ""):
             raise MissingColumn(key)
-    return TrainingRun(*[parse(get(name), row, name) for name, parse in _PARSERS])
+    return TrainingRun(*[parse(get(key), row, key) for key, (parse, _, _, _) in _SCHEMA.items()])
 
 
 def ingest(path, format: str | None = None) -> RunSeries:
@@ -282,13 +274,17 @@ def ingest(path, format: str | None = None) -> RunSeries:
     return RunSeries(records)
 
 
-def _plain_row(rec: TrainingRun) -> list:
-    row = list(_values(rec))
-    # csv writes str(value); a numpy float's str follows numpy's print options
-    for i in _FLOAT_AT:
-        if isinstance(row[i], (float, np.floating)):
-            row[i] = float(row[i])
-    return row
+def _plain_rows(series: RunSeries):
+    """Each record's values, with a numpy float as a float: csv writes
+    str(value), and a numpy float's str follows numpy's print options."""
+    columns = []
+    for name, (_, types, _, _) in _SCHEMA.items():
+        values = list(map(attrgetter(name), series.records))
+        if float in types and any(issubclass(kind, np.floating)
+                                  for kind in set(map(type, values))):
+            values = [float(v) if isinstance(v, np.floating) else v for v in values]
+        columns.append(values)
+    return zip(*columns)
 
 
 # json refuses a numpy integer, which index() turns into an int
@@ -300,14 +296,14 @@ def write_csv(series: RunSeries, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(_plain_row(rec) for rec in series.records)
+        writer.writerows(_plain_rows(series))
 
 
 def write_jsonl(series: RunSeries, path) -> None:
     """Serialize to JSONL, one object per record with all schema keys."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in series.records:
-            fh.write(_encode_jsonl(dict(zip(CSV_COLUMNS, _plain_row(rec)))) + "\n")
+        for row in _plain_rows(series):
+            fh.write(_encode_jsonl(dict(zip(CSV_COLUMNS, row))) + "\n")
 
 
 def indices_by_run(series: RunSeries) -> dict[str, list[int]]:

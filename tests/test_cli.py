@@ -378,6 +378,24 @@ def test_density_bad_format_exit_one(tmp_path):
     assert main(["density", str(bad), "--k", "1", "-o", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, options, fault",
+    [
+        ("id,v0,v1\na,1.0,2.0\nb,0.0,0.0\nc,3.0,1.0\n", ["--normalize"],
+         "cannot unit-normalize zero vectors"),
+        ("id,v0,v1\n", [], "{path}: no rows"),
+    ],
+    ids=["zero-row-normalized", "header-only"],
+)
+def test_density_embeddings_it_cannot_use_are_exit_one(tmp_path, capsys, text, options, fault):
+    path = tmp_path / "vectors.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["density", str(path), "--k", "1", *options, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"subscale density: {fault.format(path=path)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_iters", ["0", "-3"])
 @pytest.mark.parametrize(
     "command", [["density"], ["select", "--keep-fraction", "0.5"]], ids=["density", "select"]

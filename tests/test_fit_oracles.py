@@ -648,6 +648,92 @@ def test_failed_starts_are_skipped(monkeypatch, per_group):
 
 
 # ---------------------------------------------------------------------------
+# Faulty values, in the engine and in the serial reference alike
+# ---------------------------------------------------------------------------
+
+
+def _with_values(monkeypatch, family, fault):
+    """Install ``fault(values, point)`` on the values of the engine's and the
+    reference's evaluators, for each parameter vector ``point`` they take."""
+
+    def wrap(value_and_jacobian):
+        def evaluate(theta, prepared):
+            value, jac = value_and_jacobian(theta, prepared)
+            for i, point in enumerate(theta):
+                value[i] = fault(value[i], point)
+            return value, jac
+
+        return evaluate
+
+    spec = _with_evaluator(monkeypatch, family, wrap)
+    evaluate, gradient = _REF_LAWS[spec.law]
+
+    def ref_evaluate(params, *inputs):
+        return fault(evaluate(params, *inputs), np.array(dataclasses.astuple(params)))
+
+    monkeypatch.setitem(_REF_LAWS, spec.law, (ref_evaluate, gradient))
+    return spec
+
+
+def _fit_inputs(spec, series, config):
+    inputs = spec.extract(series)
+    obs = fit._losses(series)
+    lo, hi = fit._bounds(spec, obs, config.bounds)
+    return inputs, obs, lo, hi, fit._build_starts(spec, inputs, obs, config, lo, hi)
+
+
+def test_round_with_finite_and_non_finite_trial_points(monkeypatch):
+    # objectives are taken only where the residuals are finite; the rest
+    # are rejected steps
+    series, config = _series(1, 0.05), fit.FitConfig()
+    spec = _with_values(monkeypatch, "chinchilla",
+                        lambda values, point: values * math.nan if point[2] > 0.5 else values)
+    masks, original = [], fit._finite_rows
+
+    def finite_rows(r, jac):
+        masks.append(original(r, jac))
+        return masks[-1]
+
+    monkeypatch.setattr(fit, "_finite_rows", finite_rows)
+    inputs, obs, lo, hi, starts = _fit_inputs(spec, series, config)
+    n = _assert_each_start_matches_reference(spec, inputs, obs, starts, lo, hi, config)
+    assert n == len(starts) and masks[0].all()  # every start point is finite
+    assert any(mask.any() and not mask.all() for mask in masks[1:])
+
+
+def test_damping_beyond_1e32_hands_off_to_polishing(monkeypatch):
+    # only the start points are finite, and their residuals are so large
+    # that the damping passes 1e32 before a rejected step becomes negligible
+    series, config = _series(1, 0.05), fit.FitConfig(residual_space="linear")
+    inputs, obs, lo, hi, starts = _fit_inputs(fit.FAMILIES["power"], series, config)
+    alphas = {float(start[1]) for start in starts}
+    spec = _with_values(
+        monkeypatch, "power",
+        lambda values, point: values * (1e20 if point[1] in alphas else math.nan),
+    )
+    n = _assert_each_start_matches_reference(spec, inputs, obs, starts, lo, hi, config)
+    assert n == len(starts)
+    for outcome in fit._run_starts(spec, spec.prepare(*inputs), obs, starts, lo, hi, config):
+        # the damped loop stops unconverged before max_iters only on this hand-off
+        assert not outcome.converged and outcome.n_iters < config.max_iters
+        assert len(outcome.trace) == 1
+
+
+def test_no_convergence_when_every_start_fails(monkeypatch):
+    series, config = _series(1, 0.05), fit.FitConfig()
+    spec = _with_values(monkeypatch, "chinchilla", lambda values, point: values * math.nan)
+    inputs, obs, lo, hi, starts = _fit_inputs(spec, series, config)
+    for start in starts:
+        with pytest.raises(fit._StartFailed):
+            _ref_run_start(spec, inputs, obs, start, lo, hi, config)
+    with pytest.raises(fit.NoConvergence) as info:
+        fit.fit_law(series, "chinchilla", config)
+    assert str(info.value) == (
+        f"fitting family 'chinchilla' failed from all {len(starts)} start points"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Reference: positional bounds and starts
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,10 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +317,69 @@ def test_column_names_the_first_record_without_the_field():
     with pytest.raises(MissingField) as err:
         runs.column(series, "learning_rate")
     assert (err.value.field, err.value.run_id) == ("learning_rate", "b")
+
+
+# ---------------------------------------------------------------------------
+# built records: what a runs file cannot hold, named by its first row
+# ---------------------------------------------------------------------------
+
+
+def test_schema_rows_are_the_record_fields_in_field_order():
+    # _record_from_mapping passes the parsed values to TrainingRun by position
+    assert tuple(runs._SCHEMA) == runs.CSV_COLUMNS
+
+
+# row 1 holds the largest integers a loss and a learning rate may be
+_WITHIN = runs.TrainingRun("a", 5, 10, 2**53, learning_rate=2**53)
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([_WITHIN, runs.TrainingRun("b\tc", 5, 10, 2.0)],
+         "row 2: run_id 'b\\tc' holds the control character '\\t'"),
+        ([_WITHIN, dataclasses.replace(_WITHIN, tokens=20, loss=2**53 + 1)],
+         "row 2: loss=9007199254740993 exceeds 2^53"),
+        ([_WITHIN, dataclasses.replace(_WITHIN, tokens=20, learning_rate=-(2**53) - 1)],
+         "row 2: learning_rate=-9007199254740993 exceeds 2^53"),
+        ([_WITHIN, dataclasses.replace(_WITHIN, tokens=20, loss=np.uint64(2**63))],
+         "row 2: loss=np.uint64(9223372036854775808) exceeds 2^53"),
+        ([runs.TrainingRun(run_id, 5, 10, 2.0) for run_id in ("", "a", 7)],
+         "row 1: run_id='' is not a non-empty string"),
+        ([runs.TrainingRun("a", 5, 10, 2**60), runs.TrainingRun("a", 5, 20, True)],
+         "row 1: loss=1152921504606846976 exceeds 2^53"),
+        ([runs.TrainingRun("a", 5, 10, 2.0, dataset_tag=""),
+          runs.TrainingRun("a", 2.5, 20, 2.0)],
+         "row 1: dataset_tag='' is not a non-empty string"),
+        ([runs.TrainingRun("a", 5, 10, 2.0), runs.TrainingRun("a", 2.5, 20, 2.0, step="x")],
+         "row 2: model_size=2.5 is not an integer count"),
+    ],
+    ids=["control-character", "loss-beyond-2^53", "learning-rate-beyond-2^53",
+         "numpy-loss-beyond-2^53", "faults-in-one-column", "integer-before-bool",
+         "later-field-earlier-row", "earlier-field-same-row"],
+)
+def test_built_series_names_its_first_faulty_row_then_field(records, message):
+    # as ingest does for a file: the first row, and in it the first field
+    with pytest.raises(MalformedRecord) as err:
+        runs.RunSeries(records)
+    assert str(err.value) == message
+
+
+def test_built_fault_is_the_same_under_every_hash_seed():
+    code = (
+        "from subscale import runs\n"
+        "try:\n"
+        "    runs.RunSeries([runs.TrainingRun(f'a{chr(c)}', 5, 10, 2.0) for c in (1, 2, 3)])\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(runs.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout == "row 1: run_id 'a\\x01' holds the control character '\\x01'\n"
 
 
 # ---------------------------------------------------------------------------
